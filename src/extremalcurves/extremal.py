@@ -118,7 +118,6 @@ class ExtremalModel:
         return f"{head}{l:+d}L"
 
     def record(self) -> dict:
-        h, l = self.scroll_class if self.scroll_class else (None, None)
         return {
             "kind": self.kind.value,
             "gamma": self.gamma,

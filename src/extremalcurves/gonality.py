@@ -6,17 +6,27 @@ with a provenance tag on each side.  Baseline seeds:
 
     d_1 = gamma,   d_{g-1} = 2g-2,   d_r = r+g for r >= g,   d_r <= r*gamma.
 
-Extremal-curve facts sharpen individual entries, and two rules close the
+A new ledger starts at the gonal ceiling hi[r] = r*gamma.  Seeds and
+extremal-curve facts sharpen individual entries, and two rules close the
 system to a fixed point:
 
     strict increase   lo[r+1] >= lo[r] + 1,   hi[r] <= hi[r+1] - 1
     subadditivity     hi[r+s] <= hi[r] + hi[s]      (r+s <= g+2)
 
-Lower and upper bounds never feed each other except through the final
-crossing check, so the lower fixed point is one ascending pass and the
-upper one alternates a descending chain pass with an ascending
-subadditivity pass until stable.  Bounds only tighten and are integers,
-so this terminates immediately.  Inconsistent seeds raise a
+No rule derives an upper bound from a lower one, so the lower fixed point
+is one ascending pass.  The upper one alternates a descending chain pass
+with an ascending subadditivity pass until a round tightens nothing.
+Every tightening of hi[r] is appended to a change log and checked
+against lo[r] at once, and every tightening of lo[r] is checked against
+hi[r].  The ceiling is additive and strictly increasing, so it is
+already closed, and so is every ledger a closure finishes (which clears
+the log).  A split hi[s] + hi[t-s] can therefore beat hi[t] only if one
+of its sides moved since t was last closed: each t checks just those
+splits, or all of them when the unseen part of the log is longer than
+about t/4.  Candidates are tried in ascending s with a strict ``<``, so
+the bounds and their tags are those of a full rescan.  Upper bounds only
+fall, and a crossing stops the closure, so every hi[r] stays at or above
+lo[r] and the closure terminates.  A crossing raises a
 ``ContradictionError`` naming the provenance tags on both sides.
 
 Ledgers are single-owner and mutable while built, then frozen; frozen
@@ -29,14 +39,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from operator import add
 
 from .castelnuovo import profile
 from .errors import ContradictionError, InvalidInput, UnsupportedInput
 from .extremal import ExtremalModel, ModelKind, gonality_from_class
 from .lattice import DivisorClass, adjunction_genus
 from .verdicts import SlopeVerdict, Status
-
-_INF = 10**18  # pre-seed sentinel; baseline ledgers always end up finite
 
 
 @dataclass(frozen=True)
@@ -56,7 +65,9 @@ class GonalityLedger:
     Indices 1..g+2 are materialized; entries past the end are the known
     tail d_r = r + g."""
 
-    __slots__ = ("gamma", "g", "max_index", "_lo", "_hi", "_lo_tag", "_hi_tag", "_frozen")
+    __slots__ = (
+        "gamma", "g", "max_index", "_lo", "_hi", "_lo_tag", "_hi_tag", "_moved", "_frozen"
+    )
 
     def __init__(self, gamma: int, g: int):
         if gamma < 2:
@@ -68,9 +79,10 @@ class GonalityLedger:
         self.max_index = g + 2
         size = self.max_index + 1  # index 0 unused
         self._lo = [1] * size
-        self._hi = [_INF] * size
+        self._hi = [r * gamma for r in range(size)]
         self._lo_tag = ["trivial"] * size
-        self._hi_tag = ["trivial"] * size
+        self._hi_tag = ["gonal-ceiling"] * size
+        self._moved: list[int] = []  # indices whose hi fell since the last closure
         self._frozen = False
 
     # -- construction -------------------------------------------------
@@ -93,6 +105,7 @@ class GonalityLedger:
         twin._hi = list(self._hi)
         twin._lo_tag = list(self._lo_tag)
         twin._hi_tag = list(self._hi_tag)
+        twin._moved = list(self._moved)
         twin._frozen = False
         return twin
 
@@ -110,59 +123,75 @@ class GonalityLedger:
         self._check_mutable()
         self._check_index(r)
         if value > self._lo[r]:
-            self._lo[r] = value
-            self._lo_tag[r] = tag
-            if value > self._hi[r]:
-                raise ContradictionError(r, value, self._hi[r], tag, self._hi_tag[r])
+            self._raise_lo(r, value, tag)
 
     def set_hi(self, r: int, value: int, tag: str) -> None:
         self._check_mutable()
         self._check_index(r)
         if value < self._hi[r]:
-            self._hi[r] = value
-            self._hi_tag[r] = tag
-            if value < self._lo[r]:
-                raise ContradictionError(r, self._lo[r], value, self._lo_tag[r], tag)
+            self._lower_hi(r, value, tag)
 
     def set_exact(self, r: int, value: int, tag: str) -> None:
         self.set_lo(r, value, tag)
         self.set_hi(r, value, tag)
+
+    def _raise_lo(self, r: int, value: int, tag: str) -> None:
+        """Tighten lo[r] to value, checking it against hi[r]."""
+        self._lo[r] = value
+        self._lo_tag[r] = tag
+        if value > self._hi[r]:
+            raise ContradictionError(r, value, self._hi[r], tag, self._hi_tag[r])
+
+    def _lower_hi(self, r: int, value: int, tag: str) -> None:
+        """Tighten hi[r] to value, logging r and checking it against lo[r]."""
+        self._hi[r] = value
+        self._hi_tag[r] = tag
+        self._moved.append(r)
+        if value < self._lo[r]:
+            raise ContradictionError(r, self._lo[r], value, self._lo_tag[r], tag)
 
     def propagate(self) -> "GonalityLedger":
         """Close the intervals under strict increase and subadditivity."""
         self._check_mutable()
         lo, hi = self._lo, self._hi
         lo_tag, hi_tag = self._lo_tag, self._hi_tag
+        moved = self._moved
         top = self.max_index
         for r in range(1, top):  # lower bounds: one ascending pass suffices
             v = lo[r] + 1
             if v > lo[r + 1]:
-                lo[r + 1] = v
-                lo_tag[r + 1] = lo_tag[r]
-        changed = True
-        while changed:
-            changed = False
+                self._raise_lo(r + 1, v, lo_tag[r])
+        # seen[t]: how much of the change log t's splits have been checked against
+        seen = [0] * (top + 1)
+        start = 0
+        while len(moved) > start:  # until a round tightens nothing
+            start = len(moved)
             for r in range(top - 1, 0, -1):  # hi[r] <= hi[r+1] - 1
                 v = hi[r + 1] - 1
                 if v < hi[r]:
-                    hi[r] = v
-                    hi_tag[r] = hi_tag[r + 1]
-                    changed = True
+                    self._lower_hi(r, v, hi_tag[r + 1])
             for t in range(2, top + 1):  # hi[t] <= hi[s] + hi[t-s]
+                fresh = len(moved) - seen[t]
+                if not fresh:
+                    continue
                 best = hi[t]
                 split = 0
-                for s in range(1, t // 2 + 1):
-                    v = hi[s] + hi[t - s]
-                    if v < best:
-                        best = v
-                        split = s
+                if 4 * fresh > t:  # many moved: scan every split
+                    low = min(_split_sums(hi, t))
+                    if low < best:
+                        best = low
+                        split = list(_split_sums(hi, t)).index(low) + 1
+                else:  # only a split with a moved side can beat hi[t]
+                    sides = {i if 2 * i <= t else t - i for i in moved[seen[t] :] if i < t}
+                    for s in sorted(sides):
+                        v = hi[s] + hi[t - s]
+                        if v < best:
+                            best = v
+                            split = s
                 if split:
-                    hi[t] = best
-                    hi_tag[t] = _join_tags(hi_tag[split], hi_tag[t - split])
-                    changed = True
-        for r in range(1, top + 1):
-            if lo[r] > hi[r]:
-                raise ContradictionError(r, lo[r], hi[r], lo_tag[r], hi_tag[r])
+                    self._lower_hi(t, best, _join_tags(hi_tag[split], hi_tag[t - split]))
+                seen[t] = len(moved)
+        moved.clear()
         return self
 
     # -- queries -------------------------------------------------------
@@ -187,6 +216,11 @@ class GonalityLedger:
         return e.lo if e.exact else None
 
 
+def _split_sums(hi: list[int], t: int):
+    """hi[s] + hi[t-s] for s = 1..t//2, in that order."""
+    return map(add, hi[1 : t // 2 + 1], hi[t - 1 : (t - 1) // 2 : -1])
+
+
 def _join_tags(t1: str, t2: str) -> str:
     if t1 == t2:
         return t1
@@ -197,8 +231,6 @@ def _join_tags(t1: str, t2: str) -> str:
 def baseline_ledger(gamma: int, g: int) -> GonalityLedger:
     """The frozen ledger seeded with the classical facts alone."""
     led = GonalityLedger(gamma, g)
-    for r in range(1, led.max_index + 1):
-        led.set_hi(r, r * gamma, "gonal-ceiling")
     led.set_exact(1, gamma, "gonality")
     led.set_exact(g - 1, 2 * g - 2, "canonical")
     for r in range(g, led.max_index + 1):

@@ -1,0 +1,171 @@
+"""The ledger closure: termination, agreement with the full-rescan
+reference, and soundness against every sequence the rules allow."""
+
+import random
+import subprocess
+import sys
+
+import pytest
+
+from extremalcurves import (
+    ContradictionError,
+    GonalityLedger,
+    baseline_ledger,
+    plane_curve_gonality,
+    verylast_sequence,
+    with_assumptions,
+)
+from reference_closure import reference_propagate
+
+
+def test_closure_terminates_when_bounds_cross():
+    # hi[5] = 3 < 5: the full-rescan loop ratchets hi down forever here
+    code = (
+        "from extremalcurves import ContradictionError, GonalityLedger\n"
+        "led = GonalityLedger(4, 10)\n"
+        "led.set_hi(5, 3, 'x')\n"
+        "try:\n"
+        "    led.propagate()\n"
+        "except ContradictionError as exc:\n"
+        "    print(exc.index, exc.lo_tag, exc.hi_tag)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "5 trivial x\n"
+
+
+def test_thaw_keeps_pending_tightenings():
+    led = GonalityLedger(4, 12)
+    led.set_exact(1, 4, "gonality")
+    led.set_exact(11, 22, "canonical")
+    for r in range(12, 15):
+        led.set_exact(r, r + 12, "riemann-roch")
+    assert led.thaw().propagate().entries() == baseline_ledger(4, 12).entries()
+
+
+# -- differential test against the full-rescan reference --------------------
+
+
+@pytest.fixture
+def against_reference(monkeypatch):
+    """Make every propagate call also run the reference on a copy of the
+    arrays and require the same outcome; count the outcomes."""
+    closure = GonalityLedger.propagate
+    tally = {"identical": 0, "contradicted": 0}
+
+    def propagate(led):
+        want = [list(a) for a in (led._lo, led._hi, led._lo_tag, led._hi_tag)]
+        try:
+            reference_propagate(*want, led.max_index)
+            expected = None
+        except ContradictionError as exc:
+            expected = exc
+        try:
+            closure(led)
+        except ContradictionError:
+            assert expected is not None, "only the new closure found a crossing"
+            tally["contradicted"] += 1
+            raise
+        assert expected is None, f"the new closure missed {expected}"
+        assert [led._lo, led._hi, led._lo_tag, led._hi_tag] == want
+        tally["identical"] += 1
+        return led
+
+    monkeypatch.setattr(GonalityLedger, "propagate", propagate)
+    return tally
+
+
+def _assume_inside(rng, led):
+    """One to three distinct indices, each pinned to a value in its interval."""
+    picks = rng.sample(range(1, led.max_index + 1), rng.randint(1, 3))
+    return [(r, rng.randint(led.entry(r).lo, led.entry(r).hi)) for r in picks]
+
+
+def test_closure_matches_full_rescan(against_reference):
+    rng = random.Random(20220527)
+    for gamma in range(2, 9):
+        for g in range(3, 70):
+            try:
+                base = baseline_ledger(gamma, g)
+            except ContradictionError:
+                continue
+            for _ in range(3):
+                try:
+                    with_assumptions(base, _assume_inside(rng, base))
+                except ContradictionError:
+                    pass
+    for n in range(3, 30):
+        verylast_sequence(n)
+    for k in range(5, 30):
+        g = (k - 1) * (k - 2) // 2
+        base = baseline_ledger(k - 1, g)
+        truth = [(r, plane_curve_gonality(k, r)) for r in range(1, base.max_index + 1, 3)]
+        with_assumptions(base, truth)
+    print(f"closure vs reference: {against_reference}")
+    assert against_reference["identical"] > 500
+    assert against_reference["contradicted"] > 500
+
+
+# -- brute-force soundness oracle --------------------------------------------
+
+
+def _allowed_sequences(gamma, g):
+    """Every strictly increasing d_1..d_{g+2} with d_1 = gamma,
+    d_{g-1} = 2g-2, d_r = r+g for r >= g, d_r <= r*gamma and
+    d_{a+b} <= d_a + d_b."""
+    top = g + 2
+    pinned = {1: gamma, g - 1: 2 * g - 2, **{r: r + g for r in range(g, top + 1)}}
+    d = [0] * (top + 1)
+    found = []
+
+    def extend(r):
+        if r > top:
+            found.append(tuple(d))
+            return
+        hi = min([r * gamma] + [d[a] + d[r - a] for a in range(1, r // 2 + 1)])
+        for v in [pinned[r]] if r in pinned else range(d[r - 1] + 1, hi + 1):
+            if d[r - 1] < v <= hi:
+                d[r] = v
+                extend(r + 1)
+
+    extend(1)
+    return found
+
+
+def _contains(led, seqs):
+    return all(led.entry(r).lo <= seq[r] <= led.entry(r).hi
+               for seq in seqs for r in range(1, led.max_index + 1))
+
+
+def test_ledger_holds_every_allowed_sequence():
+    rng = random.Random(8)
+    gaps = []
+    contradicted = 0
+    for gamma in range(2, 6):
+        for g in range(3, 9):
+            seqs = _allowed_sequences(gamma, g)
+            try:
+                base = baseline_ledger(gamma, g)
+            except ContradictionError:
+                assert not seqs, (gamma, g)
+                continue
+            assert _contains(base, seqs), (gamma, g)
+            if seqs:
+                gaps.append(sum(
+                    min(s[r] for s in seqs) - base.entry(r).lo
+                    + base.entry(r).hi - max(s[r] for s in seqs)
+                    for r in range(1, base.max_index + 1)))
+            for _ in range(20):
+                pairs = _assume_inside(rng, base)
+                fitting = [s for s in seqs if all(s[r] == v for r, v in pairs)]
+                try:
+                    led = with_assumptions(base, pairs)
+                except ContradictionError:
+                    assert not fitting, (gamma, g, pairs)
+                    contradicted += 1
+                    continue
+                assert _contains(led, fitting), (gamma, g, pairs)
+    print(f"baseline endpoint gap per ledger: {gaps};"
+          f" {contradicted} assumption sets contradicted")
+    assert contradicted
