@@ -13,21 +13,26 @@ lenient mode accepts d >= r+1 and is used for raw ratio/remainder reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvalidInput
 from .verdicts import SlopeVerdict, Status
 
 
-@dataclass(frozen=True)
-class CurveProfile:
+class CurveProfile(namedtuple("CurveProfile", "d r m eps pi")):
     """The (m, eps) split of (d, r) together with the genus bound pi."""
 
-    d: int
-    r: int
-    m: int
-    eps: int
-    pi: int
+    __slots__ = ()
+
+
+def max_genus(m: int, eps: int, r: int) -> int:
+    """The bound pi(d, r) from the split d - 1 = m*(r-1) + eps."""
+    return (m * (m - 1) // 2) * (r - 1) + m * eps
+
+
+def plane_genus(k: int) -> int:
+    """Genus (k-1)(k-2)/2 of a smooth plane curve of degree k, which is pi(k, 2)."""
+    return (k - 1) * (k - 2) // 2
 
 
 def profile(d: int, r: int, strict: bool = True) -> CurveProfile:
@@ -42,8 +47,7 @@ def profile(d: int, r: int, strict: bool = True) -> CurveProfile:
         mode = "strict" if strict else "lenient"
         raise InvalidInput(f"need d >= {floor} in {mode} mode, got d={d}")
     m, eps = divmod(d - 1, r - 1)
-    pi = (m * (m - 1) // 2) * (r - 1) + m * eps
-    return CurveProfile(d=d, r=r, m=m, eps=eps, pi=pi)
+    return CurveProfile(d, r, m, eps, max_genus(m, eps, r))
 
 
 def brill_noether(d: int, r: int, g: int) -> int:

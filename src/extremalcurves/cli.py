@@ -5,30 +5,18 @@ table1, scan, verylast, plane, selfcheck.  Results go to stdout in
 markdown (default), csv, or json; diagnostics go to stderr.  Exit codes:
 0 success, 1 selfcheck failure, 2 invalid input or usage, 3 a bound
 contradiction.
+
+Each handler imports the layers it runs, and json and csv load only for
+those formats, so a call pays start-up only for what it uses.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import __version__
-from .castelnuovo import profile
 from .errors import ContradictionError, DomainError, InvalidInput
-from .extremal import classify_extremal, embed_extremal
-from .gonality import (
-    GonalityLedger,
-    baseline_ledger,
-    known_family_verdict,
-    plane_curve_gonality,
-    plane_slope_verdict,
-    slope_verdict,
-    verylast_sequence,
-    with_assumptions,
-)
-from .selfcheck import run_selfcheck
-from .tables import SCAN_FIELDS, TABLE_FIELDS, scan, serialize, table1
 
 ENTRY_FIELDS = ("r", "lo", "hi", "exact", "tags")
 
@@ -37,7 +25,11 @@ def _emit_scalar(record: dict, fmt: str) -> str:
     if fmt == "md":
         return " ".join(f"{k}={v}" for k, v in record.items()) + "\n"
     if fmt == "csv":
+        from .tables import serialize
+
         return serialize([record], "csv")
+    import json
+
     return json.dumps(record, indent=2) + "\n"
 
 
@@ -51,11 +43,13 @@ def _entry_record(entry) -> dict:
     }
 
 
-def _ledger_records(led: GonalityLedger) -> list[dict]:
+def _ledger_records(led) -> list[dict]:
     return [_entry_record(e) for e in led.entries()]
 
 
 def _cmd_profile(args) -> int:
+    from .castelnuovo import profile
+
     p = profile(args.d, args.r, strict=not args.lenient)
     record = {"m": p.m, "eps": p.eps, "pi": p.pi}
     sys.stdout.write(_emit_scalar(record, args.format))
@@ -63,12 +57,17 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .extremal import classify_extremal
+    from .tables import serialize
+
     records = [m.record() for m in classify_extremal(args.d, args.r)]
     sys.stdout.write(serialize(records, args.format))
     return 0
 
 
 def _cmd_embed(args) -> int:
+    from .extremal import embed_extremal
+
     res = embed_extremal(args.gamma, args.lam, args.n)
     record = {
         "gamma": res.gamma,
@@ -98,6 +97,9 @@ def _parse_assumption(text: str) -> tuple[int, int]:
 
 
 def _cmd_bounds(args) -> int:
+    from .gonality import baseline_ledger, with_assumptions
+    from .tables import serialize
+
     led = baseline_ledger(args.gamma, args.g)
     if args.assume:
         pairs = [_parse_assumption(text) for text in args.assume]
@@ -107,6 +109,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_slope(args) -> int:
+    from .gonality import known_family_verdict, slope_verdict
+
     if args.family is not None:
         v = known_family_verdict(args.family)
         record = {"family": args.family, "status": str(v.status),
@@ -115,6 +119,9 @@ def _cmd_slope(args) -> int:
         return 0
     if args.d is None or args.r is None:
         raise InvalidInput("slope needs either d and r or --family")
+    from .extremal import classify_extremal
+    from .tables import serialize
+
     records = []
     for model in classify_extremal(args.d, args.r):
         if args.gamma is not None and model.gamma != args.gamma:
@@ -138,6 +145,8 @@ def _cmd_slope(args) -> int:
 
 
 def _cmd_table1(args) -> int:
+    from .tables import TABLE_FIELDS, serialize, table1
+
     rows = table1(args.gamma_max, args.mode)
     records = [row.record() for row in rows]
     sys.stdout.write(serialize(records, args.format, TABLE_FIELDS))
@@ -145,18 +154,25 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    from .tables import SCAN_FIELDS, scan, serialize
+
     records = scan(args.r_lo, args.r_hi, args.d_max)
     sys.stdout.write(serialize(records, args.format, SCAN_FIELDS))
     return 0
 
 
 def _cmd_verylast(args) -> int:
+    from .gonality import verylast_sequence
+    from .tables import serialize
+
     led, rows = verylast_sequence(args.n)
     abar = (args.n - 3) // 2
     window = range(args.n, args.n + 2 * abar + 3)
     entry_records = [_entry_record(led.entry(r)) for r in window]
     row_records = [row.record() for row in rows]
     if args.format == "json":
+        import json
+
         payload = {
             "n": args.n,
             "gamma": led.gamma,
@@ -176,15 +192,19 @@ def _cmd_verylast(args) -> int:
 
 
 def _cmd_plane(args) -> int:
+    from .castelnuovo import plane_genus
+    from .gonality import plane_curve_gonality, plane_slope_verdict
+
     if args.r is not None:
         d_r = plane_curve_gonality(args.k, args.r)
         v = plane_slope_verdict(args.k, args.r)
         record = {"r": args.r, "d_r": d_r, "status": str(v.status), "tag": v.tag}
         sys.stdout.write(_emit_scalar(record, args.format))
         return 0
-    g = (args.k - 1) * (args.k - 2) // 2
+    from .tables import serialize
+
     records = []
-    for r in range(1, g + 3):
+    for r in range(1, plane_genus(args.k) + 3):
         v = plane_slope_verdict(args.k, r)
         records.append({
             "r": r,
@@ -197,6 +217,8 @@ def _cmd_plane(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
+    from .selfcheck import run_selfcheck
+
     count, failures = run_selfcheck()
     if failures:
         for line in failures:

@@ -21,10 +21,10 @@ the curve is extremal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
-from .castelnuovo import CurveProfile, profile
+from .castelnuovo import max_genus, plane_genus, profile
 from .errors import (
     DomainError,
     EmbeddingError,
@@ -52,8 +52,7 @@ class ModelKind(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class ExtremalModel:
+class ExtremalModel(namedtuple("ExtremalModel", "kind d r m eps gamma g scroll_class k")):
     """One candidate model of an extremal curve of degree d in P^r.
 
     Scroll kinds carry their class in the (H, L) basis; the plane kind
@@ -61,46 +60,38 @@ class ExtremalModel:
     redundant invariant and refuses inconsistent data.
     """
 
-    kind: ModelKind
-    d: int
-    r: int
-    m: int
-    eps: int
-    gamma: int
-    g: int
-    scroll_class: tuple[int, int] | None = None
-    k: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d - 1 != self.m * (self.r - 1) + self.eps or not (
-            0 <= self.eps <= self.r - 2
-        ):
+    def __new__(cls, kind: ModelKind, d: int, r: int, m: int, eps: int, gamma: int,
+                g: int, scroll_class: tuple[int, int] | None = None, k: int | None = None):
+        self = tuple.__new__(cls, (kind, d, r, m, eps, gamma, g, scroll_class, k))
+        if d - 1 != m * (r - 1) + eps or not 0 <= eps <= r - 2:
             raise InvalidInput(f"(m, eps) do not split d-1 for {self}")
-        pi = (self.m * (self.m - 1) // 2) * (self.r - 1) + self.m * self.eps
-        if self.g != pi:
-            raise InvalidInput(f"genus {self.g} is not the maximal genus {pi}")
-        if self.kind is ModelKind.TYPE_II:
-            if self.eps != 0 or self.gamma != self.m:
+        pi = max_genus(m, eps, r)
+        if g != pi:
+            raise InvalidInput(f"genus {g} is not the maximal genus {pi}")
+        if kind is ModelKind.TYPE_II:
+            if eps != 0 or gamma != m:
                 raise InvalidInput("type-II models need eps=0 and gamma=m")
-            if self.scroll_class != (self.m, 1) or self.k is not None:
+            if scroll_class != (m, 1) or k is not None:
                 raise InvalidInput("type-II models live in |m*H + L|")
-        elif self.kind is ModelKind.TYPE_III:
-            if self.gamma != self.m + 1:
+        elif kind is ModelKind.TYPE_III:
+            if gamma != m + 1:
                 raise InvalidInput("type-III models need gamma=m+1")
-            expected = (self.m + 1, -(self.r - self.eps - 2))
-            if self.scroll_class != expected or self.k is not None:
+            if scroll_class != (m + 1, -(r - eps - 2)) or k is not None:
                 raise InvalidInput(
                     "type-III models live in |(m+1)*H - (r-eps-2)*L|"
                 )
         else:
-            if self.r != 5 or self.k is None or self.d != 2 * self.k:
+            if r != 5 or k is None or d != 2 * k:
                 raise InvalidInput("plane models need r=5 and d=2k")
-            if self.gamma != self.k - 1 or self.scroll_class is not None:
+            if gamma != k - 1 or scroll_class is not None:
                 raise InvalidInput("plane models of degree k are (k-1)-gonal")
-            if self.g != (self.k - 1) * (self.k - 2) // 2:
+            if g != plane_genus(k):
                 raise InvalidInput(
                     "plane model genus must be the plane-curve genus"
                 )
+        return self
 
     @property
     def class_label(self) -> str:
@@ -211,8 +202,8 @@ def verify_extremal_class(h: int, l: int, scroll: ScrollEmbedding) -> bool:
     return g == profile(d, r).pi
 
 
-@dataclass(frozen=True)
-class EmbedResult:
+class EmbedResult(namedtuple(
+        "EmbedResult", "gamma lam n scroll eps profile genus model hypothesis_met")):
     """Output of ``embed_extremal``.
 
     ``gamma``, ``lam``, ``n`` are the inputs after ruling normalization on
@@ -221,17 +212,11 @@ class EmbedResult:
     embedded curve is provably extremal: ``model`` carries the type-III
     model and ``hypothesis_met`` is True.  Otherwise the embedding data is
     still returned with ``model=None`` (extremality unproven).
+    ``scroll`` is the ``ScrollEmbedding``, ``profile`` the image's
+    ``CurveProfile`` and ``genus`` the adjunction genus of the class.
     """
 
-    gamma: int
-    lam: int
-    n: int
-    scroll: ScrollEmbedding
-    eps: int
-    profile: CurveProfile
-    genus: int
-    model: ExtremalModel | None
-    hypothesis_met: bool
+    __slots__ = ()
 
     @property
     def d(self) -> int:

@@ -37,31 +37,28 @@ all return new frozen ledgers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isqrt
 from operator import add
 
-from .castelnuovo import profile
+from .castelnuovo import plane_genus, profile
 from .errors import ContradictionError, InvalidInput, UnsupportedInput
 from .extremal import ExtremalModel, ModelKind, gonality_from_class
 from .lattice import DivisorClass, adjunction_genus
 from .verdicts import SlopeVerdict, Status
 
 
-@dataclass(frozen=True)
-class GonalityEntry:
-    """One closed interval lo <= d_index <= hi with its provenance tags."""
+class GonalityEntry(namedtuple("GonalityEntry", "index lo hi exact provenance")):
+    """One closed interval lo <= d_index <= hi with its provenance tags
+    (a tuple of strings)."""
 
-    index: int
-    lo: int
-    hi: int
-    exact: bool
-    provenance: tuple[str, ...]
+    __slots__ = ()
 
 
 class GonalityLedger:
     """Interval ledger for the gonality sequence of a (gamma, g) curve.
 
+    Needs g >= 3 and 2 <= gamma <= (g+3)//2, the Brill-Noether maximum.
     Indices 1..g+2 are materialized; entries past the end are the known
     tail d_r = r + g."""
 
@@ -74,6 +71,11 @@ class GonalityLedger:
             raise InvalidInput(f"need gamma >= 2, got {gamma}")
         if g < 3:
             raise InvalidInput(f"need g >= 3, got {g}")
+        if gamma > (g + 3) // 2:
+            raise InvalidInput(
+                f"no curve of genus {g} has gonality {gamma}:"
+                f" the Brill-Noether maximum is {(g + 3) // 2}"
+            )
         self.gamma = gamma
         self.g = g
         self.max_index = g + 2
@@ -383,7 +385,7 @@ def plane_curve_gonality(k: int, r: int) -> int:
         raise UnsupportedInput(f"plane-curve sequences need degree k >= 5, got {k}")
     if r < 1:
         raise InvalidInput(f"need r >= 1, got {r}")
-    g = (k - 1) * (k - 2) // 2
+    g = plane_genus(k)
     if r >= g:
         return r + g
     alpha, beta = _noether_split(r)
@@ -427,15 +429,11 @@ def plane_slope_verdict(k: int, r: int) -> SlopeVerdict:
 # -- the foursecant family on a Hirzebruch surface -------------------------
 
 
-@dataclass(frozen=True)
-class VerylastRow:
+class VerylastRow(namedtuple("VerylastRow", "a r degree eps")):
     """One unisecant re-embedding in the sweep: |C0 + (n+a)*L| puts the
     curve in P^r with r = n+2a+1, degree 4(n+a) and remainder n-2a-1."""
 
-    a: int
-    r: int
-    degree: int
-    eps: int
+    __slots__ = ()
 
     def record(self) -> dict:
         return {"a": self.a, "r": self.r, "degree": self.degree, "eps": self.eps}

@@ -20,22 +20,20 @@ is exact (Python integers), and every operation is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError, InvalidInput
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(namedtuple("DivisorClass", "n a b")):
     """A class a*C0 + b*L on the surface with invariant n."""
 
-    n: int
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise InvalidInput(f"surface invariant must be >= 0, got n={self.n}")
+    def __new__(cls, n: int, a: int, b: int):
+        if n < 0:
+            raise InvalidInput(f"surface invariant must be >= 0, got n={n}")
+        return tuple.__new__(cls, (n, a, b))
 
     def _check_same_surface(self, other: "DivisorClass") -> None:
         if self.n != other.n:
@@ -143,27 +141,23 @@ def h0_unisecant(beta: int, n: int) -> int:
     return 2 * beta + 2 - n
 
 
-@dataclass(frozen=True)
-class ScrollEmbedding:
+class ScrollEmbedding(namedtuple("ScrollEmbedding", "n beta r")):
     """The surface with invariant n embedded by |C0 + beta*L| in P^r."""
 
-    n: int
-    beta: int
-    r: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise InvalidInput(f"surface invariant must be >= 0, got n={self.n}")
-        if self.beta < self.n:
+    def __new__(cls, n: int, beta: int, r: int):
+        if n < 0:
+            raise InvalidInput(f"surface invariant must be >= 0, got n={n}")
+        if beta < n:
             raise InvalidInput(
-                f"unisecant systems need beta >= n, got beta={self.beta}, n={self.n}"
+                f"unisecant systems need beta >= n, got beta={beta}, n={n}"
             )
-        if self.r != 2 * self.beta + 1 - self.n:
-            raise InvalidInput(
-                f"r={self.r} inconsistent with beta={self.beta}, n={self.n}"
-            )
-        if self.r < 3:
-            raise InvalidInput(f"scrolls need r >= 3, got r={self.r}")
+        if r != 2 * beta + 1 - n:
+            raise InvalidInput(f"r={r} inconsistent with beta={beta}, n={n}")
+        if r < 3:
+            raise InvalidInput(f"scrolls need r >= 3, got r={r}")
+        return tuple.__new__(cls, (n, beta, r))
 
     @classmethod
     def from_unisecant(cls, n: int, beta: int) -> "ScrollEmbedding":

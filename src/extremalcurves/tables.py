@@ -9,19 +9,16 @@ the table can be cross-checked against the engine.
 ``scan`` walks a concrete (r, d) window instead and emits one flat
 record per extremal model, including its slope verdict and the
 Brill-Noether number at the extremal genus.
+
+The engine layers and the csv and json encoders are imported inside the
+functions that use them, so ``table1`` and markdown output load neither.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .castelnuovo import brill_noether, profile
 from .errors import InvalidInput
-from .extremal import ExtremalModel, ModelKind, classify_extremal
-from .gonality import slope_verdict
 from .verdicts import Status
 
 TABLE_FIELDS = ("d", "gamma", "m", "eps", "slope")
@@ -31,21 +28,13 @@ STAR = "★"
 STAR_RESOLVED = "yes if r=4; no if r>=5"
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(namedtuple("TableRow", "degree_expr gamma m eps eps_expr verdict"
+                                       " degree_lo degree_hi star", defaults=(False,))):
     """One symbolic row: a degree range in r, its invariants, and the
     slope-column token.  degree_lo/degree_hi are (coefficient, offset)
     pairs meaning coefficient*r + offset; None marks the filler row."""
 
-    degree_expr: str
-    gamma: int | None
-    m: int | None
-    eps: int | None
-    eps_expr: str
-    verdict: str
-    degree_lo: tuple[int, int] | None
-    degree_hi: tuple[int, int] | None
-    star: bool = False
+    __slots__ = ()
 
     def record(self) -> dict:
         return {
@@ -96,6 +85,8 @@ def table1(gamma_max: int = 6, mode: str = "paper-faithful") -> list[TableRow]:
 
 def row_models(row: TableRow, r: int) -> list[ExtremalModel]:
     """The row's extremal models at a concrete r (empty off the row)."""
+    from .extremal import ModelKind, classify_extremal
+
     if r < 3:
         raise InvalidInput(f"need r >= 3, got {r}")
     if row.degree_lo is None:
@@ -141,6 +132,10 @@ def scan(r_lo: int, r_hi: int, d_max: int | None = None) -> list[dict]:
     period past the highest tabulated family).  rho is the Brill-Noether
     number at the extremal genus.
     """
+    from .castelnuovo import brill_noether, profile
+    from .extremal import classify_extremal
+    from .gonality import slope_verdict
+
     if r_lo < 3:
         raise InvalidInput(f"need r_lo >= 3, got {r_lo}")
     if r_hi < r_lo:
@@ -184,6 +179,9 @@ def serialize(records: list[dict], fmt: str = "md",
             lines.append("| " + " | ".join(cells) + " |")
         return "\n".join(lines) + "\n"
     if fmt == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(fieldnames)
@@ -191,6 +189,8 @@ def serialize(records: list[dict], fmt: str = "md",
             writer.writerow([_cell(rec.get(f)) for f in fieldnames])
         return buf.getvalue()
     if fmt == "json":
+        import json
+
         return json.dumps(records, indent=2) + "\n"
     raise InvalidInput(f"unknown format {fmt!r}; use md, csv, or json")
 

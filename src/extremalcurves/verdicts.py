@@ -7,7 +7,7 @@ or is left open.  Undetermined is a first-class answer, never an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 
@@ -20,17 +20,14 @@ class Status(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class SlopeVerdict:
+class SlopeVerdict(namedtuple("SlopeVerdict", "status tag reason")):
     """A status plus the fact it rests on.
 
     ``tag`` is a stable machine-readable label for the deciding fact;
     ``reason`` is one comma-free human-readable sentence.
     """
 
-    status: Status
-    tag: str
-    reason: str
+    __slots__ = ()
 
     def record(self) -> dict:
         return {"status": self.status.value, "tag": self.tag, "reason": self.reason}

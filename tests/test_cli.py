@@ -80,6 +80,14 @@ def test_bounds_table(capsys):
     assert len(lines) == 16
 
 
+@pytest.mark.parametrize("gamma, g", [(4, 4), (8, 12), (4, 3)])
+def test_bounds_rejects_gonality_above_brill_noether(capsys, gamma, g):
+    code, out, err = run_cli(capsys, "bounds", str(gamma), str(g))
+    assert code == 2 and out == ""
+    assert err == (f"error: no curve of genus {g} has gonality {gamma}:"
+                   f" the Brill-Noether maximum is {(g + 3) // 2}\n")
+
+
 def test_bounds_with_consistent_assumption(capsys):
     code, out, _ = run_cli(capsys, "bounds", "4", "12", "--assume", "2=7")
     assert code == 0

@@ -86,6 +86,14 @@ def test_baseline_validation():
         baseline_ledger(4, 2)
 
 
+def test_ledger_rejects_gonality_above_brill_noether():
+    for g in range(3, 30):
+        top = (g + 3) // 2
+        assert GonalityLedger(top, g).gamma == top
+        with pytest.raises(InvalidInput, match="Brill-Noether maximum"):
+            GonalityLedger(top + 1, g)
+
+
 def test_facts_degree_3r_minus_1():
     model = [m for m in classify_extremal(14, 5) if m.gamma == 4][0]
     led = apply_extremal_facts(baseline_ledger(4, 15), model)

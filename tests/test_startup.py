@@ -1,0 +1,65 @@
+"""Start-up cost guard: a subcommand imports only its own layer.
+
+Each check runs in a fresh interpreter and compares ``sys.modules`` with
+what the bare interpreter had already loaded, so the result does not
+depend on what this test process has imported.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import extremalcurves
+
+SRC = str(Path(extremalcurves.__file__).resolve().parents[1])
+
+HEAVY = {"dataclasses", "random", "csv", "json"}
+
+CHILD = """
+import io, sys
+bare = set(sys.modules)
+import extremalcurves.cli
+on_import = set(sys.modules) - bare
+stdout, sys.stdout = sys.stdout, io.StringIO()
+code = extremalcurves.cli.run(["profile", "10", "4"])
+out, sys.stdout = sys.stdout.getvalue(), stdout
+on_run = set(sys.modules) - bare - on_import
+print(code, repr(out))
+print(" ".join(sorted(on_import)))
+print(" ".join(sorted(on_run)))
+"""
+
+
+def _child(code: str) -> list[str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_profile_loads_only_its_layer():
+    result, on_import, on_run = _child(CHILD)
+    assert result == "0 'm=3 eps=0 pi=9\\n'"
+    on_import, on_run = set(on_import.split()), set(on_run.split())
+    assert not HEAVY & (on_import | on_run)
+    ours = {m for m in on_import if m.startswith("extremalcurves")}
+    assert ours == {"extremalcurves", "extremalcurves.cli", "extremalcurves.errors"}
+    ours = {m for m in on_run if m.startswith("extremalcurves")}
+    assert ours == {"extremalcurves.castelnuovo", "extremalcurves.verdicts"}
+
+
+def test_no_module_uses_dataclasses():
+    names = sorted(p.stem for p in Path(extremalcurves.__file__).parent.glob("*.py")
+                   if p.stem not in ("__init__", "__main__"))
+    code = ("import importlib, sys\n"
+            "bare = set(sys.modules)\n"
+            f"for name in {names!r}:\n"
+            "    importlib.import_module('extremalcurves.' + name)\n"
+            "print(' '.join(sorted(set(sys.modules) - bare)))\n")
+    (loaded,) = _child(code)
+    loaded = set(loaded.split())
+    assert {f"extremalcurves.{name}" for name in names} <= loaded
+    assert "dataclasses" not in loaded
