@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 
-from .castelnuovo import max_genus, plane_genus, profile
+from .castelnuovo import max_genus, profile
 from .errors import (
     DomainError,
     EmbeddingError,
@@ -87,10 +87,6 @@ class ExtremalModel(namedtuple("ExtremalModel", "kind d r m eps gamma g scroll_c
                 raise InvalidInput("plane models need r=5 and d=2k")
             if gamma != k - 1 or scroll_class is not None:
                 raise InvalidInput("plane models of degree k are (k-1)-gonal")
-            if g != plane_genus(k):
-                raise InvalidInput(
-                    "plane model genus must be the plane-curve genus"
-                )
         return self
 
     @property

@@ -14,19 +14,28 @@ system to a fixed point:
     subadditivity     hi[r+s] <= hi[r] + hi[s]      (r+s <= g+2)
 
 No rule derives an upper bound from a lower one, so the lower fixed point
-is one ascending pass.  The upper one alternates a descending chain pass
-with an ascending subadditivity pass until a round tightens nothing.
+is one ascending pass.  The upper one is one descending chain pass, which
+leaves hi strictly increasing, then one ascending subadditivity pass.
+That pass keeps hi strictly increasing and closes each t for good: with
+t-1 closed and hi strictly increasing below t, every split has
+
+    hi[s] + hi[t-s] >= hi[s] + hi[t-1-s] + 1 >= hi[t-1] + 1
+
+(for s = t-1 because hi[1] >= lo[1] >= 1), so a tightening at t keeps
+hi[t] above hi[t-1], and a slope-one step hi[t] = hi[t-1] + 1 cannot be
+beaten and is skipped without a scan.  A second round would tighten
+nothing.
+
 Every tightening of hi[r] is appended to a change log and checked
 against lo[r] at once, and every tightening of lo[r] is checked against
 hi[r].  The ceiling is additive and strictly increasing, so it is
 already closed, and so is every ledger a closure finishes (which clears
 the log).  A split hi[s] + hi[t-s] can therefore beat hi[t] only if one
-of its sides moved since t was last closed: each t checks just those
-splits, or all of them when the unseen part of the log is longer than
-about t/4.  Candidates are tried in ascending s with a strict ``<``, so
-the bounds and their tags are those of a full rescan.  Upper bounds only
-fall, and a crossing stops the closure, so every hi[r] stays at or above
-lo[r] and the closure terminates.  A crossing raises a
+of its sides is in the log: each t checks just those splits, or all of
+them when the log is longer than about t/4.  Candidates are tried in
+ascending s with a strict ``<``, so the bounds and their tags are those
+of a full rescan.  Upper bounds only fall, and a crossing stops the
+closure, so every hi[r] stays at or above lo[r].  A crossing raises a
 ``ContradictionError`` naming the provenance tags on both sides.
 
 Ledgers are single-owner and mutable while built, then frozen; frozen
@@ -153,7 +162,11 @@ class GonalityLedger:
             raise ContradictionError(r, self._lo[r], value, self._lo_tag[r], tag)
 
     def propagate(self) -> "GonalityLedger":
-        """Close the intervals under strict increase and subadditivity."""
+        """Close the intervals under strict increase and subadditivity:
+        one ascending lo pass, one descending chain pass (hi becomes
+        strictly increasing) and one ascending subadditivity pass.  With
+        t-1 closed, every split has hi[s] + hi[t-s] >= hi[t-1] + 1, so no
+        second round is needed and slope-one steps are skipped unscanned."""
         self._check_mutable()
         lo, hi = self._lo, self._hi
         lo_tag, hi_tag = self._lo_tag, self._hi_tag
@@ -163,36 +176,30 @@ class GonalityLedger:
             v = lo[r] + 1
             if v > lo[r + 1]:
                 self._raise_lo(r + 1, v, lo_tag[r])
-        # seen[t]: how much of the change log t's splits have been checked against
-        seen = [0] * (top + 1)
-        start = 0
-        while len(moved) > start:  # until a round tightens nothing
-            start = len(moved)
-            for r in range(top - 1, 0, -1):  # hi[r] <= hi[r+1] - 1
-                v = hi[r + 1] - 1
-                if v < hi[r]:
-                    self._lower_hi(r, v, hi_tag[r + 1])
-            for t in range(2, top + 1):  # hi[t] <= hi[s] + hi[t-s]
-                fresh = len(moved) - seen[t]
-                if not fresh:
-                    continue
-                best = hi[t]
-                split = 0
-                if 4 * fresh > t:  # many moved: scan every split
-                    low = min(_split_sums(hi, t))
-                    if low < best:
-                        best = low
-                        split = list(_split_sums(hi, t)).index(low) + 1
-                else:  # only a split with a moved side can beat hi[t]
-                    sides = {i if 2 * i <= t else t - i for i in moved[seen[t] :] if i < t}
-                    for s in sorted(sides):
-                        v = hi[s] + hi[t - s]
-                        if v < best:
-                            best = v
-                            split = s
-                if split:
-                    self._lower_hi(t, best, _join_tags(hi_tag[split], hi_tag[t - split]))
-                seen[t] = len(moved)
+        for r in range(top - 1, 0, -1):  # hi[r] <= hi[r+1] - 1
+            v = hi[r + 1] - 1
+            if v < hi[r]:
+                self._lower_hi(r, v, hi_tag[r + 1])
+        for t in range(2, top + 1):  # hi[t] <= hi[s] + hi[t-s]
+            if not moved or hi[t] == hi[t - 1] + 1:
+                continue  # nothing moved, or a slope-one step no split can beat
+            best = hi[t]
+            split = 0
+            if 4 * len(moved) > t:  # many moved: scan every split
+                sums = list(_split_sums(hi, t))
+                low = min(sums)
+                if low < best:
+                    best = low
+                    split = sums.index(low) + 1
+            else:  # only a split with a moved side can beat hi[t]
+                sides = {i if 2 * i <= t else t - i for i in moved if i < t}
+                for s in sorted(sides):
+                    v = hi[s] + hi[t - s]
+                    if v < best:
+                        best = v
+                        split = s
+            if split:
+                self._lower_hi(t, best, _join_tags(hi_tag[split], hi_tag[t - split]))
         moved.clear()
         return self
 

@@ -57,9 +57,6 @@ class DivisorClass(namedtuple("DivisorClass", "n a b")):
 
     __mul__ = __rmul__
 
-    def dot(self, other: "DivisorClass") -> int:
-        return intersect(self, other)
-
     def normalized_ruling(self) -> "DivisorClass":
         """On n=0 the two rulings play symmetric roles; swap so that a <= b."""
         if self.n == 0 and self.a > self.b:

@@ -1,5 +1,6 @@
 """The ledger closure: termination, agreement with the full-rescan
-reference, and soundness against every sequence the rules allow."""
+reference, closure after every call, and soundness against every
+sequence the rules allow."""
 
 import random
 import subprocess
@@ -15,6 +16,7 @@ from extremalcurves import (
     verylast_sequence,
     with_assumptions,
 )
+from extremalcurves import gonality
 from reference_closure import reference_propagate
 
 
@@ -82,7 +84,9 @@ def _assume_inside(rng, led):
     return [(r, rng.randint(led.entry(r).lo, led.entry(r).hi)) for r in picks]
 
 
-def test_closure_matches_full_rescan(against_reference):
+def _closure_grid():
+    """Seeded baselines with assumptions, the foursecant sweeps, and plane
+    curves with every third true value asserted."""
     rng = random.Random(20220527)
     for gamma in range(2, 9):
         for g in range(max(3, 2 * gamma - 3), 70):  # gamma <= (g+3)//2
@@ -102,9 +106,88 @@ def test_closure_matches_full_rescan(against_reference):
         base = baseline_ledger(k - 1, g)
         truth = [(r, plane_curve_gonality(k, r)) for r in range(1, base.max_index + 1, 3)]
         with_assumptions(base, truth)
+
+
+def test_closure_matches_full_rescan(against_reference):
+    _closure_grid()
     print(f"closure vs reference: {against_reference}")
     assert against_reference["identical"] > 500
     assert against_reference["contradicted"] > 500
+
+
+def _refine_inside(rng, led):
+    """One to four set_hi/set_lo calls, each to a value inside the current
+    interval, so no setter raises; every hi stays at or above its index."""
+    for _ in range(rng.randint(1, 4)):
+        r = rng.randint(1, led.max_index)
+        e = led.entry(r)
+        if rng.random() < 0.5:
+            led.set_hi(r, rng.randint(max(r, e.lo), e.hi), rng.choice("abc"))
+        else:
+            led.set_lo(r, rng.randint(e.lo, e.hi), rng.choice("xyz"))
+
+
+def test_random_refinements_match_full_rescan(against_reference):
+    rng = random.Random(4)
+    for g in range(3, 61):
+        for _ in range(25):
+            led = GonalityLedger(rng.randint(2, (g + 3) // 2), g)
+            try:
+                for _ in range(rng.randint(1, 8)):
+                    led = led.freeze().thaw()
+                    _refine_inside(rng, led)
+                    if rng.random() < 0.7:  # else the log stays pending across a thaw
+                        led.propagate()
+                led.freeze().thaw().propagate()
+            except ContradictionError:
+                pass
+    print(f"random refinements vs reference: {against_reference}")
+    assert against_reference["identical"] > 1500
+    assert against_reference["contradicted"] > 700
+
+
+# -- the closure is closed after every call, and scans no split it need not --
+
+
+@pytest.fixture
+def closure_guard(monkeypatch):
+    """After every propagate call, require lo and hi strictly increasing
+    and, for g <= 70, hi[s+t] <= hi[s] + hi[t] by brute force.  During
+    the call, require that no index is fully scanned twice and none at a
+    slope-one step hi[t] = hi[t-1] + 1."""
+    closure = GonalityLedger.propagate
+    split_sums = gonality._split_sums
+    scanned = set()
+    tally = {"closed": 0, "scans": 0}
+
+    def scan(hi, t):
+        assert hi[t] != hi[t - 1] + 1, f"full scan of the slope-one step {t}"
+        assert t not in scanned, f"index {t} fully scanned twice in one closure"
+        scanned.add(t)
+        return split_sums(hi, t)
+
+    def propagate(led):
+        scanned.clear()
+        closure(led)
+        lo, hi, top = led._lo, led._hi, led.max_index
+        assert all(lo[r] < lo[r + 1] and hi[r] < hi[r + 1] for r in range(1, top))
+        if led.g <= 70:
+            assert all(hi[s + t] <= hi[s] + hi[t]
+                       for s in range(1, top) for t in range(s, top + 1 - s))
+        tally["closed"] += 1
+        tally["scans"] += len(scanned)
+        return led
+
+    monkeypatch.setattr(gonality, "_split_sums", scan)
+    monkeypatch.setattr(GonalityLedger, "propagate", propagate)
+    return tally
+
+
+def test_every_closure_is_closed(closure_guard):
+    _closure_grid()
+    print(f"closure guard: {closure_guard}")
+    assert closure_guard["closed"] > 500
+    assert closure_guard["scans"]
 
 
 # -- brute-force soundness oracle --------------------------------------------

@@ -17,6 +17,7 @@ from extremalcurves import (
     scroll_from_rn,
     verify_extremal_class,
 )
+from extremalcurves.castelnuovo import plane_genus, profile
 
 
 def test_classify_divisible_degree():
@@ -79,6 +80,16 @@ def test_model_validation():
     with pytest.raises(InvalidInput):
         ExtremalModel(kind=ModelKind.PLANE_VERONESE, d=14, r=4, m=3, eps=1,
                       gamma=6, g=15, k=7)
+
+
+def test_maximal_genus_check_covers_plane_models():
+    # pi(2k, 5) is the plane-curve genus, so plane models need no genus check of their own
+    for k in range(6, 2001):
+        assert profile(2 * k, 5).pi == plane_genus(k)
+    ExtremalModel(kind=ModelKind.PLANE_VERONESE, d=14, r=5, m=3, eps=1, gamma=6, g=15, k=7)
+    with pytest.raises(InvalidInput, match="is not the maximal genus"):
+        ExtremalModel(kind=ModelKind.PLANE_VERONESE, d=14, r=5, m=3, eps=1,
+                      gamma=6, g=14, k=7)
 
 
 def test_verify_known_classes():

@@ -36,8 +36,6 @@ def test_intersection_example():
     x = DivisorClass(2, 2, 5)
     y = DivisorClass(2, 1, 3)
     assert intersect(x, y) == 7
-    assert x.dot(y) == 7
-    assert y.dot(x) == 7
 
 
 def test_mismatched_surfaces_are_rejected():
