@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 _HOME = {
     name: module
     for module, names in (
-        ("castelnuovo", "CurveProfile brill_noether low_degree_verdict profile"),
+        ("castelnuovo", "CurveProfile brill_noether profile"),
         ("errors", "ContradictionError DomainError EmbeddingError InvalidInput"
                    " PlaneCurveContraction UnsupportedInput"),
         ("extremal", "EmbedResult ExtremalModel ModelKind classify_extremal"

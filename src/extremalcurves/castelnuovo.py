@@ -16,7 +16,6 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import InvalidInput
-from .verdicts import SlopeVerdict, Status
 
 
 class CurveProfile(namedtuple("CurveProfile", "d r m eps pi")):
@@ -58,28 +57,3 @@ def brill_noether(d: int, r: int, g: int) -> int:
         raise InvalidInput(f"need g >= 0, got g={g}")
     return g - (r + 1) * (g - d + r)
 
-
-def low_degree_verdict(d: int, r: int) -> SlopeVerdict:
-    """Slope verdict in the low range r+1 <= d <= 2r, below the extremal regime.
-
-    For d < 2r the series is nonspecial and the whole sequence is known;
-    at d = 2r the bound still leaves no room for a violation.
-    """
-    if r < 3:
-        raise InvalidInput(f"need r >= 3, got r={r}")
-    if d < r + 1 or d > 2 * r:
-        raise InvalidInput(
-            f"low-degree range is {r + 1} <= d <= {2 * r}, got d={d}"
-            " (higher degrees go through the extremal pipeline)"
-        )
-    if d < 2 * r:
-        return SlopeVerdict(
-            Status.HOLDS,
-            "nonspecial",
-            "degree below 2r: the series is nonspecial and every slope inequality holds",
-        )
-    return SlopeVerdict(
-        Status.HOLDS,
-        "d=2r",
-        "degree 2r: maximal genus r+1 leaves no room for a slope violation",
-    )

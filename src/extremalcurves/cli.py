@@ -217,15 +217,27 @@ def _cmd_plane(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
-    from .selfcheck import run_selfcheck
+    from .selfcheck import GROUPS, run_selfcheck, tally
 
-    count, failures = run_selfcheck()
+    if args.format == "md":
+        count, failures = run_selfcheck()
+        out = f"ok {count} checks\n"
+    else:
+        from .tables import serialize
+
+        records, count, failures = [], 0, []
+        for name, group in GROUPS.items():
+            checks, failed = tally(group())
+            records.append({"group": name, "checks": checks, "failed": len(failed)})
+            count += checks
+            failures += failed
+        out = serialize(records, args.format)
     if failures:
         for line in failures:
             print(line, file=sys.stderr)
         print(f"{len(failures)} of {count} checks failed", file=sys.stderr)
         return 1
-    sys.stdout.write(f"ok {count} checks\n")
+    sys.stdout.write(out)
     return 0
 
 

@@ -37,9 +37,8 @@ from .lattice import (
     ScrollEmbedding,
     adjunction_genus,
     class_in_HL,
-    intersect_on_scroll,
+    formal_genus,
     is_irreducible_smoothable,
-    scroll_canonical_class,
 )
 
 
@@ -177,10 +176,10 @@ def classify_extremal(d: int, r: int) -> list[ExtremalModel]:
 def verify_extremal_class(h: int, l: int, scroll: ScrollEmbedding) -> bool:
     """Whether the class h*H + l*L on the scroll is an extremal-curve class.
 
-    Computes the degree d = h*(r-1) + l and the adjunction genus against
-    the scroll canonical class, and compares with the maximal genus.
-    Classes with d < 2r+1 are outside the extremal regime and verify
-    False; d <= 0 is a domain error.
+    Computes the degree d = h*(r-1) + l and the adjunction genus of the
+    class h*C0 + (l + h*beta)*L on the surface, and compares with the
+    maximal genus.  Classes with d < 2r+1 are outside the extremal regime
+    and verify False; d <= 0 is a domain error.
     """
     r = scroll.r
     d = h * (r - 1) + l
@@ -188,14 +187,7 @@ def verify_extremal_class(h: int, l: int, scroll: ScrollEmbedding) -> bool:
         raise DomainError(f"class {h}H{l:+d}L has non-positive degree {d}")
     if d < 2 * r + 1:
         return False
-    kh, kl = scroll_canonical_class(r)
-    pairing = intersect_on_scroll(r, (h + kh, l + kl), (h, l))
-    if pairing % 2:
-        raise ArithmeticError(f"adjunction pairing {pairing} is odd")
-    g = pairing // 2 + 1
-    if g < 0:
-        return False
-    return g == profile(d, r).pi
+    return formal_genus(DivisorClass(scroll.n, h, l + h * scroll.beta)) == profile(d, r).pi
 
 
 class EmbedResult(namedtuple(

@@ -120,9 +120,6 @@ def adjunction_genus(x: DivisorClass) -> int:
     """
     if not is_irreducible_smoothable(x):
         raise DomainError(f"{x} is not an irreducible-smoothable class")
-    pairing = intersect(canonical_class(x.n) + x, x)
-    if pairing < -2:
-        raise DomainError(f"adjunction pairing {pairing} < -2 for {x}")
     g = formal_genus(x)
     if g < 0:
         raise DomainError(f"negative genus {g} for {x}")

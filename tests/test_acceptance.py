@@ -20,28 +20,32 @@ import pytest
 
 from extremalcurves import (
     ContradictionError,
-    DivisorClass,
     Status,
-    adjunction_genus,
     apply_extremal_facts,
     baseline_ledger,
     brill_noether,
     classify_extremal,
-    embed_extremal,
     expected_status,
     plane_curve_gonality,
-    plane_slope_verdict,
     profile,
     row_models,
     scan,
-    scroll_from_rn,
     slope_verdict,
     table1,
-    verify_extremal_class,
     verylast_sequence,
     with_assumptions,
 )
 from extremalcurves.cli import run as cli_run
+from extremalcurves.selfcheck import (
+    band_verdicts,
+    boundary_verdicts,
+    classified_classes,
+    embedding,
+    foursecant_sweep,
+    genus_closed_form,
+    plane_sequences,
+    tally,
+)
 
 GOLDEN = Path(__file__).parent / "golden" / "table1_gamma6_paper.md"
 
@@ -111,42 +115,21 @@ def test_criterion_01():
 @criterion(2, "adjunction genus equals its closed form on the surface grid",
            budget_ms=1000.0)
 def test_criterion_02():
-    cases = 0
-    for gamma, lam, n in smoothable_grid():
-        x = DivisorClass(n, gamma, lam)
-        closed = (lam - 1) * (gamma - 1) - n * gamma * (gamma - 1) // 2
-        assert adjunction_genus(x) == closed
-        cases += 1
-    assert cases >= 300
+    classes = [(n, gamma, lam) for gamma, lam, n in smoothable_grid()]
+    assert tally(genus_closed_form(classes)) == (330, [])
 
 
 @criterion(3, "every grid class embeds as an extremal curve", budget_ms=1000.0)
 def test_criterion_03():
-    cases = 0
-    for gamma, lam, n in smoothable_grid():
-        if n == 1 and lam == gamma:  # the plane-curve contraction point
-            continue
-        res = embed_extremal(gamma, lam, n)
-        assert res.hypothesis_met and res.model is not None
-        assert res.profile.m == gamma - 1
-        assert res.profile.eps == res.eps
-        assert res.genus == res.profile.pi
-        cases += 1
-    assert cases >= 300
+    cases = [(gamma, lam, n) for gamma, lam, n in smoothable_grid()
+             if (n, lam) != (1, gamma)]  # the plane-curve contraction point
+    assert tally(embedding(cases)) == (3 * 329, [])
 
 
 @criterion(4, "classified scroll classes verify by adjunction", budget_ms=1000.0)
 def test_criterion_04():
-    for r in range(3, 13):
-        scroll = scroll_from_rn(r, (r + 1) % 2)
-        for d in range(2 * r + 1, 6 * r - 4):
-            models = classify_extremal(d, r)
-            assert models
-            for model in models:
-                if model.scroll_class is None:
-                    continue
-                h, l = model.scroll_class
-                assert verify_extremal_class(h, l, scroll)
+    windows = [(d, r) for r in range(3, 13) for d in range(2 * r + 1, 6 * r - 4)]
+    assert tally(classified_classes(windows)) == (790, [])
 
 
 @criterion(5, "degree 3r-2 fourgonal curves break the slope inequality",
@@ -159,28 +142,16 @@ def test_criterion_05():
         assert model.g == g
         ledger = apply_extremal_facts(baseline_ledger(4, g), model)
         assert ledger.exact_value(r + 1) == 3 * r + 1
-        verdict = slope_verdict(model)
-        assert verdict.status is Status.VIOLATED
         assert (r + 1) * d < r * (3 * r + 1)
         rho = brill_noether(d, r, g)
         assert rho == -(r - 1) * (r - 2) and rho < 0
+    assert tally(boundary_verdicts(range(5, 21))) == (32, [])
 
 
 @criterion(6, "the harmless degree band always holds", budget_ms=100.0)
 def test_criterion_06():
-    checked = 0
-    for gamma in range(4, 9):
-        for r in range(3, gamma - 1):  # below r = gamma-1 the band is empty
-            assert r * (gamma - 1) > gamma * (r - 1) + 1
-        for r in range(gamma - 1, 26):
-            d_lo = max(r * (gamma - 1), 2 * r + 1)
-            for d in range(d_lo, gamma * (r - 1) + 2):
-                for model in classify_extremal(d, r):
-                    if model.gamma != gamma:
-                        continue
-                    assert slope_verdict(model).status is Status.HOLDS
-                    checked += 1
-    assert checked > 400
+    cases = [(gamma, r) for gamma in range(4, 9) for r in range(3, 26)]
+    assert tally(band_verdicts(cases)) == (1275, [])
 
 
 @criterion(7, "the summary table is reproduced and engine-consistent",
@@ -203,25 +174,7 @@ def test_criterion_07():
 
 @criterion(8, "the foursecant sweep pins its gonality run", budget_ms=100.0)
 def test_criterion_08():
-    for n in range(3, 16):
-        ledger, rows = verylast_sequence(n)
-        g = 6 * n - 3
-        assert (ledger.gamma, ledger.g) == (4, g)
-        exact = [(e.index, e.lo) for e in ledger.entries() if e.exact]
-        values = [v for _, v in exact]
-        assert all(a < b for a, b in zip(values, values[1:]))
-        assert all(v <= 4 * r for r, v in exact)
-        for row in rows:
-            prof = profile(row.degree, row.r)
-            assert (prof.m, prof.eps, prof.pi) == (3, n - 2 * row.a - 1, g)
-        abar = (n - 3) // 2
-        for r in range(n, n + 2 * abar + 2):
-            d_r = ledger.exact_value(r)
-            assert d_r is not None
-            assert r * ledger.entry(r + 1).hi <= (r + 1) * d_r
-        last = n + 2 * abar + 1  # top of the pinned run, then one bounded step
-        assert ledger.exact_value(last) == 4 * (n + abar)
-        assert ledger.entry(last + 1).hi == 4 * (n + abar) + 3
+    assert tally(foursecant_sweep(range(3, 16))) == (199, [])
     ledger, _ = verylast_sequence(4)
     assert [ledger.exact_value(r) for r in (4, 5)] == [15, 16]
     assert ledger.entry(6).hi == 19
@@ -232,16 +185,7 @@ def test_criterion_08():
 
 @criterion(9, "smooth plane curve sequences and verdicts", budget_ms=10.0)
 def test_criterion_09():
-    for k in range(5, 13):
-        g = (k - 1) * (k - 2) // 2
-        assert plane_curve_gonality(k, 1) == k - 1
-        assert plane_curve_gonality(k, 2) == k
-        assert plane_curve_gonality(k, 5) == 2 * k
-        seq = [plane_curve_gonality(k, r) for r in range(1, g)]
-        assert all(a < b for a, b in zip(seq, seq[1:]))
-        assert seq[-1] == 2 * g - 2
-        if k >= 6:
-            assert plane_slope_verdict(k, 5).status is Status.VIOLATED
+    assert tally(plane_sequences(range(5, 13))) == (31, [])
 
 
 @criterion(10, "every violated scan record has negative Brill-Noether number",

@@ -2,13 +2,8 @@
 
 import pytest
 
-from extremalcurves import (
-    InvalidInput,
-    Status,
-    brill_noether,
-    low_degree_verdict,
-    profile,
-)
+from extremalcurves import InvalidInput, brill_noether, profile
+from extremalcurves.selfcheck import profile_round_trip, tally
 
 
 @pytest.mark.parametrize(
@@ -47,12 +42,8 @@ def test_lenient_threshold():
 
 
 def test_profile_round_trip_grid():
-    for r in range(3, 31):
-        for d in range(2 * r + 1, 8 * r):
-            p = profile(d, r)
-            assert d - 1 == p.m * (r - 1) + p.eps
-            assert 0 <= p.eps <= r - 2
-            assert p.pi == p.m * (p.m - 1) // 2 * (r - 1) + p.m * p.eps
+    windows = [(d, r) for r in range(3, 31) for d in range(2 * r + 1, 8 * r)]
+    assert tally(profile_round_trip(windows)) == (5488, [])
 
 
 def test_genus_bound_monotone_in_degree():
@@ -83,14 +74,3 @@ def test_brill_noether_validation():
         brill_noether(10, 0, 9)
     with pytest.raises(InvalidInput):
         brill_noether(10, 4, -1)
-
-
-def test_low_degree_verdicts():
-    v = low_degree_verdict(6, 4)
-    assert v.status is Status.HOLDS and v.tag == "nonspecial"
-    v = low_degree_verdict(8, 4)
-    assert v.status is Status.HOLDS and v.tag == "d=2r"
-    with pytest.raises(InvalidInput):
-        low_degree_verdict(9, 4)
-    with pytest.raises(InvalidInput):
-        low_degree_verdict(4, 4)

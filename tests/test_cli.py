@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from extremalcurves import selfcheck
 from extremalcurves.cli import run
 
 GOLDEN = Path(__file__).parent / "golden" / "table1_gamma6_paper.md"
@@ -236,9 +237,29 @@ def test_plane_full_table(capsys):
 
 
 def test_selfcheck(capsys):
-    code, out, err = run_cli(capsys, "selfcheck")
+    assert run_cli(capsys, "selfcheck") == (0, "ok 19357 checks\n", "")
+
+
+def test_selfcheck_groups_sum_to_the_count(capsys):
+    total = int(run_cli(capsys, "selfcheck")[1].split()[1])
+    code, out, err = run_cli(capsys, "selfcheck", "--format", "json")
+    records = json.loads(out)
     assert code == 0 and err == ""
-    assert re.fullmatch(r"ok \d+ checks\n", out)
+    assert [rec["group"] for rec in records] == list(selfcheck.GROUPS)
+    assert sum(rec["checks"] for rec in records) == total
+    assert all(rec["failed"] == 0 for rec in records)
+    code, out, err = run_cli(capsys, "selfcheck", "--format", "csv")
+    head, *rows = out.splitlines()
+    assert code == 0 and err == "" and head == "group,checks,failed"
+    assert rows == [f"{rec['group']},{rec['checks']},0" for rec in records]
+
+
+@pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+def test_selfcheck_failure(capsys, monkeypatch, fmt):
+    fake = {"fake": lambda: iter([(True, "fine"), (False, "broke")])}
+    monkeypatch.setattr(selfcheck, "GROUPS", fake)
+    code, out, err = run_cli(capsys, "selfcheck", "--format", fmt)
+    assert (code, out, err) == (1, "", "broke\n1 of 2 checks failed\n")
 
 
 def test_version(capsys):

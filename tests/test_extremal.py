@@ -18,6 +18,9 @@ from extremalcurves import (
     verify_extremal_class,
 )
 from extremalcurves.castelnuovo import plane_genus, profile
+from extremalcurves.selfcheck import classified_classes, no_degenerate_models, tally
+
+WINDOWS = [(d, r) for r in range(3, 13) for d in range(2 * r + 1, 5 * r)]
 
 
 def test_classify_divisible_degree():
@@ -106,14 +109,7 @@ def test_verify_known_classes():
 
 
 def test_verify_all_classified_models():
-    for r in range(3, 13):
-        scroll = scroll_from_rn(r, (r + 1) % 2)
-        for d in range(2 * r + 1, 5 * r):
-            for model in classify_extremal(d, r):
-                if model.scroll_class is None:
-                    continue
-                h, l = model.scroll_class
-                assert verify_extremal_class(h, l, scroll)
+    assert tally(classified_classes(WINDOWS)) == (677, [])
 
 
 def test_embed_surface_class():
@@ -184,10 +180,7 @@ def test_embed_classify_round_trip():
 
 
 def test_no_degenerate_models():
-    for r in range(3, 13):
-        for d in range(2 * r + 1, 5 * r):
-            for model in classify_extremal(d, r):
-                assert not (model.eps == 0 and model.m == 1)
+    assert tally(no_degenerate_models(WINDOWS)) == (254, [])
 
 
 def test_section_and_plane_kinds_never_coexist():

@@ -20,6 +20,7 @@ from extremalcurves import (
     verylast_sequence,
     with_assumptions,
 )
+from extremalcurves.selfcheck import foursecant_sweep, tally
 
 
 def rows(led):
@@ -289,13 +290,7 @@ def test_verylast_three_embeddings():
 
 
 def test_verylast_slope_window():
-    for n in (3, 4, 5, 8, 11):
-        led, sweep = verylast_sequence(n)
-        top = sweep[-1].r  # the pinned run ends at the last re-embedding
-        for r in range(n, top + 1):
-            d_r = led.exact_value(r)
-            assert d_r is not None
-            assert r * led.entry(r + 1).hi <= (r + 1) * d_r
+    assert tally(foursecant_sweep((3, 4, 5, 8, 11))) == (56, [])
 
 
 def test_verylast_validation():

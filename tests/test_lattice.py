@@ -1,6 +1,6 @@
 """Intersection pairing, adjunction, and scroll geometry."""
 
-import random
+from itertools import product
 
 import pytest
 
@@ -20,6 +20,13 @@ from extremalcurves import (
     is_very_ample,
     scroll_canonical_class,
     scroll_from_rn,
+)
+from extremalcurves.selfcheck import (
+    adjunction_parity,
+    bilinearity,
+    genus_closed_form,
+    random_triples,
+    tally,
 )
 
 
@@ -77,25 +84,12 @@ def test_canonical_classes():
 
 
 def test_bilinearity_seeded():
-    rng = random.Random(1105)
-    for _ in range(300):
-        n = rng.randint(0, 8)
-        x, y, z = (
-            DivisorClass(n, rng.randint(-20, 20), rng.randint(-20, 20))
-            for _ in range(3)
-        )
-        assert intersect(x, y) == intersect(y, x)
-        assert intersect(x + y, z) == intersect(x, z) + intersect(y, z)
-        assert intersect(5 * x, y) == 5 * intersect(x, y)
+    assert tally(bilinearity(random_triples(1105, 300, 8, 20, 5))) == (900, [])
 
 
 def test_adjunction_pairing_parity_full_grid():
-    for n in range(11):
-        k = canonical_class(n)
-        for a in range(-40, 41):
-            for b in range(-40, 41):
-                x = DivisorClass(n, a, b)
-                assert intersect(k + x, x) % 2 == 0
+    classes = product(range(11), range(-40, 41), range(-40, 41))
+    assert tally(adjunction_parity(classes)) == (144_342, [])
 
 
 def test_formal_genus_values():
@@ -111,11 +105,9 @@ def test_adjunction_genus_examples():
 
 
 def test_adjunction_genus_closed_form_grid():
-    for n in range(7):
-        for a in range(1, 9):
-            for b in range(a * n + 1, a * n + 12):
-                x = DivisorClass(n, a, b)
-                assert adjunction_genus(x) == (b - 1) * (a - 1) - n * a * (a - 1) // 2
+    classes = ((n, a, b) for n in range(7)
+               for a in range(1, 9) for b in range(a * n + 1, a * n + 12))
+    assert tally(genus_closed_form(classes)) == (616, [])
 
 
 def test_adjunction_genus_rejects_bad_classes():

@@ -48,7 +48,7 @@ def test_profile_loads_only_its_layer():
     ours = {m for m in on_import if m.startswith("extremalcurves")}
     assert ours == {"extremalcurves", "extremalcurves.cli", "extremalcurves.errors"}
     ours = {m for m in on_run if m.startswith("extremalcurves")}
-    assert ours == {"extremalcurves.castelnuovo", "extremalcurves.verdicts"}
+    assert ours == {"extremalcurves.castelnuovo"}
 
 
 def test_no_module_uses_dataclasses():
@@ -63,3 +63,8 @@ def test_no_module_uses_dataclasses():
     loaded = set(loaded.split())
     assert {f"extremalcurves.{name}" for name in names} <= loaded
     assert "dataclasses" not in loaded
+
+
+def test_every_public_name_resolves():
+    for name in extremalcurves.__all__:
+        assert getattr(extremalcurves, name) is not None
