@@ -217,7 +217,7 @@ def _cmd_plane(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
-    from .selfcheck import GROUPS, run_selfcheck, tally
+    from .selfcheck import GROUPS, run_group, run_selfcheck, tally
 
     if args.format == "md":
         count, failures = run_selfcheck()
@@ -227,7 +227,7 @@ def _cmd_selfcheck(args) -> int:
 
         records, count, failures = [], 0, []
         for name, group in GROUPS.items():
-            checks, failed = tally(group())
+            checks, failed = tally(run_group(name, group))
             records.append({"group": name, "checks": checks, "failed": len(failed)})
             count += checks
             failures += failed

@@ -11,6 +11,12 @@ and the scroll classes are what the gonality theory consumes: the ruling
 cuts out the gonality pencil, so type-II models are m-gonal and type-III
 models are (m+1)-gonal, while the plane model of degree k is (k-1)-gonal.
 
+``ExtremalModel(kind, d, r)`` derives every other field: the split
+(m, eps) and the genus pi(d, r) from ``profile``, gamma, the scroll class
+and k from the kind.  Those per-kind formulas live in its constructor
+alone; callers that computed a field another way pass it as a claim for
+the constructor to confirm.
+
 ``classify_extremal`` enumerates the candidate models for (d, r); they
 are candidates, not a unique answer.  ``verify_extremal_class`` checks a
 scroll class by adjunction against the genus bound.  ``embed_extremal``
@@ -24,7 +30,7 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 
-from .castelnuovo import max_genus, profile
+from .castelnuovo import profile
 from .errors import (
     DomainError,
     EmbeddingError,
@@ -54,39 +60,45 @@ class ModelKind(Enum):
 class ExtremalModel(namedtuple("ExtremalModel", "kind d r m eps gamma g scroll_class k")):
     """One candidate model of an extremal curve of degree d in P^r.
 
-    Scroll kinds carry their class in the (H, L) basis; the plane kind
-    carries the plane degree k instead.  Construction re-derives every
-    redundant invariant and refuses inconsistent data.
+    (kind, d, r) determine the rest.  m, eps and the genus g = pi(d, r)
+    come from ``profile``; the kind gives gamma, the scroll class in the
+    (H, L) basis (scroll kinds) and the plane degree k (plane kind only).
+    The fields after r are optional claims: each one given is checked on
+    its own against the derived value, and a disagreement is refused.
     """
 
     __slots__ = ()
 
-    def __new__(cls, kind: ModelKind, d: int, r: int, m: int, eps: int, gamma: int,
-                g: int, scroll_class: tuple[int, int] | None = None, k: int | None = None):
-        self = tuple.__new__(cls, (kind, d, r, m, eps, gamma, g, scroll_class, k))
-        if d - 1 != m * (r - 1) + eps or not 0 <= eps <= r - 2:
-            raise InvalidInput(f"(m, eps) do not split d-1 for {self}")
-        pi = max_genus(m, eps, r)
-        if g != pi:
-            raise InvalidInput(f"genus {g} is not the maximal genus {pi}")
+    def __new__(cls, kind: ModelKind, d: int, r: int, m: int | None = None,
+                eps: int | None = None, gamma: int | None = None, g: int | None = None,
+                scroll_class: tuple[int, int] | None = None, k: int | None = None):
+        p = profile(d, r, strict=False)
+        if m not in (None, p.m) or eps not in (None, p.eps):
+            given = tuple.__new__(cls, (kind, d, r, m, eps, gamma, g, scroll_class, k))
+            raise InvalidInput(f"(m, eps) do not split d-1 for {given}")
+        if g not in (None, p.pi):
+            raise InvalidInput(f"genus {g} is not the maximal genus {p.pi}")
         if kind is ModelKind.TYPE_II:
-            if eps != 0 or gamma != m:
+            gon, scroll, plane_k = p.m, (p.m, 1), None
+            if p.eps != 0 or gamma not in (None, gon):
                 raise InvalidInput("type-II models need eps=0 and gamma=m")
-            if scroll_class != (m, 1) or k is not None:
+            if scroll_class not in (None, scroll) or k is not None:
                 raise InvalidInput("type-II models live in |m*H + L|")
         elif kind is ModelKind.TYPE_III:
-            if gamma != m + 1:
+            gon, scroll, plane_k = p.m + 1, (p.m + 1, -(r - p.eps - 2)), None
+            if gamma not in (None, gon):
                 raise InvalidInput("type-III models need gamma=m+1")
-            if scroll_class != (m + 1, -(r - eps - 2)) or k is not None:
-                raise InvalidInput(
-                    "type-III models live in |(m+1)*H - (r-eps-2)*L|"
-                )
-        else:
-            if r != 5 or k is None or d != 2 * k:
+            if scroll_class not in (None, scroll) or k is not None:
+                raise InvalidInput("type-III models live in |(m+1)*H - (r-eps-2)*L|")
+        elif kind is ModelKind.PLANE_VERONESE:
+            gon, scroll, plane_k = d // 2 - 1, None, d // 2
+            if r != 5 or d % 2 or k not in (None, plane_k):
                 raise InvalidInput("plane models need r=5 and d=2k")
-            if gamma != k - 1 or scroll_class is not None:
+            if gamma not in (None, gon) or scroll_class is not None:
                 raise InvalidInput("plane models of degree k are (k-1)-gonal")
-        return self
+        else:
+            raise InvalidInput(f"unknown model kind {kind!r}")
+        return tuple.__new__(cls, (kind, d, r, p.m, p.eps, gon, p.pi, scroll, plane_k))
 
     @property
     def class_label(self) -> str:
@@ -129,47 +141,11 @@ def classify_extremal(d: int, r: int) -> list[ExtremalModel]:
         raise InvalidInput(f"need r >= 3, got r={r}")
     if d < 2 * r + 1:
         raise InvalidInput(f"extremal curves need d >= 2r+1 = {2 * r + 1}, got d={d}")
-    p = profile(d, r)
-    models = []
-    if p.eps == 0:
-        models.append(
-            ExtremalModel(
-                kind=ModelKind.TYPE_II,
-                d=d,
-                r=r,
-                m=p.m,
-                eps=0,
-                gamma=p.m,
-                g=p.pi,
-                scroll_class=(p.m, 1),
-            )
-        )
-    models.append(
-        ExtremalModel(
-            kind=ModelKind.TYPE_III,
-            d=d,
-            r=r,
-            m=p.m,
-            eps=p.eps,
-            gamma=p.m + 1,
-            g=p.pi,
-            scroll_class=(p.m + 1, -(r - p.eps - 2)),
-        )
-    )
+    third = ExtremalModel(ModelKind.TYPE_III, d, r)
+    models = [ExtremalModel(ModelKind.TYPE_II, d, r)] if third.eps == 0 else []
+    models.append(third)
     if r == 5 and d % 2 == 0:
-        k = d // 2
-        models.append(
-            ExtremalModel(
-                kind=ModelKind.PLANE_VERONESE,
-                d=d,
-                r=5,
-                m=p.m,
-                eps=p.eps,
-                gamma=k - 1,
-                g=p.pi,
-                k=k,
-            )
-        )
+        models.append(ExtremalModel(ModelKind.PLANE_VERONESE, d, r))
     return models
 
 
@@ -269,17 +245,8 @@ def embed_extremal(gamma: int, lam: int, n: int) -> EmbedResult:
                 f"embedding invariants broke for {x}: "
                 f"m={prof.m} eps={prof.eps} g={genus} pi={prof.pi}"
             )
-        hl = class_in_HL(x, scroll)
-        model = ExtremalModel(
-            kind=ModelKind.TYPE_III,
-            d=d,
-            r=scroll.r,
-            m=gamma - 1,
-            eps=eps,
-            gamma=gamma,
-            g=genus,
-            scroll_class=hl,
-        )
+        model = ExtremalModel(ModelKind.TYPE_III, d, scroll.r, m=gamma - 1, eps=eps,
+                              gamma=gamma, g=genus, scroll_class=class_in_HL(x, scroll))
     return EmbedResult(
         gamma=gamma,
         lam=lam,

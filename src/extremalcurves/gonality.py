@@ -52,8 +52,6 @@ from operator import add
 
 from .castelnuovo import plane_genus, profile
 from .errors import ContradictionError, InvalidInput, UnsupportedInput
-from .extremal import ExtremalModel, ModelKind, gonality_from_class
-from .lattice import DivisorClass, adjunction_genus
 from .verdicts import SlopeVerdict, Status
 
 
@@ -260,7 +258,7 @@ def _seed_extremal_facts(led: GonalityLedger, model: ExtremalModel) -> None:
         led.set_exact(r - 1, d - 1, "extremal-drop")
         if gamma >= 4:
             led.set_exact(r, d, "extremal-degree")
-            if model.kind is not ModelKind.PLANE_VERONESE:
+            if model.k is None:  # away from plane models
                 led.set_hi(r + 1, d + gamma - 1, "gonal-residual")
     if gamma == 4 and d == 3 * r - 2 and r >= 5:
         led.set_exact(r + 1, 3 * r + 1, "dual-projection")
@@ -278,13 +276,12 @@ def apply_extremal_facts(ledger: GonalityLedger, model: ExtremalModel) -> Gonali
     return led.propagate().freeze()
 
 
-def with_assumptions(
-    ledger: GonalityLedger, assumptions: list[tuple[int, int]], tag: str = "assume"
-) -> GonalityLedger:
+def with_assumptions(ledger: GonalityLedger,
+                     assumptions: list[tuple[int, int]]) -> GonalityLedger:
     """A new frozen ledger with hypothetical exact values asserted.
 
     Useful for what-if checks; crossing a derived bound raises a
-    ``ContradictionError`` naming the assumption tag and the bound's tag.
+    ``ContradictionError`` naming the tag ``assume`` and the bound's tag.
     """
     led = ledger.thaw()
     for r, value in assumptions:
@@ -294,10 +291,10 @@ def with_assumptions(
             known = r + led.g
             if value != known:  # the tail is already exact out here
                 if value > known:
-                    raise ContradictionError(r, value, known, tag, "riemann-roch")
-                raise ContradictionError(r, known, value, "riemann-roch", tag)
+                    raise ContradictionError(r, value, known, "assume", "riemann-roch")
+                raise ContradictionError(r, known, value, "riemann-roch", "assume")
             continue
-        led.set_exact(r, value, tag)
+        led.set_exact(r, value, "assume")
     return led.propagate().freeze()
 
 
@@ -315,7 +312,7 @@ def slope_verdict(model: ExtremalModel) -> SlopeVerdict:
             "low-gonality",
             "gonality at most 3: the full sequence is known and slope-monotone",
         )
-    if model.kind is ModelKind.PLANE_VERONESE:
+    if model.k is not None:  # the plane model of degree k
         return plane_slope_verdict(model.k, r)
     if gamma == 4 and d == 3 * r - 2:
         if r == 4:
@@ -455,6 +452,9 @@ def verylast_sequence(n: int) -> tuple[GonalityLedger, list[VerylastRow]]:
     pins d_{n+2a} = 4(n+a)-1 and d_{n+2a+1} = 4(n+a) across the sweep
     and bounds the first entry after it by 4(n+abar)+3.
     """
+    from .extremal import ExtremalModel, ModelKind, gonality_from_class
+    from .lattice import DivisorClass, adjunction_genus
+
     if n < 3:
         raise UnsupportedInput(f"the foursecant sweep needs n >= 3, got {n}")
     x = DivisorClass(n, 4, 4 * n)
@@ -473,16 +473,8 @@ def verylast_sequence(n: int) -> tuple[GonalityLedger, list[VerylastRow]]:
                 f"re-embedding a={a} is not extremal: m={prof.m} eps={prof.eps}"
                 f" pi={prof.pi} g={g}"
             )
-        model = ExtremalModel(
-            kind=ModelKind.TYPE_III,
-            d=delta_a,
-            r=r_a,
-            m=3,
-            eps=prof.eps,
-            gamma=4,
-            g=g,
-            scroll_class=(4, -4 * a),
-        )
+        model = ExtremalModel(ModelKind.TYPE_III, delta_a, r_a, gamma=gamma, g=g,
+                              scroll_class=(4, -4 * a))
         rows.append(VerylastRow(a=a, r=r_a, degree=delta_a, eps=prof.eps))
         _seed_extremal_facts(led, model)
     led.propagate().freeze()

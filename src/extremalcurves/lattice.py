@@ -75,8 +75,6 @@ def intersect(d1: DivisorClass, d2: DivisorClass) -> int:
 
 def canonical_class(n: int) -> DivisorClass:
     """Canonical class -2*C0 - (n+2)*L of the surface with invariant n."""
-    if n < 0:
-        raise InvalidInput(f"surface invariant must be >= 0, got n={n}")
     return DivisorClass(n, -2, -(n + 2))
 
 

@@ -5,6 +5,8 @@ one ``(ok, message)`` pair per check of a closed form, a round trip or
 an invariant against the engine.  Its default cases are the grid the
 command line ``selfcheck`` runs; the test suite runs the same groups on
 its own grids.  The count is deterministic (fixed grids, fixed seed).
+``run_group`` turns an engine error raised inside a group into one
+failed check, so a broken layer is reported and the other groups run.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import random
 from itertools import product
 
 from .castelnuovo import profile
+from .errors import ContradictionError, DomainError, InvalidInput
 from .extremal import classify_extremal, embed_extremal, verify_extremal_class
 from .gonality import (
     plane_curve_gonality,
@@ -215,6 +218,16 @@ def tally(checks) -> tuple[int, list[str]]:
     return count, failures
 
 
+def run_group(name: str, group):
+    """The checks of one group on its default cases.  An engine error the
+    group raises ends it as one failed check naming the group and the
+    error, so the groups after it still run."""
+    try:
+        yield from group()
+    except (InvalidInput, DomainError, ContradictionError, ArithmeticError) as exc:
+        yield False, f"group {name} raised {type(exc).__name__}: {exc}"
+
+
 def run_selfcheck() -> tuple[int, list[str]]:
     """(number of checks, failure messages) of every group on its default cases."""
-    return tally(check for group in GROUPS.values() for check in group())
+    return tally(check for name, group in GROUPS.items() for check in run_group(name, group))

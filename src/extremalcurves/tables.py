@@ -132,7 +132,7 @@ def scan(r_lo: int, r_hi: int, d_max: int | None = None) -> list[dict]:
     period past the highest tabulated family).  rho is the Brill-Noether
     number at the extremal genus.
     """
-    from .castelnuovo import brill_noether, profile
+    from .castelnuovo import brill_noether
     from .extremal import classify_extremal
     from .gonality import slope_verdict
 
@@ -144,18 +144,17 @@ def scan(r_lo: int, r_hi: int, d_max: int | None = None) -> list[dict]:
     for r in range(r_lo, r_hi + 1):
         ceiling = d_max if d_max is not None else 6 * r - 5
         for d in range(2 * r + 1, ceiling + 1):
-            prof = profile(d, r)
             for model in classify_extremal(d, r):
                 records.append({
                     "r": r,
                     "d": d,
-                    "m": prof.m,
-                    "eps": prof.eps,
-                    "pi": prof.pi,
+                    "m": model.m,
+                    "eps": model.eps,
+                    "pi": model.g,
                     "kind": model.kind.value,
                     "gamma": model.gamma,
                     "verdict": str(slope_verdict(model).status),
-                    "rho": brill_noether(d, r, prof.pi),
+                    "rho": brill_noether(d, r, model.g),
                 })
     return records
 
@@ -171,7 +170,7 @@ def serialize(records: list[dict], fmt: str = "md",
         if not records:
             raise InvalidInput("empty record list needs explicit fieldnames")
         fieldnames = tuple(records[0])
-    if fmt in ("md", "markdown"):
+    if fmt == "md":
         lines = ["| " + " | ".join(fieldnames) + " |",
                  "| " + " | ".join("---" for _ in fieldnames) + " |"]
         for rec in records:

@@ -8,7 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from extremalcurves import selfcheck
+from extremalcurves import (
+    ContradictionError,
+    EmbeddingError,
+    InvalidInput,
+    selfcheck,
+)
 from extremalcurves.cli import run
 
 GOLDEN = Path(__file__).parent / "golden" / "table1_gamma6_paper.md"
@@ -260,6 +265,27 @@ def test_selfcheck_failure(capsys, monkeypatch, fmt):
     monkeypatch.setattr(selfcheck, "GROUPS", fake)
     code, out, err = run_cli(capsys, "selfcheck", "--format", fmt)
     assert (code, out, err) == (1, "", "broke\n1 of 2 checks failed\n")
+
+
+ENGINE_ERRORS = [InvalidInput("boom"), EmbeddingError("boom"),
+                 ContradictionError(2, 9, 8, "assume", "gonal-ceiling"), ArithmeticError("boom")]
+
+
+@pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+@pytest.mark.parametrize("error", ENGINE_ERRORS, ids=lambda e: type(e).__name__)
+def test_selfcheck_group_error_is_a_failed_check(capsys, monkeypatch, fmt, error):
+    embedding_checks = selfcheck.tally(selfcheck.embedding())[0]
+
+    def broken(*args):
+        raise error
+
+    monkeypatch.setattr(selfcheck, "embed_extremal", broken)
+    code, out, err = run_cli(capsys, "selfcheck", "--format", fmt)
+    assert (code, out) == (1, "")
+    # the error is one failed check, and every other group still ran
+    total = 19357 - embedding_checks + 1
+    assert err == f"group embedding raised {type(error).__name__}: {error}\n" \
+                  f"1 of {total} checks failed\n"
 
 
 def test_version(capsys):

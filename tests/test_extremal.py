@@ -1,5 +1,8 @@
 """Classification, verification, and construction of extremal models."""
 
+import copy
+import pickle
+
 import pytest
 
 from extremalcurves import (
@@ -93,6 +96,83 @@ def test_maximal_genus_check_covers_plane_models():
     with pytest.raises(InvalidInput, match="is not the maximal genus"):
         ExtremalModel(kind=ModelKind.PLANE_VERONESE, d=14, r=5, m=3, eps=1,
                       gamma=6, g=14, k=7)
+
+
+def _per_kind(d, r, p):
+    """(gamma, scroll class, k) of each kind, from the trichotomy."""
+    return {
+        ModelKind.TYPE_II: (p.m, (p.m, 1), None),
+        ModelKind.TYPE_III: (p.m + 1, (p.m + 1, -(r - p.eps - 2)), None),
+        ModelKind.PLANE_VERONESE: (d // 2 - 1, None, d // 2),
+    }
+
+
+def test_constructor_derives_every_field():
+    count = 0
+    for r in range(3, 31):
+        for d in range(2 * r + 1, 8 * r + 1):
+            p = profile(d, r)
+            per_kind = _per_kind(d, r, p)
+            for model in classify_extremal(d, r):
+                gamma, scroll_class, k = per_kind[model.kind]
+                assert model == (model.kind, d, r, p.m, p.eps, gamma, p.pi, scroll_class, k)
+                assert ExtremalModel(model.kind, d, r) == model
+                count += 1
+    assert count == 2964
+
+
+def _sample_models():
+    """A model of each kind, with and without a remainder, and an embedded one."""
+    return [*classify_extremal(13, 5), *classify_extremal(14, 5),
+            *classify_extremal(21, 6), embed_extremal(5, 13, 2).model]
+
+
+def _wrong_claims(model):
+    """Each claim of the model on its own, changed by one."""
+    for name in ("m", "eps", "gamma", "g", "k"):
+        value = getattr(model, name)
+        for delta in (-1, 1):
+            yield name, (model.d // 2 if value is None else value) + delta
+    if model.scroll_class is None:
+        yield "scroll_class", (model.gamma, 0)
+    else:
+        h, l = model.scroll_class
+        for delta in (-1, 1):
+            yield "scroll_class", (h + delta, l)
+            yield "scroll_class", (h, l + delta)
+
+
+@pytest.mark.parametrize("model", _sample_models(), ids=lambda m: f"{m.kind}-{m.d}-{m.r}")
+def test_each_claim_is_checked(model):
+    fields = model._asdict()
+    assert ExtremalModel(*model) == model
+    for name in ("m", "eps", "gamma", "g", "scroll_class", "k"):
+        assert ExtremalModel(model.kind, model.d, model.r, **{name: fields[name]}) == model
+    for name, wrong in _wrong_claims(model):
+        with pytest.raises(InvalidInput):
+            ExtremalModel(model.kind, model.d, model.r, **{name: wrong})
+        with pytest.raises(InvalidInput):
+            ExtremalModel(*{**fields, name: wrong}.values())
+
+
+def test_constructor_refuses_bad_kinds_and_ranks():
+    with pytest.raises(InvalidInput, match="need r >= 3, got r=2"):
+        ExtremalModel(ModelKind.TYPE_III, 7, 2)
+    with pytest.raises(InvalidInput, match="type-II models need eps=0"):
+        ExtremalModel(ModelKind.TYPE_II, 14, 5)
+    with pytest.raises(InvalidInput, match="plane models need r=5 and d=2k"):
+        ExtremalModel(ModelKind.PLANE_VERONESE, 13, 5)
+    with pytest.raises(InvalidInput, match="unknown model kind 'plane_veronese'"):
+        ExtremalModel("plane_veronese", 14, 5)
+
+
+def test_models_round_trip_pickle_and_copy():
+    models = [m for r in range(3, 9) for d in range(2 * r + 1, 4 * r + 1)
+              for m in classify_extremal(d, r)] + _sample_models()
+    assert any(m.kind is ModelKind.PLANE_VERONESE for m in models)
+    for model in models:
+        for twin in (pickle.loads(pickle.dumps(model)), copy.copy(model), copy.deepcopy(model)):
+            assert twin == model and type(twin) is ExtremalModel
 
 
 def test_verify_known_classes():

@@ -193,7 +193,7 @@ def test_consistent_assumptions_refine():
     rng = random.Random(1729)
     for _ in range(50):
         pairs = [(r, min(2 * r, r + 9)) for r in rng.sample(range(1, 12), 4)]
-        refined = with_assumptions(led, pairs, tag="oracle")
+        refined = with_assumptions(led, pairs)
         for e in refined.entries():
             true = min(2 * e.index, e.index + 9)
             assert e.lo <= true <= e.hi

@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import extremalcurves
 
 SRC = str(Path(extremalcurves.__file__).resolve().parents[1])
@@ -22,7 +24,7 @@ bare = set(sys.modules)
 import extremalcurves.cli
 on_import = set(sys.modules) - bare
 stdout, sys.stdout = sys.stdout, io.StringIO()
-code = extremalcurves.cli.run(["profile", "10", "4"])
+code = extremalcurves.cli.run({argv!r})
 out, sys.stdout = sys.stdout.getvalue(), stdout
 on_run = set(sys.modules) - bare - on_import
 print(code, repr(out))
@@ -41,7 +43,7 @@ def _child(code: str) -> list[str]:
 
 
 def test_profile_loads_only_its_layer():
-    result, on_import, on_run = _child(CHILD)
+    result, on_import, on_run = _child(CHILD.format(argv=["profile", "10", "4"]))
     assert result == "0 'm=3 eps=0 pi=9\\n'"
     on_import, on_run = set(on_import.split()), set(on_run.split())
     assert not HEAVY & (on_import | on_run)
@@ -49,6 +51,15 @@ def test_profile_loads_only_its_layer():
     assert ours == {"extremalcurves", "extremalcurves.cli", "extremalcurves.errors"}
     ours = {m for m in on_run if m.startswith("extremalcurves")}
     assert ours == {"extremalcurves.castelnuovo"}
+
+
+@pytest.mark.parametrize("argv", [["bounds", "4", "12"], ["plane", "7"]], ids=" ".join)
+def test_ledger_commands_skip_the_model_layers(argv):
+    result, on_import, on_run = _child(CHILD.format(argv=argv))
+    assert result.startswith("0 ")
+    loaded = set(on_import.split()) | set(on_run.split())
+    assert "extremalcurves.gonality" in loaded
+    assert not {"extremalcurves.extremal", "extremalcurves.lattice"} & loaded
 
 
 def test_no_module_uses_dataclasses():
