@@ -3,8 +3,14 @@
 Subcommands mirror the library: profile, classify, embed, bounds, slope,
 table1, scan, verylast, plane, selfcheck.  Results go to stdout in
 markdown (default), csv, or json; diagnostics go to stderr.  Exit codes:
-0 success, 1 selfcheck failure, 2 invalid input or usage, 3 a bound
-contradiction.
+0 success, 1 selfcheck failure, 2 invalid input or usage (an input too
+large to hold included), 3 a bound contradiction.
+
+Each ``_cmd_*`` handler returns its result and writes nothing to stdout:
+a dict is one record, a list of dicts a table, a str finished text, and
+an int the exit code of a run that has already reported to stderr.
+``run`` renders the result in the chosen format and is the one place
+that writes stdout.
 
 Each handler imports the layers it runs, and json and csv load only for
 those formats, so a call pays start-up only for what it uses.
@@ -18,19 +24,23 @@ import sys
 from . import __version__
 from .errors import ContradictionError, DomainError, InvalidInput
 
-ENTRY_FIELDS = ("r", "lo", "hi", "exact", "tags")
 
+def _render(result, fmt: str) -> str:
+    """A handler's result as text: a dict is one record (a ``k=v`` line in
+    md), a list of dicts a table, a str already text."""
+    if isinstance(result, str):
+        return result
+    if isinstance(result, dict):
+        if fmt == "md":
+            return " ".join(f"{k}={v}" for k, v in result.items()) + "\n"
+        if fmt == "json":
+            import json
 
-def _emit_scalar(record: dict, fmt: str) -> str:
-    if fmt == "md":
-        return " ".join(f"{k}={v}" for k, v in record.items()) + "\n"
-    if fmt == "csv":
-        from .tables import serialize
+            return json.dumps(result, indent=2) + "\n"
+        result = [result]
+    from .tables import serialize
 
-        return serialize([record], "csv")
-    import json
-
-    return json.dumps(record, indent=2) + "\n"
+    return serialize(result, fmt)
 
 
 def _entry_record(entry) -> dict:
@@ -43,33 +53,24 @@ def _entry_record(entry) -> dict:
     }
 
 
-def _ledger_records(led) -> list[dict]:
-    return [_entry_record(e) for e in led.entries()]
-
-
-def _cmd_profile(args) -> int:
+def _cmd_profile(args) -> dict:
     from .castelnuovo import profile
 
     p = profile(args.d, args.r, strict=not args.lenient)
-    record = {"m": p.m, "eps": p.eps, "pi": p.pi}
-    sys.stdout.write(_emit_scalar(record, args.format))
-    return 0
+    return {"m": p.m, "eps": p.eps, "pi": p.pi}
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> list[dict]:
     from .extremal import classify_extremal
-    from .tables import serialize
 
-    records = [m.record() for m in classify_extremal(args.d, args.r)]
-    sys.stdout.write(serialize(records, args.format))
-    return 0
+    return [m.record() for m in classify_extremal(args.d, args.r)]
 
 
-def _cmd_embed(args) -> int:
+def _cmd_embed(args) -> dict:
     from .extremal import embed_extremal
 
     res = embed_extremal(args.gamma, args.lam, args.n)
-    record = {
+    return {
         "gamma": res.gamma,
         "lambda": res.lam,
         "n": res.n,
@@ -82,8 +83,6 @@ def _cmd_embed(args) -> int:
         "extremal": res.hypothesis_met,
         "class": res.model.class_label if res.model else "",
     }
-    sys.stdout.write(_emit_scalar(record, args.format))
-    return 0
 
 
 def _parse_assumption(text: str) -> tuple[int, int]:
@@ -96,149 +95,101 @@ def _parse_assumption(text: str) -> tuple[int, int]:
         raise InvalidInput(f"assumption {text!r} needs integer R and V") from None
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> list[dict]:
     from .gonality import baseline_ledger, with_assumptions
-    from .tables import serialize
 
     led = baseline_ledger(args.gamma, args.g)
     if args.assume:
         pairs = [_parse_assumption(text) for text in args.assume]
         led = with_assumptions(led, pairs)
-    sys.stdout.write(serialize(_ledger_records(led), args.format, ENTRY_FIELDS))
-    return 0
+    return [_entry_record(e) for e in led.entries()]
 
 
-def _cmd_slope(args) -> int:
+def _cmd_slope(args) -> dict | list[dict]:
     from .gonality import known_family_verdict, slope_verdict
 
     if args.family is not None:
-        v = known_family_verdict(args.family)
-        record = {"family": args.family, "status": str(v.status),
-                  "tag": v.tag, "reason": v.reason}
-        sys.stdout.write(_emit_scalar(record, args.format))
-        return 0
+        return {"family": args.family, **known_family_verdict(args.family).record()}
     if args.d is None or args.r is None:
         raise InvalidInput("slope needs either d and r or --family")
     from .extremal import classify_extremal
-    from .tables import serialize
 
-    records = []
-    for model in classify_extremal(args.d, args.r):
-        if args.gamma is not None and model.gamma != args.gamma:
-            continue
-        v = slope_verdict(model)
-        records.append({
-            "kind": model.kind.value,
-            "gamma": model.gamma,
-            "d": model.d,
-            "r": model.r,
-            "status": str(v.status),
-            "tag": v.tag,
-            "reason": v.reason,
-        })
+    records = [
+        {"kind": model.kind.value, "gamma": model.gamma, "d": model.d, "r": model.r,
+         **slope_verdict(model).record()}
+        for model in classify_extremal(args.d, args.r)
+        if args.gamma is None or model.gamma == args.gamma
+    ]
     if not records:
         raise InvalidInput(
             f"no extremal model with gonality {args.gamma} at d={args.d} r={args.r}"
         )
-    sys.stdout.write(serialize(records, args.format))
-    return 0
+    return records
 
 
-def _cmd_table1(args) -> int:
-    from .tables import TABLE_FIELDS, serialize, table1
+def _cmd_table1(args) -> list[dict]:
+    from .tables import table1
 
-    rows = table1(args.gamma_max, args.mode)
-    records = [row.record() for row in rows]
-    sys.stdout.write(serialize(records, args.format, TABLE_FIELDS))
-    return 0
+    return [row.record() for row in table1(args.gamma_max, args.mode)]
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args) -> str:
     from .tables import SCAN_FIELDS, scan, serialize
 
-    records = scan(args.r_lo, args.r_hi, args.d_max)
-    sys.stdout.write(serialize(records, args.format, SCAN_FIELDS))
-    return 0
+    return serialize(scan(args.r_lo, args.r_hi, args.d_max), args.format, SCAN_FIELDS)
 
 
-def _cmd_verylast(args) -> int:
+def _cmd_verylast(args) -> str | dict | list[dict]:
     from .gonality import verylast_sequence
-    from .tables import serialize
 
     led, rows = verylast_sequence(args.n)
     abar = (args.n - 3) // 2
-    window = range(args.n, args.n + 2 * abar + 3)
-    entry_records = [_entry_record(led.entry(r)) for r in window]
-    row_records = [row.record() for row in rows]
+    entries = [_entry_record(led.entry(r)) for r in range(args.n, args.n + 2 * abar + 3)]
+    rows = [row.record() for row in rows]
+    if args.format == "csv":
+        return entries
     if args.format == "json":
-        import json
+        return {"n": args.n, "gamma": led.gamma, "genus": led.g,
+                "rows": rows, "entries": entries}
+    from .tables import serialize
 
-        payload = {
-            "n": args.n,
-            "gamma": led.gamma,
-            "genus": led.g,
-            "rows": row_records,
-            "entries": entry_records,
-        }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    elif args.format == "csv":
-        sys.stdout.write(serialize(entry_records, "csv", ENTRY_FIELDS))
-    else:
-        sys.stdout.write(f"n={args.n} gamma={led.gamma} genus={led.g}\n\n")
-        sys.stdout.write(serialize(row_records, "md"))
-        sys.stdout.write("\n")
-        sys.stdout.write(serialize(entry_records, "md", ENTRY_FIELDS))
-    return 0
+    return (f"n={args.n} gamma={led.gamma} genus={led.g}\n\n"
+            + serialize(rows, "md") + "\n" + serialize(entries, "md"))
 
 
-def _cmd_plane(args) -> int:
+def _cmd_plane(args) -> dict | list[dict]:
     from .castelnuovo import plane_genus
     from .gonality import plane_curve_gonality, plane_slope_verdict
 
-    if args.r is not None:
-        d_r = plane_curve_gonality(args.k, args.r)
-        v = plane_slope_verdict(args.k, args.r)
-        record = {"r": args.r, "d_r": d_r, "status": str(v.status), "tag": v.tag}
-        sys.stdout.write(_emit_scalar(record, args.format))
-        return 0
-    from .tables import serialize
-
-    records = []
-    for r in range(1, plane_genus(args.k) + 3):
+    def record(r: int) -> dict:
         v = plane_slope_verdict(args.k, r)
-        records.append({
-            "r": r,
-            "d_r": plane_curve_gonality(args.k, r),
-            "status": str(v.status),
-            "tag": v.tag,
-        })
-    sys.stdout.write(serialize(records, args.format))
-    return 0
+        return {"r": r, "d_r": plane_curve_gonality(args.k, r),
+                "status": str(v.status), "tag": v.tag}
+
+    if args.r is not None:
+        return record(args.r)
+    return [record(r) for r in range(1, plane_genus(args.k) + 3)]
 
 
-def _cmd_selfcheck(args) -> int:
+def _cmd_selfcheck(args) -> str | list[dict] | int:
     from .selfcheck import GROUPS, run_group, run_selfcheck, tally
 
     if args.format == "md":
         count, failures = run_selfcheck()
-        out = f"ok {count} checks\n"
+        result = f"ok {count} checks\n"
     else:
-        from .tables import serialize
-
-        records, count, failures = [], 0, []
+        result, count, failures = [], 0, []
         for name, group in GROUPS.items():
             checks, failed = tally(run_group(name, group))
-            records.append({"group": name, "checks": checks, "failed": len(failed)})
+            result.append({"group": name, "checks": checks, "failed": len(failed)})
             count += checks
             failures += failed
-        out = serialize(records, args.format)
     if failures:
         for line in failures:
             print(line, file=sys.stderr)
         print(f"{len(failures)} of {count} checks failed", file=sys.stderr)
         return 1
-    sys.stdout.write(out)
-    return 0
+    return result
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,13 +284,21 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        result = args.func(args)
+        if isinstance(result, int):
+            return result
+        out = _render(result, args.format)
     except ContradictionError as exc:
         print(f"contradiction: {exc}", file=sys.stderr)
         return 3
     except (InvalidInput, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (OverflowError, MemoryError) as exc:
+        print(f"error: input too large to hold ({type(exc).__name__})", file=sys.stderr)
+        return 2
+    sys.stdout.write(out)
+    return 0
 
 
 def main() -> None:

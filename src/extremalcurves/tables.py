@@ -140,6 +140,8 @@ def scan(r_lo: int, r_hi: int, d_max: int | None = None) -> list[dict]:
         raise InvalidInput(f"need r_lo >= 3, got {r_lo}")
     if r_hi < r_lo:
         raise InvalidInput(f"need r_hi >= r_lo, got {r_hi} < {r_lo}")
+    if d_max is not None:  # no degree d >= 2r+1 fits under d_max past this r
+        r_hi = min(r_hi, (d_max - 1) // 2)
     records = []
     for r in range(r_lo, r_hi + 1):
         ceiling = d_max if d_max is not None else 6 * r - 5

@@ -1,6 +1,9 @@
 """End-to-end checks of the command line front end."""
 
+import csv
+import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -14,8 +17,11 @@ from extremalcurves import (
     InvalidInput,
     selfcheck,
 )
+import extremalcurves.gonality
 from extremalcurves.cli import run
+from extremalcurves.tables import _cell
 
+SRC = str(Path(extremalcurves.gonality.__file__).resolve().parents[1])
 GOLDEN = Path(__file__).parent / "golden" / "table1_gamma6_paper.md"
 
 
@@ -173,6 +179,18 @@ def test_scan_degree_ceiling(capsys):
     assert out == "r,d,m,eps,pi,kind,gamma,verdict,rho\n"
 
 
+def test_scan_degree_ceiling_bounds_the_window():
+    # no degree >= 2r+1 fits under d_max = 5, so the scan stops at r = 2
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "extremalcurves", "scan", "3", str(10**20), "--d-max", "5"],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ("| r | d | m | eps | pi | kind | gamma | verdict | rho |\n"
+                           + "| --- " * 9 + "|\n")
+
+
 def test_verylast_json(capsys):
     code, out, _ = run_cli(capsys, "verylast", "3", "--format", "json")
     assert code == 0
@@ -286,6 +304,69 @@ def test_selfcheck_group_error_is_a_failed_check(capsys, monkeypatch, fmt, error
     total = 19357 - embedding_checks + 1
     assert err == f"group embedding raised {type(error).__name__}: {error}\n" \
                   f"1 of {total} checks failed\n"
+
+
+@pytest.mark.parametrize("argv", [["bounds", "2", str(10**20)], ["verylast", str(10**20)]],
+                         ids=" ".join)
+def test_input_too_large_exits_two(capsys, argv):
+    # both raise OverflowError from a list repetition before allocating
+    assert run_cli(capsys, *argv) == (2, "", "error: input too large to hold (OverflowError)\n")
+
+
+def test_memory_error_exits_two(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(extremalcurves.gonality, "baseline_ledger", exhausted)
+    assert run_cli(capsys, "bounds", "2", "12") == (
+        2, "", "error: input too large to hold (MemoryError)\n")
+
+
+def _md_records(text: str) -> list[dict]:
+    """Records back from a markdown pipe table or a ``k=v`` line."""
+    head, *rows = text.splitlines()
+    if not head.startswith("|"):
+        assert not rows
+        return [dict(re.findall(r"(\w+)=(.*?)(?= \w+=|$)", head))]
+    fields = head[2:-2].split(" | ")
+    return [dict(zip(fields, row[2:-2].split(" | "), strict=True)) for row in rows[1:]]
+
+
+def _csv_records(text: str) -> list[dict]:
+    return list(csv.DictReader(io.StringIO(text)))
+
+
+def _json_records(value) -> list[dict]:
+    records = value if isinstance(value, list) else [value]
+    return [{k: _cell(v) for k, v in rec.items()} for rec in records]
+
+
+FORMAT_ARGV = [
+    ["profile", "10", "4"], ["classify", "13", "5"], ["embed", "4", "12", "3"],
+    ["bounds", "4", "12"], ["slope", "13", "5"], ["slope", "--family", "trigonal"],
+    ["table1"], ["scan", "3", "4"], ["plane", "7"], ["plane", "7", "--r", "5"],
+]
+
+
+@pytest.mark.parametrize("argv", FORMAT_ARGV, ids=" ".join)
+def test_formats_give_the_same_records(capsys, argv):
+    outs = {}
+    for fmt in ("md", "csv", "json"):
+        code, outs[fmt], err = run_cli(capsys, *argv, "--format", fmt)
+        assert (code, err) == (0, "")
+    records = _json_records(json.loads(outs["json"]))
+    assert records
+    assert _csv_records(outs["csv"]) == records
+    assert _md_records(outs["md"]) == records
+
+
+def test_verylast_formats_agree(capsys):
+    outs = {fmt: run_cli(capsys, "verylast", "6", "--format", fmt)[1]
+            for fmt in ("md", "csv", "json")}
+    entries = _json_records(json.loads(outs["json"])["entries"])
+    assert len(entries) == 5
+    assert _csv_records(outs["csv"]) == entries
+    assert _md_records(outs["md"].split("\n\n")[2]) == entries
 
 
 def test_version(capsys):
