@@ -7,10 +7,12 @@ markdown (default), csv, or json; diagnostics go to stderr.  Exit codes:
 large to hold included), 3 a bound contradiction.
 
 Each ``_cmd_*`` handler returns its result and writes nothing to stdout:
-a dict is one record, a list of dicts a table, a str finished text, and
-an int the exit code of a run that has already reported to stderr.
-``run`` renders the result in the chosen format and is the one place
-that writes stdout.
+a dict is one record, a list of dicts a table, a ``(fieldnames,
+records)`` pair a table whose records an iterator yields as they are
+made, a str finished text, and an int the exit code of a run that has
+already reported to stderr.  ``run`` renders the result in the chosen
+format and is the one place that writes stdout; a table goes out in
+batches as it is rendered, so ``scan`` never holds its window whole.
 
 Each handler imports the layers it runs, and json and csv load only for
 those formats, so a call pays start-up only for what it uses.
@@ -19,28 +21,36 @@ those formats, so a call pays start-up only for what it uses.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import __version__
 from .errors import ContradictionError, DomainError, InvalidInput
 
 
-def _render(result, fmt: str) -> str:
-    """A handler's result as text: a dict is one record (a ``k=v`` line in
-    md), a list of dicts a table, a str already text."""
+def _write(result, fmt: str, out) -> None:
+    """Write a handler's result to ``out``: a dict is one record (a ``k=v``
+    line in md), a list of dicts or a ``(fieldnames, records)`` pair a
+    table, a str already text."""
     if isinstance(result, str):
-        return result
-    if isinstance(result, dict):
+        out.write(result)
+        return
+    fieldnames = None
+    if isinstance(result, tuple):
+        fieldnames, result = result
+    elif isinstance(result, dict):
         if fmt == "md":
-            return " ".join(f"{k}={v}" for k, v in result.items()) + "\n"
+            out.write(" ".join(f"{k}={v}" for k, v in result.items()) + "\n")
+            return
         if fmt == "json":
             import json
 
-            return json.dumps(result, indent=2) + "\n"
+            out.write(json.dumps(result, indent=2) + "\n")
+            return
         result = [result]
-    from .tables import serialize
+    from .tables import write_records
 
-    return serialize(result, fmt)
+    write_records(out, result, fmt, fieldnames)
 
 
 def _entry_record(entry) -> dict:
@@ -133,10 +143,10 @@ def _cmd_table1(args) -> list[dict]:
     return [row.record() for row in table1(args.gamma_max, args.mode)]
 
 
-def _cmd_scan(args) -> str:
-    from .tables import SCAN_FIELDS, scan, serialize
+def _cmd_scan(args) -> tuple:
+    from .tables import SCAN_FIELDS, scan
 
-    return serialize(scan(args.r_lo, args.r_hi, args.d_max), args.format, SCAN_FIELDS)
+    return SCAN_FIELDS, scan(args.r_lo, args.r_hi, args.d_max)
 
 
 def _cmd_verylast(args) -> str | dict | list[dict]:
@@ -287,7 +297,7 @@ def run(argv: list[str]) -> int:
         result = args.func(args)
         if isinstance(result, int):
             return result
-        out = _render(result, args.format)
+        _write(result, args.format, sys.stdout)
     except ContradictionError as exc:
         print(f"contradiction: {exc}", file=sys.stderr)
         return 3
@@ -297,7 +307,6 @@ def run(argv: list[str]) -> int:
     except (OverflowError, MemoryError) as exc:
         print(f"error: input too large to hold ({type(exc).__name__})", file=sys.stderr)
         return 2
-    sys.stdout.write(out)
     return 0
 
 
@@ -305,7 +314,16 @@ def main() -> None:
     if hasattr(sys.stdout, "reconfigure"):
         sys.stdout.reconfigure(encoding="utf-8")
         sys.stderr.reconfigure(encoding="utf-8")
-    sys.exit(run(sys.argv[1:]))
+    code = 0
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early (``| head``): output nobody reads is not
+        # a failure.  stdout goes to devnull so that the flush at shutdown
+        # does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -6,9 +6,14 @@ there.  Rows are symbolic in r; ``row_models`` instantiates a row at a
 concrete r and ``expected_status`` says what verdict the row claims, so
 the table can be cross-checked against the engine.
 
-``scan`` walks a concrete (r, d) window instead and emits one flat
+``scan`` walks a concrete (r, d) window instead and yields one flat
 record per extremal model, including its slope verdict and the
-Brill-Noether number at the extremal genus.
+Brill-Noether number at the extremal genus.  It checks its arguments
+when called and returns an iterator, not a list.
+
+``write_records`` renders records as markdown, csv or json to a text
+stream, BATCH records per write, so its memory does not grow with the
+number of records; ``serialize`` runs it into a string.
 
 The engine layers and the csv and json encoders are imported inside the
 functions that use them, so ``table1`` and markdown output load neither.
@@ -16,13 +21,18 @@ functions that use them, so ``table1`` and markdown output load neither.
 
 from __future__ import annotations
 
+import io
 from collections import namedtuple
+from collections.abc import Iterable, Iterator
+from itertools import chain, islice
 
 from .errors import InvalidInput
 from .verdicts import Status
 
 TABLE_FIELDS = ("d", "gamma", "m", "eps", "slope")
 SCAN_FIELDS = ("r", "d", "m", "eps", "pi", "kind", "gamma", "verdict", "rho")
+
+BATCH = 512  # records per write: rendering memory stays flat in the record count
 
 STAR = "★"
 STAR_RESOLVED = "yes if r=4; no if r>=5"
@@ -125,29 +135,34 @@ def expected_status(row: TableRow, r: int) -> Status | None:
     return None
 
 
-def scan(r_lo: int, r_hi: int, d_max: int | None = None) -> list[dict]:
+def scan(r_lo: int, r_hi: int, d_max: int | None = None) -> Iterator[dict]:
     """Flat per-model records over r in [r_lo, r_hi], d from 2r+1 up.
 
     The degree ceiling is d_max when given, else 6r-5 per r (one full
     period past the highest tabulated family).  rho is the Brill-Noether
-    number at the extremal genus.
+    number at the extremal genus.  The arguments are checked when scan is
+    called; the records come from the returned iterator one at a time,
+    so a window is never held whole.
     """
-    from .castelnuovo import brill_noether
-    from .extremal import classify_extremal
-    from .gonality import slope_verdict
-
     if r_lo < 3:
         raise InvalidInput(f"need r_lo >= 3, got {r_lo}")
     if r_hi < r_lo:
         raise InvalidInput(f"need r_hi >= r_lo, got {r_hi} < {r_lo}")
     if d_max is not None:  # no degree d >= 2r+1 fits under d_max past this r
         r_hi = min(r_hi, (d_max - 1) // 2)
-    records = []
+    return _scan_records(r_lo, r_hi, d_max)
+
+
+def _scan_records(r_lo: int, r_hi: int, d_max: int | None) -> Iterator[dict]:
+    from .castelnuovo import brill_noether
+    from .extremal import classify_extremal
+    from .gonality import slope_verdict
+
     for r in range(r_lo, r_hi + 1):
         ceiling = d_max if d_max is not None else 6 * r - 5
         for d in range(2 * r + 1, ceiling + 1):
             for model in classify_extremal(d, r):
-                records.append({
+                yield {
                     "r": r,
                     "d": d,
                     "m": model.m,
@@ -157,44 +172,84 @@ def scan(r_lo: int, r_hi: int, d_max: int | None = None) -> list[dict]:
                     "gamma": model.gamma,
                     "verdict": str(slope_verdict(model).status),
                     "rho": brill_noether(d, r, model.g),
-                })
-    return records
+                }
 
 
-def serialize(records: list[dict], fmt: str = "md",
-              fieldnames: tuple[str, ...] | None = None) -> str:
-    """Render records as a markdown pipe table, csv, or json.
+def write_records(out, records: Iterable[dict], fmt: str = "md",
+                  fieldnames: tuple[str, ...] | None = None) -> None:
+    """Write flat records to the text stream ``out`` as a markdown pipe
+    table, csv, or json, one ``out.write`` per BATCH records.
 
-    Fields come from the first record unless given explicitly; an empty
-    record list needs explicit fieldnames.  Output ends with a newline.
+    Fields come from the first record unless given explicitly; no records
+    at all need explicit fieldnames.  The header goes out with the first
+    batch, so an error raised while the first batch is made leaves ``out``
+    untouched.  Output ends with a newline.
     """
+    records = iter(records)
     if fieldnames is None:
-        if not records:
+        first = next(records, None)
+        if first is None:
             raise InvalidInput("empty record list needs explicit fieldnames")
-        fieldnames = tuple(records[0])
-    if fmt == "md":
-        lines = ["| " + " | ".join(fieldnames) + " |",
-                 "| " + " | ".join("---" for _ in fieldnames) + " |"]
-        for rec in records:
-            cells = [_cell(rec.get(f)) for f in fieldnames]
-            lines.append("| " + " | ".join(cells) + " |")
-        return "\n".join(lines) + "\n"
-    if fmt == "csv":
-        import csv
-        import io
+        fieldnames = tuple(first)
+        records = chain((first,), records)
+    render = _RENDERERS.get(fmt)
+    if render is None:
+        raise InvalidInput(f"unknown format {fmt!r}; use md, csv, or json")
+    batches = iter(lambda: list(islice(records, BATCH)), [])
+    for text in render(batches, fieldnames):
+        out.write(text)
 
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(fieldnames)
-        for rec in records:
-            writer.writerow([_cell(rec.get(f)) for f in fieldnames])
-        return buf.getvalue()
-    if fmt == "json":
-        import json
 
-        return json.dumps(records, indent=2) + "\n"
-    raise InvalidInput(f"unknown format {fmt!r}; use md, csv, or json")
+def serialize(records: Iterable[dict], fmt: str = "md",
+              fieldnames: tuple[str, ...] | None = None) -> str:
+    """``write_records`` into a string."""
+    buf = io.StringIO()
+    write_records(buf, records, fmt, fieldnames)
+    return buf.getvalue()
 
 
 def _cell(value) -> str:
     return "" if value is None else str(value)
+
+
+def _md(batches, fieldnames):
+    head = ("| " + " | ".join(fieldnames) + " |\n"
+            + "| " + " | ".join("---" for _ in fieldnames) + " |\n")
+    for batch in batches:
+        yield head + "".join("| " + " | ".join([_cell(rec.get(f)) for f in fieldnames])
+                             + " |\n" for rec in batch)
+        head = ""
+    if head:
+        yield head
+
+
+def _csv(batches, fieldnames):
+    import csv
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fieldnames)
+    for batch in batches:
+        writer.writerows([_cell(rec.get(f)) for f in fieldnames] for rec in batch)
+        yield buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
+    if buf.tell():
+        yield buf.getvalue()
+
+
+def _json(batches, fieldnames):
+    # Equal to json.dumps(records, indent=2) for flat records, through the C
+    # encoder: indent= forces the pure-Python one.
+    import json
+
+    encode = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+    sep = "[\n"
+    for batch in batches:
+        yield sep + ",\n".join("  {\n    " + encode(rec)[1:-1] + "\n  }" if rec else "  {}"
+                                for rec in batch)
+        sep = ",\n"
+    yield "[]\n" if sep == "[\n" else "\n]\n"
+
+
+_RENDERERS = {"md": _md, "csv": _csv, "json": _json}

@@ -1,5 +1,6 @@
 """End-to-end checks of the command line front end."""
 
+import contextlib
 import csv
 import io
 import json
@@ -7,6 +8,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -189,6 +192,90 @@ def test_scan_degree_ceiling_bounds_the_window():
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == ("| r | d | m | eps | pi | kind | gamma | verdict | rho |\n"
                            + "| --- " * 9 + "|\n")
+
+
+H, M = str(10**20), str(-10**20)
+
+
+@pytest.mark.parametrize("argv", [
+    ["2", "5"], ["5", "3"], [M, "4"], ["3", M], [H, "4"], [M, M], [H, M],
+    ["2", "5", "--d-max", M], [H, "4", "--d-max", M],
+], ids=" ".join)
+@pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+def test_scan_rejects_before_the_first_byte(capsys, argv, fmt):
+    code, out, err = run_cli(capsys, "scan", *argv, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: need r_")
+
+
+def _scan_child(*argv):
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.Popen([sys.executable, "-m", "extremalcurves", "scan", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+
+
+def test_scan_reader_that_stops_early_is_not_an_error():
+    # like ``| head``: the output is megabytes, the reader takes 100 bytes
+    proc = _scan_child("3", "96", "--format", "json")
+    try:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        assert proc.wait(timeout=30) == 0
+        err = proc.stderr.read().decode()
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert err == ""  # no traceback, no "Exception ignored" at shutdown
+
+
+def test_scan_streams_an_unbounded_window():
+    # r = 3 walks d up to 10**20: the records must flow long before that
+    header = ("| r | d | m | eps | pi | kind | gamma | verdict | rho |\n"
+              + "| --- " * 9 + "|\n").encode()
+    proc = _scan_child("3", "4", "--d-max", str(10**20))
+    timer = threading.Timer(10, proc.kill)
+    timer.start()
+    try:
+        data = proc.stdout.read(len(header) + 65536)
+    finally:
+        timer.cancel()
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+    assert len(data) == len(header) + 65536
+    assert data.startswith(header + b"| 3 | 7 | 3 | 0 | 6 | type_ii | 3 | holds | -2 |\n")
+
+
+class _CountingSink:
+    chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+
+def _traced_peak(argv):
+    """Peak bytes the interpreter allocates while ``run(argv)`` runs."""
+    with contextlib.redirect_stdout(_CountingSink()) as sink:
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            return tracemalloc.get_traced_memory()[1], sink.chars
+        finally:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+def test_scan_memory_is_flat_in_the_window(fmt):
+    with contextlib.redirect_stdout(_CountingSink()):  # loads what the format uses
+        run(["scan", "3", "24", "--format", fmt])
+    small, small_chars = _traced_peak(["scan", "3", "24", "--format", fmt])
+    large, large_chars = _traced_peak(["scan", "3", "96", "--format", fmt])
+    assert large_chars > 15 * small_chars
+    assert max(small, large) < 2 * 2**20
+    assert large < 2 * small
 
 
 def test_verylast_json(capsys):

@@ -1,6 +1,9 @@
 """Symbolic table rows, concrete scans, and serialization."""
 
+import csv
+import io
 import json
+import random
 
 import pytest
 
@@ -17,6 +20,7 @@ from extremalcurves import (
     slope_verdict,
     table1,
 )
+from extremalcurves.tables import BATCH
 
 
 def test_table_shape():
@@ -131,7 +135,7 @@ def test_rows_agree_with_engine():
 
 
 def test_scan_window():
-    records = scan(3, 4)
+    records = list(scan(3, 4))
     assert len(records) == 26
     assert records[0] == {
         "r": 3, "d": 7, "m": 3, "eps": 0, "pi": 6,
@@ -154,9 +158,9 @@ def test_scan_window():
 
 
 def test_scan_options():
-    assert scan(3, 5) == scan(3, 5)
-    assert scan(3, 3, d_max=9) == scan(3, 3)[:5]
-    assert scan(3, 3, d_max=6) == []
+    assert list(scan(3, 5)) == list(scan(3, 5))
+    assert list(scan(3, 3, d_max=9)) == list(scan(3, 3))[:5]
+    assert list(scan(3, 3, d_max=6)) == []
     with pytest.raises(InvalidInput):
         scan(2, 5)
     with pytest.raises(InvalidInput):
@@ -164,7 +168,7 @@ def test_scan_options():
 
 
 def test_serialize_markdown():
-    records = scan(3, 4)[:1]
+    records = list(scan(3, 4))[:1]
     assert serialize(records, "md") == (
         "| r | d | m | eps | pi | kind | gamma | verdict | rho |\n"
         "| --- | --- | --- | --- | --- | --- | --- | --- | --- |\n"
@@ -173,7 +177,7 @@ def test_serialize_markdown():
 
 
 def test_serialize_csv():
-    records = scan(3, 4)[:2]
+    records = list(scan(3, 4))[:2]
     assert serialize(records, "csv") == (
         "r,d,m,eps,pi,kind,gamma,verdict,rho\n"
         "3,7,3,0,6,type_ii,3,holds,-2\n"
@@ -182,7 +186,7 @@ def test_serialize_csv():
 
 
 def test_serialize_json():
-    records = scan(3, 4)[:2]
+    records = list(scan(3, 4))[:2]
     text = serialize(records, "json")
     assert text.endswith("\n")
     assert json.loads(text) == records
@@ -196,3 +200,41 @@ def test_serialize_edge_cases():
         serialize([], "csv")
     with pytest.raises(InvalidInput):
         serialize([{"a": 1}], "yaml")
+
+
+VALUES = (None, True, False, 0, -7, -10**30, 10**30, 0.1, -2.5, 1e300, "", "★",
+          'say "hi"', "back\\slash", "two\nlines", "é", "a,b", "pipe | cell")
+
+
+def _old_serialize(records, fmt, fieldnames):
+    """The renderer that held everything in memory, for comparison."""
+    def cell(value):
+        return "" if value is None else str(value)
+
+    if fmt == "md":
+        lines = ["| " + " | ".join(fieldnames) + " |",
+                 "| " + " | ".join("---" for _ in fieldnames) + " |"]
+        lines += ["| " + " | ".join(cell(rec.get(f)) for f in fieldnames) + " |"
+                  for rec in records]
+        return "\n".join(lines) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(fieldnames)
+        writer.writerows([cell(rec.get(f)) for f in fieldnames] for rec in records)
+        return buf.getvalue()
+    return json.dumps(records, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("count", [0, 1, BATCH - 1, BATCH, BATCH + 1])
+def test_serialize_matches_the_whole_text_renderer(count):
+    rng = random.Random(count)
+    fieldnames = ("r", "name", "é", "x y")
+    records = [{f: rng.choice(VALUES) for f in fieldnames if rng.random() < 0.7}
+               for _ in range(count)]
+    for fmt in ("md", "csv", "json"):
+        want = _old_serialize(records, fmt, fieldnames)
+        assert serialize(records, fmt, fieldnames) == want
+        assert serialize(iter(records), fmt, fieldnames) == want
+        if records:
+            assert serialize(records, fmt) == _old_serialize(records, fmt, tuple(records[0]))
