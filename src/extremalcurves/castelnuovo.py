@@ -41,10 +41,10 @@ def profile(d: int, r: int, strict: bool = True) -> CurveProfile:
     """
     if r < 3:
         raise InvalidInput(f"need r >= 3, got r={r}")
-    floor = 2 * r + 1 if strict else r + 1
-    if d < floor:
-        mode = "strict" if strict else "lenient"
-        raise InvalidInput(f"need d >= {floor} in {mode} mode, got d={d}")
+    if strict and d < 2 * r + 1:
+        raise InvalidInput(f"extremal curves need d >= 2r+1 = {2 * r + 1}, got d={d}")
+    if d < r + 1:
+        raise InvalidInput(f"need d >= {r + 1} in lenient mode, got d={d}")
     m, eps = divmod(d - 1, r - 1)
     return CurveProfile(d, r, m, eps, max_genus(m, eps, r))
 

@@ -90,7 +90,7 @@ def _cmd_embed(args) -> dict:
         "eps": res.eps,
         "genus": res.genus,
         "pi": res.profile.pi,
-        "extremal": res.hypothesis_met,
+        "extremal": res.model is not None,
         "class": res.model.class_label if res.model else "",
     }
 

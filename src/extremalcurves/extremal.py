@@ -11,18 +11,18 @@ and the scroll classes are what the gonality theory consumes: the ruling
 cuts out the gonality pencil, so type-II models are m-gonal and type-III
 models are (m+1)-gonal, while the plane model of degree k is (k-1)-gonal.
 
-``ExtremalModel(kind, d, r)`` derives every other field: the split
-(m, eps) and the genus pi(d, r) from ``profile``, gamma, the scroll class
-and k from the kind.  Those per-kind formulas live in its constructor
-alone; callers that computed a field another way pass it as a claim for
-the constructor to confirm.
+``ExtremalModel(kind, d, r)`` refuses d < 2r+1 and derives every other
+field: the split (m, eps) and the genus pi(d, r) from ``profile``, gamma,
+the scroll class and k from the kind.  Those per-kind formulas live in
+its constructor alone; callers that computed a field another way pass it
+as a claim for the constructor to confirm.
 
 ``classify_extremal`` enumerates the candidate models for (d, r); they
 are candidates, not a unique answer.  ``verify_extremal_class`` checks a
 scroll class by adjunction against the genus bound.  ``embed_extremal``
 runs the constructive direction: it takes a class gamma*C0 + lambda*L on
-a Hirzebruch surface and produces the unisecant embedding under which
-the curve is extremal.
+a Hirzebruch surface and produces its unisecant embedding, an extremal
+model when gamma >= 4 (gamma = 3 lands at d = 2r-1, below the regime).
 """
 
 from __future__ import annotations
@@ -60,11 +60,12 @@ class ModelKind(Enum):
 class ExtremalModel(namedtuple("ExtremalModel", "kind d r m eps gamma g scroll_class k")):
     """One candidate model of an extremal curve of degree d in P^r.
 
-    (kind, d, r) determine the rest.  m, eps and the genus g = pi(d, r)
-    come from ``profile``; the kind gives gamma, the scroll class in the
-    (H, L) basis (scroll kinds) and the plane degree k (plane kind only).
-    The fields after r are optional claims: each one given is checked on
-    its own against the derived value, and a disagreement is refused.
+    (kind, d, r) determine the rest, and d < 2r+1 is refused.  m, eps and
+    the genus g = pi(d, r) come from ``profile``; the kind gives gamma,
+    the scroll class in the (H, L) basis (scroll kinds) and the plane
+    degree k (plane kind only).  The fields after r are optional claims:
+    each one given is checked on its own against the derived value, and a
+    disagreement is refused.
     """
 
     __slots__ = ()
@@ -72,7 +73,7 @@ class ExtremalModel(namedtuple("ExtremalModel", "kind d r m eps gamma g scroll_c
     def __new__(cls, kind: ModelKind, d: int, r: int, m: int | None = None,
                 eps: int | None = None, gamma: int | None = None, g: int | None = None,
                 scroll_class: tuple[int, int] | None = None, k: int | None = None):
-        p = profile(d, r, strict=False)
+        p = profile(d, r)
         if m not in (None, p.m) or eps not in (None, p.eps):
             given = tuple.__new__(cls, (kind, d, r, m, eps, gamma, g, scroll_class, k))
             raise InvalidInput(f"(m, eps) do not split d-1 for {given}")
@@ -135,12 +136,8 @@ def classify_extremal(d: int, r: int) -> list[ExtremalModel]:
     Always contains the type-III model; adds the type-II model when
     eps = 0 (listed first, it has the lower gonality) and the plane model
     when r = 5 and d = 2k is even (listed last; k >= 6 holds automatically
-    once d >= 2r+1).
+    once d >= 2r+1).  The model constructor refuses r < 3 and d < 2r+1.
     """
-    if r < 3:
-        raise InvalidInput(f"need r >= 3, got r={r}")
-    if d < 2 * r + 1:
-        raise InvalidInput(f"extremal curves need d >= 2r+1 = {2 * r + 1}, got d={d}")
     third = ExtremalModel(ModelKind.TYPE_III, d, r)
     models = [ExtremalModel(ModelKind.TYPE_II, d, r)] if third.eps == 0 else []
     models.append(third)
@@ -172,10 +169,10 @@ class EmbedResult(namedtuple(
 
     ``gamma``, ``lam``, ``n`` are the inputs after ruling normalization on
     n=0.  ``eps`` is the division remainder lambda - n - 1 = beta*(gamma-2)
-    + eps.  When the hypothesis 2*lambda >= gamma*(gamma+n-2) holds, the
-    embedded curve is provably extremal: ``model`` carries the type-III
-    model and ``hypothesis_met`` is True.  Otherwise the embedding data is
-    still returned with ``model=None`` (extremality unproven).
+    + eps.  When the hypothesis 2*lambda >= gamma*(gamma+n-2) holds,
+    ``hypothesis_met`` is True and ``model`` carries the type-III model,
+    except for gamma = 3: that image has d = 2r-1, below the regime, and
+    no model.  Without the hypothesis ``model`` is None too (unproven).
     ``scroll`` is the ``ScrollEmbedding``, ``profile`` the image's
     ``CurveProfile`` and ``genus`` the adjunction genus of the class.
     """
@@ -198,8 +195,10 @@ def embed_extremal(gamma: int, lam: int, n: int) -> EmbedResult:
     Sets beta = (lambda-n-1) div (gamma-2) and eps the remainder, embeds by
     |C0 + beta*L| into P^r with r = 2*beta+1-n, and the image has degree
     d = gamma*(beta-n) + lambda.  Under 2*lambda >= gamma*(gamma+n-2) the
-    image is extremal with ratio gamma-1 and remainder eps; without the
-    hypothesis the embedding is returned unproven.
+    image attains pi(d, r) with ratio gamma-1 and remainder eps; it is
+    extremal for gamma >= 4, as d - (2r+1) = (gamma-3)(r-1) - 2 + eps >= 0,
+    and lands at d = 2r-1 for gamma = 3 (eps = 0), so no model is built.
+    Without the hypothesis the embedding is returned unproven.
 
     Refuses gamma < 3 (after the n=0 ruling swap), classes that are not
     irreducible-smoothable, and multiples of C0+L on n=1, which blow down
@@ -245,8 +244,9 @@ def embed_extremal(gamma: int, lam: int, n: int) -> EmbedResult:
                 f"embedding invariants broke for {x}: "
                 f"m={prof.m} eps={prof.eps} g={genus} pi={prof.pi}"
             )
-        model = ExtremalModel(ModelKind.TYPE_III, d, scroll.r, m=gamma - 1, eps=eps,
-                              gamma=gamma, g=genus, scroll_class=class_in_HL(x, scroll))
+        if gamma > 3:
+            model = ExtremalModel(ModelKind.TYPE_III, d, scroll.r, m=gamma - 1, eps=eps,
+                                  gamma=gamma, g=genus, scroll_class=class_in_HL(x, scroll))
     return EmbedResult(
         gamma=gamma,
         lam=lam,

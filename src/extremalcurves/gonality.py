@@ -400,8 +400,8 @@ def plane_slope_verdict(k: int, r: int) -> SlopeVerdict:
     """Slope verdict for a smooth plane curve of degree k at index r.
 
     Inside a Noether block (beta != 0) the step is one and the inequality
-    holds; on a block boundary it fails when alpha <= k-4 and is left
-    open otherwise.
+    holds; on a block boundary it fails when alpha <= k-4, and otherwise
+    r >= g-1, where the steps are 2 then 1 and it holds (equality at g-1).
     """
     if k < 5:
         raise UnsupportedInput(f"plane-curve sequences need degree k >= 5, got {k}")
@@ -423,10 +423,10 @@ def plane_slope_verdict(k: int, r: int) -> SlopeVerdict:
             " the next step jumps and the inequality fails",
         )
     return SlopeVerdict(
-        Status.UNDETERMINED,
-        "noether-edge",
-        f"index {r} ends a Noether block with alpha={alpha} > k-4;"
-        " no verdict is known",
+        Status.HOLDS,
+        "canonical-tail",
+        f"index {r} ends a Noether block with alpha={alpha} > k-4, so r >= g-1;"
+        " from d_{g-1} = 2g-2 the steps are 2, then 1, and the inequality holds",
     )
 
 

@@ -173,18 +173,12 @@ class ScrollEmbedding(namedtuple("ScrollEmbedding", "n beta r")):
 def scroll_from_rn(r: int, n: int) -> ScrollEmbedding:
     """The scroll in P^r built from the surface with invariant n.
 
-    Needs r >= 3, n >= 0, r + n - 1 even, and beta = (r+n-1)/2 >= n.
+    Needs r + n - 1 even, so that beta = (r+n-1)/2; ``ScrollEmbedding``
+    then refuses n < 0, beta < n and r < 3.
     """
-    if r < 3:
-        raise InvalidInput(f"scrolls need r >= 3, got r={r}")
-    if n < 0:
-        raise InvalidInput(f"surface invariant must be >= 0, got n={n}")
     if (r + n - 1) % 2:
         raise InvalidInput(f"r+n-1 must be even, got r={r}, n={n}")
-    beta = (r + n - 1) // 2
-    if beta < n:
-        raise InvalidInput(f"beta={beta} < n={n}; no such scroll in P^{r}")
-    return ScrollEmbedding(n=n, beta=beta, r=r)
+    return ScrollEmbedding(n, (r + n - 1) // 2, r)
 
 
 def class_in_HL(x: DivisorClass, scroll: ScrollEmbedding) -> tuple[int, int]:

@@ -82,15 +82,20 @@ def embedding(cases=tuple(
         # lam >= gamma keeps gamma the ruling degree on the product surface
         for floor in [max(gamma * n + 1, gamma, -(-gamma * (gamma + n - 2) // 2))]
         for lam in range(floor, floor + 6))):
-    """Each gamma*C0 + lam*L embeds extremally: ratio, remainder, genus and class agree."""
+    """Each gamma*C0 + lam*L embeds at pi(d, r) with its ratio and remainder, as a
+    model of its own class exactly when d >= 2r+1; gamma = 3 lands at d = 2r-1."""
     for gamma, lam, n in cases:
         res, at = embed_extremal(gamma, lam, n), f"({gamma},{lam},{n})"
-        yield res.hypothesis_met and res.model is not None, f"hypothesis lost at {at}"
+        yield (res.hypothesis_met and (res.model is None) == (res.d < 2 * res.r + 1),
+               f"hypothesis or regime lost at {at}")
         yield (res.profile.m == gamma - 1 and res.profile.eps == res.eps
                and res.genus == res.profile.pi, f"embedding not extremal at {at}")
-        x = DivisorClass(n, gamma, lam)
-        yield (class_in_HL(x, res.scroll) == getattr(res.model, "scroll_class", None),
-               f"scroll class mismatch at {at}")
+        if gamma == 3:
+            yield res.d == 2 * res.r - 1, f"gamma=3 embedding off d=2r-1 at {at}"
+        else:
+            x = DivisorClass(n, gamma, lam)
+            yield (class_in_HL(x, res.scroll) == getattr(res.model, "scroll_class", None),
+                   f"scroll class mismatch at {at}")
 
 
 def classified_classes(windows=tuple((d, r) for r in range(3, 13)

@@ -119,7 +119,8 @@ def test_criterion_02():
     assert tally(genus_closed_form(classes)) == (330, [])
 
 
-@criterion(3, "every grid class embeds as an extremal curve", budget_ms=1000.0)
+@criterion(3, "every grid class embeds at pi(d, r), extremal exactly when gamma >= 4",
+           budget_ms=1000.0)
 def test_criterion_03():
     cases = [(gamma, lam, n) for gamma, lam, n in smoothable_grid()
              if (n, lam) != (1, gamma)]  # the plane-curve contraction point

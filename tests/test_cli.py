@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -20,6 +21,7 @@ from extremalcurves import (
     InvalidInput,
     selfcheck,
 )
+import extremalcurves.cli
 import extremalcurves.gonality
 from extremalcurves.cli import run
 from extremalcurves.tables import _cell
@@ -445,6 +447,34 @@ def test_formats_give_the_same_records(capsys, argv):
     assert records
     assert _csv_records(outs["csv"]) == records
     assert _md_records(outs["md"]) == records
+
+
+def test_embed_is_extremal_exactly_in_the_regime(capsys, monkeypatch):
+    # parsing leaves the parser as it was, so one serves all 5,372 calls
+    monkeypatch.setattr(extremalcurves.cli, "build_parser",
+                        functools.cache(extremalcurves.cli.build_parser))
+    parsers = {"md": _md_records, "csv": _csv_records,
+               "json": lambda text: _json_records(json.loads(text))}
+    valid = below = 0
+    for n in range(6):
+        for gamma in range(3, 9):
+            for lam in range(60):
+                argv = ["embed", str(gamma), str(lam), str(n)]
+                for fmt, parse in parsers.items():
+                    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+                    if code == 2 and fmt == "md":
+                        break  # not a valid embedding
+                    assert (code, err) == (0, "")
+                    (rec,) = parse(out)
+                    g, lam_, n_, r, d = (int(rec[k]) for k in ("gamma", "lambda", "n", "r", "d"))
+                    hypothesis = 2 * lam_ >= g * (g + n_ - 2)
+                    assert rec["extremal"] == str(hypothesis and d >= 2 * r + 1), (argv, fmt)
+                else:
+                    valid += 1
+                    if hypothesis and d < 2 * r + 1:
+                        below += 1
+                        assert (g, d) == (3, 2 * r - 1), argv
+    assert (valid, below) == (1606, 316)
 
 
 def test_verylast_formats_agree(capsys):

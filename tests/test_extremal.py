@@ -166,6 +166,15 @@ def test_constructor_refuses_bad_kinds_and_ranks():
         ExtremalModel("plane_veronese", 14, 5)
 
 
+@pytest.mark.parametrize("kind", list(ModelKind), ids=str)
+def test_constructor_refuses_degrees_below_the_regime(kind):
+    for r in range(3, 13):
+        for d in (2 * r - 1, 2 * r):
+            regime = rf"extremal curves need d >= 2r\+1 = {2 * r + 1}, got d={d}"
+            with pytest.raises(InvalidInput, match=regime):
+                ExtremalModel(kind, d, r)
+
+
 def test_models_round_trip_pickle_and_copy():
     models = [m for r in range(3, 9) for d in range(2 * r + 1, 4 * r + 1)
               for m in classify_extremal(d, r)] + _sample_models()

@@ -1,10 +1,13 @@
 """Seeded random and extreme argv through the command line.
 
-Every call must return an exit code the CLI documents for these
-subcommands (0, 2 or 3) without an exception escaping, and write to
-stderr exactly when it fails.  Random integers are drawn from -3..60,
-with the sizes capped so the whole run stays short: scan windows up to
-r = 12, the foursecant sweep up to n = 40 and ledger genera up to 200.
+Every call runs through ``cli.run`` in one child process under a
+timeout, so that a call that hangs fails the test.  It must return an
+exit code the CLI documents for these subcommands (0, 2 or 3; the
+random draw ends with ``selfcheck`` in each format, which exits 0)
+without an exception escaping, and write to stderr exactly when it
+fails.  Random integers are drawn from -3..60, with the sizes capped so
+the whole run stays short: scan windows up to r = 12, the foursecant
+sweep up to n = 40 and ledger genera up to 200.
 
 Extreme integers are +-10**20 only: values from 10**6 to 10**18 would
 make some subcommands allocate per unit of the input before failing.
@@ -21,7 +24,6 @@ import sys
 from pathlib import Path
 
 import extremalcurves.cli
-from extremalcurves.cli import run
 
 FAMILIES = ("hyperelliptic", "trigonal", "bielliptic", "general_fourgonal")
 
@@ -63,19 +65,6 @@ def _argv(rng) -> list[str]:
     return argv + ["--format", rng.choice(("md", "csv", "json"))]
 
 
-def test_random_argv_exit_cleanly(capsys):
-    rng = random.Random(20260601)
-    codes = {}
-    for _ in range(600):
-        argv = _argv(rng)
-        code = run(argv)
-        out, err = capsys.readouterr()
-        assert code in (0, 2, 3), (argv, code, err)
-        assert (code == 0) == (err == ""), (argv, code, err)
-        codes[code] = codes.get(code, 0) + 1
-    assert set(codes) == {0, 2, 3}, codes
-
-
 H, M = str(10**20), str(-10**20)
 
 # A tuple is one integer slot: a small valid value, then the extremes.
@@ -114,14 +103,31 @@ print(json.dumps(results))
 """
 
 
-def test_extreme_integers_exit_cleanly():
-    # a child process, so that a call that hangs fails the test at the timeout
+def _run_in_child(argvs: list) -> list:
+    """[argv, exit code, stderr] of each argv, run through ``cli.run`` in one
+    child process, so that a call that hangs fails the test at the timeout."""
     src = str(Path(extremalcurves.cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-c", CHILD], input=json.dumps(EXTREME),
+    proc = subprocess.run([sys.executable, "-c", CHILD], input=json.dumps(argvs),
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    results = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_random_argv_exit_cleanly():
+    rng = random.Random(20260601)
+    argvs = [_argv(rng) for _ in range(600)]
+    argvs += [["selfcheck", "--format", fmt] for fmt in ("md", "csv", "json")]
+    codes = {}
+    for argv, code, err in _run_in_child(argvs):
+        assert code in (0, 2, 3), (argv, code, err)
+        assert (code == 0) == (err == ""), (argv, code, err)
+        codes[code] = codes.get(code, 0) + 1
+    assert set(codes) == {0, 2, 3}, codes
+
+
+def test_extreme_integers_exit_cleanly():
+    results = _run_in_child(EXTREME)
     assert len(results) == len(EXTREME) == 3 * 147
     codes = {}
     for argv, code, err in results:

@@ -259,10 +259,23 @@ def test_plane_slope_verdicts():
     assert v.status is Status.HOLDS and v.tag == "noether-step"
     v = plane_slope_verdict(7, 5)  # alpha=2 <= 3 ends a block
     assert v.status is Status.VIOLATED and v.tag == "noether-block"
-    v = plane_slope_verdict(5, 5)  # alpha=2 > k-4=1
-    assert v.status is Status.UNDETERMINED and v.tag == "noether-edge"
+    v = plane_slope_verdict(5, 5)  # alpha=2 > k-4=1, so r = 5 = g-1
+    assert v.status is Status.HOLDS and v.tag == "canonical-tail"
     with pytest.raises(UnsupportedInput):
         plane_slope_verdict(3, 2)
+
+
+def test_plane_slope_verdicts_match_the_sequence():
+    verdicts = wrong = 0
+    for k in range(5, 61):
+        g = (k - 1) * (k - 2) // 2
+        seq = [None] + [plane_curve_gonality(k, r) for r in range(1, g + 7)]
+        for r in range(1, g + 6):
+            holds = (r + 1) * seq[r] >= r * seq[r + 1]
+            want = Status.HOLDS if holds else Status.VIOLATED
+            verdicts += 1
+            wrong += plane_slope_verdict(k, r).status is not want
+    assert (verdicts, wrong) == (34496, 0)
 
 
 def test_verylast_smallest_surface():
