@@ -12,7 +12,8 @@ records)`` pair a table whose records an iterator yields as they are
 made, a str finished text, and an int the exit code of a run that has
 already reported to stderr.  ``run`` renders the result in the chosen
 format and is the one place that writes stdout; a table goes out in
-batches as it is rendered, so ``scan`` never holds its window whole.
+batches as it is rendered, so neither ``scan`` nor the ``plane`` table
+ever holds its rows whole.
 
 Each handler imports the layers it runs, and json and csv load only for
 those formats, so a call pays start-up only for what it uses.
@@ -167,7 +168,7 @@ def _cmd_verylast(args) -> str | dict | list[dict]:
             + serialize(rows, "md") + "\n" + serialize(entries, "md"))
 
 
-def _cmd_plane(args) -> dict | list[dict]:
+def _cmd_plane(args) -> dict | tuple:
     from .castelnuovo import plane_genus
     from .gonality import plane_curve_gonality, plane_slope_verdict
 
@@ -178,7 +179,7 @@ def _cmd_plane(args) -> dict | list[dict]:
 
     if args.r is not None:
         return record(args.r)
-    return [record(r) for r in range(1, plane_genus(args.k) + 3)]
+    return ("r", "d_r", "status", "tag"), map(record, range(1, plane_genus(args.k) + 3))
 
 
 def _cmd_selfcheck(args) -> str | list[dict] | int:
@@ -202,7 +203,11 @@ def _cmd_selfcheck(args) -> str | list[dict] | int:
     return result
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command line parser.  Given a ``command``, only that subparser
+    gets its arguments; the other subcommands are registered by name and
+    help alone, which keeps every help text, usage line and invalid-choice
+    message the same at a fraction of the cost.  None builds them all."""
     parser = argparse.ArgumentParser(
         prog="extremalcurves",
         description="Numerical invariants of extremal curves and their"
@@ -214,81 +219,71 @@ def build_parser() -> argparse.ArgumentParser:
                      help="output format (default md)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("profile", parents=[fmt],
-                       help="ratio, remainder and maximal genus for (d, r)")
-    p.add_argument("d", type=int)
-    p.add_argument("r", type=int)
-    p.add_argument("--lenient", action="store_true",
-                   help="accept any d >= r+1 instead of d >= 2r+1")
-    p.set_defaults(func=_cmd_profile)
+    def add(name, func, summary):
+        if command not in (None, name):
+            sub.add_parser(name, help=summary, add_help=False)
+            return None
+        p = sub.add_parser(name, parents=[fmt], help=summary)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("classify", parents=[fmt],
-                       help="candidate models for an extremal curve")
-    p.add_argument("d", type=int)
-    p.add_argument("r", type=int)
-    p.set_defaults(func=_cmd_classify)
+    if p := add("profile", _cmd_profile, "ratio, remainder and maximal genus for (d, r)"):
+        p.add_argument("d", type=int)
+        p.add_argument("r", type=int)
+        p.add_argument("--lenient", action="store_true",
+                       help="accept any d >= r+1 instead of d >= 2r+1")
 
-    p = sub.add_parser("embed", parents=[fmt],
-                       help="re-embed a surface class as an extremal curve")
-    p.add_argument("gamma", type=int)
-    p.add_argument("lam", type=int, metavar="lambda")
-    p.add_argument("n", type=int)
-    p.set_defaults(func=_cmd_embed)
+    if p := add("classify", _cmd_classify, "candidate models for an extremal curve"):
+        p.add_argument("d", type=int)
+        p.add_argument("r", type=int)
 
-    p = sub.add_parser("bounds", parents=[fmt],
-                       help="gonality-sequence intervals for (gamma, g)")
-    p.add_argument("gamma", type=int)
-    p.add_argument("g", type=int)
-    p.add_argument("--assume", action="append", metavar="R=V",
-                   help="assert d_R = V before propagating (repeatable)")
-    p.set_defaults(func=_cmd_bounds)
+    if p := add("embed", _cmd_embed, "re-embed a surface class as an extremal curve"):
+        p.add_argument("gamma", type=int)
+        p.add_argument("lam", type=int, metavar="lambda")
+        p.add_argument("n", type=int)
 
-    p = sub.add_parser("slope", parents=[fmt],
-                       help="slope-inequality verdicts for extremal models")
-    p.add_argument("d", type=int, nargs="?")
-    p.add_argument("r", type=int, nargs="?")
-    p.add_argument("--gamma", type=int, help="only models with this gonality")
-    p.add_argument("--family",
-                   choices=("hyperelliptic", "trigonal", "bielliptic",
-                            "general_fourgonal"),
-                   help="verdict for a named curve family instead")
-    p.set_defaults(func=_cmd_slope)
+    if p := add("bounds", _cmd_bounds, "gonality-sequence intervals for (gamma, g)"):
+        p.add_argument("gamma", type=int)
+        p.add_argument("g", type=int)
+        p.add_argument("--assume", action="append", metavar="R=V",
+                       help="assert d_R = V before propagating (repeatable)")
 
-    p = sub.add_parser("table1", parents=[fmt],
-                       help="summary table of extremal families per gonality")
-    p.add_argument("--gamma-max", type=int, default=6, dest="gamma_max")
-    p.add_argument("--mode", choices=("paper-faithful", "resolved"),
-                   default="paper-faithful")
-    p.set_defaults(func=_cmd_table1)
+    if p := add("slope", _cmd_slope, "slope-inequality verdicts for extremal models"):
+        p.add_argument("d", type=int, nargs="?")
+        p.add_argument("r", type=int, nargs="?")
+        p.add_argument("--gamma", type=int, help="only models with this gonality")
+        p.add_argument("--family",
+                       choices=("hyperelliptic", "trigonal", "bielliptic",
+                                "general_fourgonal"),
+                       help="verdict for a named curve family instead")
 
-    p = sub.add_parser("scan", parents=[fmt],
-                       help="flat per-model records over an (r, d) window")
-    p.add_argument("r_lo", type=int)
-    p.add_argument("r_hi", type=int)
-    p.add_argument("--d-max", type=int, default=None, dest="d_max")
-    p.set_defaults(func=_cmd_scan)
+    if p := add("table1", _cmd_table1, "summary table of extremal families per gonality"):
+        p.add_argument("--gamma-max", type=int, default=6, dest="gamma_max")
+        p.add_argument("--mode", choices=("paper-faithful", "resolved"),
+                       default="paper-faithful")
 
-    p = sub.add_parser("verylast", parents=[fmt],
-                       help="foursecant sweep on the surface of invariant n")
-    p.add_argument("n", type=int)
-    p.set_defaults(func=_cmd_verylast)
+    if p := add("scan", _cmd_scan, "flat per-model records over an (r, d) window"):
+        p.add_argument("r_lo", type=int)
+        p.add_argument("r_hi", type=int)
+        p.add_argument("--d-max", type=int, default=None, dest="d_max")
 
-    p = sub.add_parser("plane", parents=[fmt],
-                       help="gonality sequence of a smooth plane curve")
-    p.add_argument("k", type=int)
-    p.add_argument("--r", type=int, default=None,
-                   help="single index instead of the whole table")
-    p.set_defaults(func=_cmd_plane)
+    if p := add("verylast", _cmd_verylast, "foursecant sweep on the surface of invariant n"):
+        p.add_argument("n", type=int)
 
-    p = sub.add_parser("selfcheck", parents=[fmt],
-                       help="recompute core facts two ways and compare")
-    p.set_defaults(func=_cmd_selfcheck)
+    if p := add("plane", _cmd_plane, "gonality sequence of a smooth plane curve"):
+        p.add_argument("k", type=int)
+        p.add_argument("--r", type=int, default=None,
+                       help="single index instead of the whole table")
 
+    add("selfcheck", _cmd_selfcheck, "recompute core facts two ways and compare")
     return parser
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
+    # The top-level options take no value, so argparse hands the rest of
+    # argv to the subparser named by the first token that is not an
+    # option; no such token ("" names none) means no subparser runs.
+    parser = build_parser(next((arg for arg in argv if not arg.startswith("-")), ""))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

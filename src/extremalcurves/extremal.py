@@ -14,8 +14,9 @@ models are (m+1)-gonal, while the plane model of degree k is (k-1)-gonal.
 ``ExtremalModel(kind, d, r)`` refuses d < 2r+1 and derives every other
 field: the split (m, eps) and the genus pi(d, r) from ``profile``, gamma,
 the scroll class and k from the kind.  Those per-kind formulas live in
-its constructor alone; callers that computed a field another way pass it
-as a claim for the constructor to confirm.
+one private helper that the constructor and ``classify_extremal`` share;
+callers that computed a field another way pass it as a claim for the
+constructor to confirm.
 
 ``classify_extremal`` enumerates the candidate models for (d, r); they
 are candidates, not a unique answer.  ``verify_extremal_class`` checks a
@@ -30,7 +31,7 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 
-from .castelnuovo import profile
+from .castelnuovo import CurveProfile, profile
 from .errors import (
     DomainError,
     EmbeddingError,
@@ -53,8 +54,8 @@ class ModelKind(Enum):
     TYPE_III = "type_iii"
     PLANE_VERONESE = "plane_veronese"
 
-    def __str__(self) -> str:
-        return self.value
+    def __str__(self) -> str:  # serialization token, as for ``Status``
+        return self._value_
 
 
 class ExtremalModel(namedtuple("ExtremalModel", "kind d r m eps gamma g scroll_class k")):
@@ -79,27 +80,23 @@ class ExtremalModel(namedtuple("ExtremalModel", "kind d r m eps gamma g scroll_c
             raise InvalidInput(f"(m, eps) do not split d-1 for {given}")
         if g not in (None, p.pi):
             raise InvalidInput(f"genus {g} is not the maximal genus {p.pi}")
+        model = _model(kind, p)
         if kind is ModelKind.TYPE_II:
-            gon, scroll, plane_k = p.m, (p.m, 1), None
-            if p.eps != 0 or gamma not in (None, gon):
+            if p.eps != 0 or gamma not in (None, model.gamma):
                 raise InvalidInput("type-II models need eps=0 and gamma=m")
-            if scroll_class not in (None, scroll) or k is not None:
+            if scroll_class not in (None, model.scroll_class) or k is not None:
                 raise InvalidInput("type-II models live in |m*H + L|")
         elif kind is ModelKind.TYPE_III:
-            gon, scroll, plane_k = p.m + 1, (p.m + 1, -(r - p.eps - 2)), None
-            if gamma not in (None, gon):
+            if gamma not in (None, model.gamma):
                 raise InvalidInput("type-III models need gamma=m+1")
-            if scroll_class not in (None, scroll) or k is not None:
+            if scroll_class not in (None, model.scroll_class) or k is not None:
                 raise InvalidInput("type-III models live in |(m+1)*H - (r-eps-2)*L|")
-        elif kind is ModelKind.PLANE_VERONESE:
-            gon, scroll, plane_k = d // 2 - 1, None, d // 2
-            if r != 5 or d % 2 or k not in (None, plane_k):
+        else:  # the plane kind: ``_model`` refused every other
+            if r != 5 or d % 2 or k not in (None, model.k):
                 raise InvalidInput("plane models need r=5 and d=2k")
-            if gamma not in (None, gon) or scroll_class is not None:
+            if gamma not in (None, model.gamma) or scroll_class is not None:
                 raise InvalidInput("plane models of degree k are (k-1)-gonal")
-        else:
-            raise InvalidInput(f"unknown model kind {kind!r}")
-        return tuple.__new__(cls, (kind, d, r, p.m, p.eps, gon, p.pi, scroll, plane_k))
+        return model
 
     @property
     def class_label(self) -> str:
@@ -130,19 +127,35 @@ class ExtremalModel(namedtuple("ExtremalModel", "kind d r m eps gamma g scroll_c
         }
 
 
+def _model(kind: ModelKind, p: CurveProfile) -> ExtremalModel:
+    """The model of ``kind`` on the profile p, unchecked: the one place
+    that derives gamma, the scroll class and the plane degree k."""
+    m, eps, r = p.m, p.eps, p.r
+    if kind is ModelKind.TYPE_II:
+        gamma, scroll, k = m, (m, 1), None
+    elif kind is ModelKind.TYPE_III:
+        gamma, scroll, k = m + 1, (m + 1, -(r - eps - 2)), None
+    elif kind is ModelKind.PLANE_VERONESE:
+        gamma, scroll, k = p.d // 2 - 1, None, p.d // 2
+    else:
+        raise InvalidInput(f"unknown model kind {kind!r}")
+    return tuple.__new__(ExtremalModel, (kind, p.d, r, m, eps, gamma, p.pi, scroll, k))
+
+
 def classify_extremal(d: int, r: int) -> list[ExtremalModel]:
     """Candidate models for an extremal curve of degree d in P^r.
 
     Always contains the type-III model; adds the type-II model when
     eps = 0 (listed first, it has the lower gonality) and the plane model
     when r = 5 and d = 2k is even (listed last; k >= 6 holds automatically
-    once d >= 2r+1).  The model constructor refuses r < 3 and d < 2r+1.
+    once d >= 2r+1).  One ``profile`` call serves every model, and its
+    strict mode refuses r < 3 and d < 2r+1 as the model constructor does.
     """
-    third = ExtremalModel(ModelKind.TYPE_III, d, r)
-    models = [ExtremalModel(ModelKind.TYPE_II, d, r)] if third.eps == 0 else []
-    models.append(third)
+    p = profile(d, r)
+    models = [_model(ModelKind.TYPE_II, p)] if p.eps == 0 else []
+    models.append(_model(ModelKind.TYPE_III, p))
     if r == 5 and d % 2 == 0:
-        models.append(ExtremalModel(ModelKind.PLANE_VERONESE, d, r))
+        models.append(_model(ModelKind.PLANE_VERONESE, p))
     return models
 
 

@@ -298,55 +298,65 @@ def with_assumptions(ledger: GonalityLedger,
     return led.propagate().freeze()
 
 
+# the verdicts slope_verdict returns outside the plane branch, one object each
+_LOW_GONALITY = SlopeVerdict(
+    Status.HOLDS,
+    "low-gonality",
+    "gonality at most 3: the full sequence is known and slope-monotone",
+)
+_FOURGONAL_10_4 = SlopeVerdict(
+    Status.HOLDS,
+    "fourgonal-10-4",
+    "the genus-9 fourgonal space model has d_4=10 and d_5=13;"
+    " no slope violation fits",
+)
+_DUAL_PROJECTION = SlopeVerdict(
+    Status.VIOLATED,
+    "dual-projection",
+    "double projection pins d_{r+1} = 3r+1 while d_r <= 3r-2;"
+    " the r-th slope fails",
+)
+_DEGREE_3R_1 = SlopeVerdict(
+    Status.VIOLATED,
+    "degree-3r-1",
+    "degree 3r-1 extremal curves violate the r-th slope inequality",
+)
+_BAND = SlopeVerdict(
+    Status.HOLDS,
+    "band",
+    "degree sits in the band r*(gamma-1) <= d <= gamma*(r-1)+1 where"
+    " the residual pencil argument closes the inequality",
+)
+_OPEN = SlopeVerdict(
+    Status.UNDETERMINED,
+    "open",
+    "outside every certified range; no verdict is known",
+)
+
+
 def slope_verdict(model: ExtremalModel) -> SlopeVerdict:
     """Three-valued verdict on the r-th slope inequality for an extremal model.
 
     Decision order (first match wins): low gonality, plane models, the
     fourgonal degree-(3r-2) split, degree 3r-1, the harmless band
-    r*(gamma-1) <= d <= gamma*(r-1)+1, otherwise Undetermined.
+    r*(gamma-1) <= d <= gamma*(r-1)+1, otherwise Undetermined.  Every
+    verdict but the plane one is a shared constant.
     """
     r, d, gamma = model.r, model.d, model.gamma
     if gamma <= 3:
-        return SlopeVerdict(
-            Status.HOLDS,
-            "low-gonality",
-            "gonality at most 3: the full sequence is known and slope-monotone",
-        )
+        return _LOW_GONALITY
     if model.k is not None:  # the plane model of degree k
         return plane_slope_verdict(model.k, r)
     if gamma == 4 and d == 3 * r - 2:
         if r == 4:
-            return SlopeVerdict(
-                Status.HOLDS,
-                "fourgonal-10-4",
-                "the genus-9 fourgonal space model has d_4=10 and d_5=13;"
-                " no slope violation fits",
-            )
+            return _FOURGONAL_10_4
         if r >= 5:
-            return SlopeVerdict(
-                Status.VIOLATED,
-                "dual-projection",
-                "double projection pins d_{r+1} = 3r+1 while d_r <= 3r-2;"
-                " the r-th slope fails",
-            )
+            return _DUAL_PROJECTION
     if d == 3 * r - 1:
-        return SlopeVerdict(
-            Status.VIOLATED,
-            "degree-3r-1",
-            "degree 3r-1 extremal curves violate the r-th slope inequality",
-        )
+        return _DEGREE_3R_1
     if r * (gamma - 1) <= d <= gamma * (r - 1) + 1:
-        return SlopeVerdict(
-            Status.HOLDS,
-            "band",
-            "degree sits in the band r*(gamma-1) <= d <= gamma*(r-1)+1 where"
-            " the residual pencil argument closes the inequality",
-        )
-    return SlopeVerdict(
-        Status.UNDETERMINED,
-        "open",
-        "outside every certified range; no verdict is known",
-    )
+        return _BAND
+    return _OPEN
 
 
 def known_family_verdict(family: str) -> SlopeVerdict:

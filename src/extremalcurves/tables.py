@@ -168,7 +168,7 @@ def _scan_records(r_lo: int, r_hi: int, d_max: int | None) -> Iterator[dict]:
                     "m": model.m,
                     "eps": model.eps,
                     "pi": model.g,
-                    "kind": model.kind.value,
+                    "kind": str(model.kind),
                     "gamma": model.gamma,
                     "verdict": str(slope_verdict(model).status),
                     "rho": brill_noether(d, r, model.g),
@@ -224,13 +224,14 @@ def _md(batches, fieldnames):
 
 
 def _csv(batches, fieldnames):
+    # csv.writer writes None as "" and any other value as str(value)
     import csv
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fieldnames)
     for batch in batches:
-        writer.writerows([_cell(rec.get(f)) for f in fieldnames] for rec in batch)
+        writer.writerows(map(rec.get, fieldnames) for rec in batch)
         yield buf.getvalue()
         buf.seek(0)
         buf.truncate()
@@ -239,15 +240,19 @@ def _csv(batches, fieldnames):
 
 
 def _json(batches, fieldnames):
-    # Equal to json.dumps(records, indent=2) for flat records, through the C
-    # encoder: indent= forces the pure-Python one.
+    # Equal to json.dumps(records, indent=2) for flat records, through one
+    # C-encoder call per batch: indent= forces the pure-Python encoder.  With
+    # these separators the list comes out as '[{' rec '},\n    {' rec ... '}]',
+    # and an encoded key or value never holds a raw newline, so '},\n    {'
+    # occurs only between two records and, once each record is re-indented,
+    # '{\n    \n  }' only for an empty one.
     import json
 
     encode = json.JSONEncoder(separators=(",\n    ", ": ")).encode
     sep = "[\n"
     for batch in batches:
-        yield sep + ",\n".join("  {\n    " + encode(rec)[1:-1] + "\n  }" if rec else "  {}"
-                                for rec in batch)
+        body = encode(batch)[2:-2].replace("},\n    {", "\n  },\n  {\n    ")
+        yield (sep + "  {\n    " + body + "\n  }").replace("{\n    \n  }", "{}")
         sep = ",\n"
     yield "[]\n" if sep == "[\n" else "\n]\n"
 

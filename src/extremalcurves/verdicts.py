@@ -17,7 +17,9 @@ class Status(Enum):
     UNDETERMINED = "undetermined"
 
     def __str__(self) -> str:  # serialization token
-        return self.value
+        # _value_ is a plain attribute; the .value property costs about five
+        # times as much, and a scan renders one token per record
+        return self._value_
 
 
 class SlopeVerdict(namedtuple("SlopeVerdict", "status tag reason")):

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import functools
+import hashlib
 import io
 import json
 import os
@@ -210,15 +211,29 @@ def test_scan_rejects_before_the_first_byte(capsys, argv, fmt):
     assert err.startswith("error: need r_")
 
 
-def _scan_child(*argv):
+def _cli_child(*argv):
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    return subprocess.Popen([sys.executable, "-m", "extremalcurves", "scan", *argv],
+    return subprocess.Popen([sys.executable, "-m", "extremalcurves", *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+
+
+def _read_then_kill(proc, size):
+    """Up to ``size`` bytes of the child's stdout within 10 s; then the child is killed."""
+    timer = threading.Timer(10, proc.kill)
+    timer.start()
+    try:
+        return proc.stdout.read(size)
+    finally:
+        timer.cancel()
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
 
 
 def test_scan_reader_that_stops_early_is_not_an_error():
     # like ``| head``: the output is megabytes, the reader takes 100 bytes
-    proc = _scan_child("3", "96", "--format", "json")
+    proc = _cli_child("scan", "3", "96", "--format", "json")
     try:
         assert len(proc.stdout.read(100)) == 100
         proc.stdout.close()
@@ -235,19 +250,47 @@ def test_scan_streams_an_unbounded_window():
     # r = 3 walks d up to 10**20: the records must flow long before that
     header = ("| r | d | m | eps | pi | kind | gamma | verdict | rho |\n"
               + "| --- " * 9 + "|\n").encode()
-    proc = _scan_child("3", "4", "--d-max", str(10**20))
-    timer = threading.Timer(10, proc.kill)
-    timer.start()
-    try:
-        data = proc.stdout.read(len(header) + 65536)
-    finally:
-        timer.cancel()
-        proc.kill()
-        proc.wait()
-        proc.stdout.close()
-        proc.stderr.close()
+    data = _read_then_kill(_cli_child("scan", "3", "4", "--d-max", str(10**20)),
+                           len(header) + 65536)
     assert len(data) == len(header) + 65536
     assert data.startswith(header + b"| 3 | 7 | 3 | 0 | 6 | type_ii | 3 | holds | -2 |\n")
+
+
+def test_plane_streams_an_unbounded_table():
+    # degree 10**20 has genus about 5*10**39: the rows must flow long before that
+    header = b"| r | d_r | status | tag |\n| --- | --- | --- | --- |\n"
+    data = _read_then_kill(_cli_child("plane", str(10**20)), len(header) + 65536)
+    assert len(data) == len(header) + 65536
+    assert data.startswith(header + b"| 1 | 99999999999999999999 | holds | noether-step |\n"
+                           + b"| 2 | 100000000000000000000 | violated | noether-block |\n")
+
+
+# sha256 of the scan output as rendered before batches went through one
+# json encode and csv took raw values: every byte of it is pinned
+SCAN_SHA256 = {
+    ("scan 3 40", "md"): "419bf1eca076261042c5f611412d16087494f52d6961b80903ddcdb1e96512ec",
+    ("scan 3 40", "csv"): "cb2036c7760cb02a115d88c7b19199ac8042f3b66daa98780d8ff78187570a6a",
+    ("scan 3 40", "json"): "db8611c57b456b549f6c1391b1791f636c890b17cd256be5f6ebb750f7223622",
+    ("scan 3 12 --d-max 60", "md"):
+        "ceb3a9c51d32017fc3e701773c1da944b763b61258fc361ef3bf99b6b64d395f",
+    ("scan 3 12 --d-max 60", "csv"):
+        "af51d049d563f6eb36dc6ad4817b50ec224ecf7519d4b6744e00529bdb095bd9",
+    ("scan 3 12 --d-max 60", "json"):
+        "690192abbd7a4da06911d091da7211f4faeddf92a68701fd3e69f8259ba0b7ae",
+    ("scan 3 4 --d-max 6", "md"):
+        "90e87bfa02f1041fbff3e5ea3f32f7bf2d04a458b1a871b3c21465730b691316",
+    ("scan 3 4 --d-max 6", "csv"):
+        "9cabfc7bb4d8aa2b4c07a373d326c7942efd706f42fb9707d9479d50d86ccb91",
+    ("scan 3 4 --d-max 6", "json"):
+        "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+}
+
+
+@pytest.mark.parametrize("argv, fmt", SCAN_SHA256, ids=str)
+def test_scan_output_is_pinned(capsys, argv, fmt):
+    code, out, err = run_cli(capsys, *argv.split(), "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_SHA256[argv, fmt]
 
 
 class _CountingSink:
@@ -496,6 +539,26 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "profile", "10", "4", "--format", "toml")[0] == 2
     assert run_cli(capsys, "nonsense")[0] == 2
     assert run_cli(capsys)[0] == 2
+
+
+COMMANDS = ("profile", "classify", "embed", "bounds", "slope", "table1", "scan",
+            "verylast", "plane", "selfcheck")
+PARSER_ARGV = [
+    [], ["--help"], ["-h"], ["--version"], ["--vers"], ["-x"], ["nonsense"], ["-", "scan"],
+    ["--", "scan", "3", "4"], ["--bogus", "scan", "3", "4"], ["scan", "3", "4", "--version"],
+    ["--format", "json", "scan", "3", "4"], ["scan", "3", "4", "plane"],
+] + [[cmd, *tail] for cmd in COMMANDS
+     for tail in (["--help"], [], ["x"], ["1", "2", "3", "4"], ["--format", "toml"])]
+
+
+def test_the_named_subparser_parses_as_the_whole_parser(capsys, monkeypatch):
+    # run builds only the subparser argv names; help, usage, version and
+    # every error must read as they do from the parser with all ten built
+    got = [run_cli(capsys, *argv) for argv in PARSER_ARGV]
+    whole = extremalcurves.cli.build_parser
+    monkeypatch.setattr(extremalcurves.cli, "build_parser", lambda command: whole())
+    assert got == [run_cli(capsys, *argv) for argv in PARSER_ARGV]
+    assert {code for code, _, _ in got} == {0, 2}
 
 
 def test_module_invocation_contradiction():

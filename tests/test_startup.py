@@ -62,6 +62,31 @@ def test_ledger_commands_skip_the_model_layers(argv):
     assert not {"extremalcurves.extremal", "extremalcurves.lattice"} & loaded
 
 
+ARGUMENTS = """
+import argparse, io, sys
+import extremalcurves.cli
+progs = []
+add_argument = argparse.ArgumentParser.add_argument
+def counting(self, *args, **kwargs):
+    progs.append(self.prog)
+    return add_argument(self, *args, **kwargs)
+argparse.ArgumentParser.add_argument = counting
+stdout, sys.stdout = sys.stdout, io.StringIO()
+code = extremalcurves.cli.run({argv!r})
+sys.stdout = stdout
+print(code, " ".join(sorted({{p for p in progs if p.startswith("extremalcurves ")}})))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "3", "4"], ["plane", "7", "--format", "csv"], ["selfcheck", "--help"], ["--version"],
+], ids=" ".join)
+def test_run_builds_only_the_named_subparser(argv):
+    # only the parsers that get arguments count: the others cost a name and a help line
+    built = "" if argv[0].startswith("-") else f"extremalcurves {argv[0]}"
+    assert _child(ARGUMENTS.format(argv=argv)) == [f"0 {built}"]
+
+
 def test_no_module_uses_dataclasses():
     names = sorted(p.stem for p in Path(extremalcurves.__file__).parent.glob("*.py")
                    if p.stem not in ("__init__", "__main__"))

@@ -13,6 +13,7 @@ from extremalcurves import (
     STAR,
     STAR_RESOLVED,
     Status,
+    classify_extremal,
     expected_status,
     row_models,
     scan,
@@ -20,6 +21,7 @@ from extremalcurves import (
     slope_verdict,
     table1,
 )
+import extremalcurves.extremal
 from extremalcurves.tables import BATCH
 
 
@@ -202,8 +204,10 @@ def test_serialize_edge_cases():
         serialize([{"a": 1}], "yaml")
 
 
+# the text the json renderer splits a batch at, and the text of an empty record
+SPLIT, EMPTY = "},\n    {", "{\n    \n  }"
 VALUES = (None, True, False, 0, -7, -10**30, 10**30, 0.1, -2.5, 1e300, "", "★",
-          'say "hi"', "back\\slash", "two\nlines", "é", "a,b", "pipe | cell")
+          'say "hi"', "back\\slash", "two\nlines", "é", "a,b", "pipe | cell", SPLIT, EMPTY)
 
 
 def _old_serialize(records, fmt, fieldnames):
@@ -232,9 +236,40 @@ def test_serialize_matches_the_whole_text_renderer(count):
     fieldnames = ("r", "name", "é", "x y")
     records = [{f: rng.choice(VALUES) for f in fieldnames if rng.random() < 0.7}
                for _ in range(count)]
+    # the split text as keys and values, and an empty record, about a batch boundary
+    for i, rec in zip(range(BATCH - 2, count),
+                      ({}, {"name": SPLIT, SPLIT: EMPTY}, {EMPTY: 1, "x y": EMPTY, "r": SPLIT})):
+        records[i] = rec
     for fmt in ("md", "csv", "json"):
         want = _old_serialize(records, fmt, fieldnames)
         assert serialize(records, fmt, fieldnames) == want
         assert serialize(iter(records), fmt, fieldnames) == want
         if records:
             assert serialize(records, fmt) == _old_serialize(records, fmt, tuple(records[0]))
+
+
+def test_scan_profiles_each_point_once(monkeypatch):
+    calls = 0
+    profile = extremalcurves.extremal.profile
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return profile(*args, **kwargs)
+
+    monkeypatch.setattr(extremalcurves.extremal, "profile", counting)
+    records = list(scan(3, 48))
+    assert len(records) == 4653
+    assert calls == len({(rec["r"], rec["d"]) for rec in records}) == 4462
+
+
+def test_equal_slope_verdicts_are_one_object():
+    # a plane verdict names its index, so only the scroll models share
+    seen = {}
+    for r in range(3, 13):
+        for d in range(2 * r + 1, 6 * r - 4):
+            for model in classify_extremal(d, r):
+                if model.k is None:
+                    verdict = slope_verdict(model)
+                    assert seen.setdefault(verdict, verdict) is verdict
+    assert len(seen) == 6
