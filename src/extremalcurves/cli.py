@@ -12,8 +12,8 @@ records)`` pair a table whose records an iterator yields as they are
 made, a str finished text, and an int the exit code of a run that has
 already reported to stderr.  ``run`` renders the result in the chosen
 format and is the one place that writes stdout; a table goes out in
-batches as it is rendered, so neither ``scan`` nor the ``plane`` table
-ever holds its rows whole.
+batches as it is rendered, so none of ``scan``, ``table1`` and the
+``plane`` table ever holds its rows whole.
 
 Each handler imports the layers it runs, and json and csv load only for
 those formats, so a call pays start-up only for what it uses.
@@ -138,10 +138,10 @@ def _cmd_slope(args) -> dict | list[dict]:
     return records
 
 
-def _cmd_table1(args) -> list[dict]:
-    from .tables import table1
+def _cmd_table1(args) -> tuple:
+    from .tables import TABLE_FIELDS, TableRow, table1_rows
 
-    return [row.record() for row in table1(args.gamma_max, args.mode)]
+    return TABLE_FIELDS, map(TableRow.record, table1_rows(args.gamma_max, args.mode))
 
 
 def _cmd_scan(args) -> tuple:

@@ -31,12 +31,16 @@ against lo[r] at once, and every tightening of lo[r] is checked against
 hi[r].  The ceiling is additive and strictly increasing, so it is
 already closed, and so is every ledger a closure finishes (which clears
 the log).  A split hi[s] + hi[t-s] can therefore beat hi[t] only if one
-of its sides is in the log: each t checks just those splits, or all of
-them when the log is longer than about t/4.  Candidates are tried in
-ascending s with a strict ``<``, so the bounds and their tags are those
-of a full rescan.  Upper bounds only fall, and a crossing stops the
-closure, so every hi[r] stays at or above lo[r].  A crossing raises a
-``ContradictionError`` naming the provenance tags on both sides.
+of its sides is in the log.  Both sides are at least 1, so both lie
+below t, and a logged index at or above t is never a side.  The pass
+keeps the logged indices below t in ascending order, counting those it
+lowers itself: a t with none is skipped, a t with more than about t/4 of
+them scans every split, and any other t checks just the splits with a
+logged side.  Candidates are tried in ascending s with a strict ``<``,
+so the bounds and their tags are those of a full rescan.  Upper bounds
+only fall, and a crossing stops the closure, so every hi[r] stays at or
+above lo[r].  A crossing raises a ``ContradictionError`` naming the
+provenance tags on both sides.
 
 Ledgers are single-owner and mutable while built, then frozen; frozen
 ledgers are immutable and safe to share.  The derived-fact helpers below
@@ -164,11 +168,13 @@ class GonalityLedger:
         one ascending lo pass, one descending chain pass (hi becomes
         strictly increasing) and one ascending subadditivity pass.  With
         t-1 closed, every split has hi[s] + hi[t-s] >= hi[t-1] + 1, so no
-        second round is needed and slope-one steps are skipped unscanned."""
+        second round is needed and slope-one steps are skipped unscanned.
+        Both sides of a split of t lie below t, so only the logged indices
+        below t count: with none, t is skipped; with more than about t/4,
+        every split is scanned; else only the splits with a logged side."""
         self._check_mutable()
         lo, hi = self._lo, self._hi
         lo_tag, hi_tag = self._lo_tag, self._hi_tag
-        moved = self._moved
         top = self.max_index
         for r in range(1, top):  # lower bounds: one ascending pass suffices
             v = lo[r] + 1
@@ -178,27 +184,31 @@ class GonalityLedger:
             v = hi[r + 1] - 1
             if v < hi[r]:
                 self._lower_hi(r, v, hi_tag[r + 1])
+        logged = set(self._moved)
+        below = []  # the logged indices below t, ascending
         for t in range(2, top + 1):  # hi[t] <= hi[s] + hi[t-s]
-            if not moved or hi[t] == hi[t - 1] + 1:
-                continue  # nothing moved, or a slope-one step no split can beat
+            if t - 1 in logged:
+                below.append(t - 1)
+            if not below or hi[t] == hi[t - 1] + 1:
+                continue  # no logged side, or a slope-one step no split can beat
             best = hi[t]
             split = 0
-            if 4 * len(moved) > t:  # many moved: scan every split
+            if 4 * len(below) > t:  # many logged: scan every split
                 sums = list(_split_sums(hi, t))
                 low = min(sums)
                 if low < best:
                     best = low
                     split = sums.index(low) + 1
-            else:  # only a split with a moved side can beat hi[t]
-                sides = {i if 2 * i <= t else t - i for i in moved if i < t}
-                for s in sorted(sides):
+            else:  # only a split with a logged side can beat hi[t]
+                for s in sorted({i if 2 * i <= t else t - i for i in below}):
                     v = hi[s] + hi[t - s]
                     if v < best:
                         best = v
                         split = s
             if split:
                 self._lower_hi(t, best, _join_tags(hi_tag[split], hi_tag[t - split]))
-        moved.clear()
+                logged.add(t)
+        self._moved.clear()
         return self
 
     # -- queries -------------------------------------------------------

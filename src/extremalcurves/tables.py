@@ -4,7 +4,9 @@ The summary table lists, per gonality, the degree ranges an extremal
 curve in P^r can occupy and whether the r-th slope inequality is settled
 there.  Rows are symbolic in r; ``row_models`` instantiates a row at a
 concrete r and ``expected_status`` says what verdict the row claims, so
-the table can be cross-checked against the engine.
+the table can be cross-checked against the engine.  ``table1_rows``
+checks its arguments when called and yields the rows one at a time;
+``table1`` is the same rows as a list.
 
 ``scan`` walks a concrete (r, d) window instead and yields one flat
 record per extremal model, including its slope verdict and the
@@ -63,15 +65,24 @@ def table1(gamma_max: int = 6, mode: str = "paper-faithful") -> list[TableRow]:
     "resolved" spells out its r=4 / r>=5 split.  Everything else is
     identical between the modes.
     """
+    return list(table1_rows(gamma_max, mode))
+
+
+def table1_rows(gamma_max: int = 6, mode: str = "paper-faithful") -> Iterator[TableRow]:
+    """The rows of ``table1`` one at a time.  The arguments are checked
+    when it is called, so a huge gamma_max streams its about
+    gamma_max**2/2 rows instead of holding them."""
     if gamma_max < 4:
         raise InvalidInput(f"need gamma_max >= 4, got {gamma_max}")
     if mode not in ("paper-faithful", "resolved"):
         raise InvalidInput(f"unknown mode {mode!r}; use paper-faithful or resolved")
-    rows = [
-        TableRow("2r+1 <= d <= 3r-3", 3, 2, None, "2 <= eps <= r-2",
-                 "yes (trigonal)", (2, 1), (3, -3)),
-        TableRow("3r-2", 3, 3, 0, "0", "yes (trigonal)", (3, -2), (3, -2)),
-    ]
+    return _table1_rows(gamma_max, mode)
+
+
+def _table1_rows(gamma_max: int, mode: str) -> Iterator[TableRow]:
+    yield TableRow("2r+1 <= d <= 3r-3", 3, 2, None, "2 <= eps <= r-2",
+                   "yes (trigonal)", (2, 1), (3, -3))
+    yield TableRow("3r-2", 3, 3, 0, "0", "yes (trigonal)", (3, -2), (3, -2))
     for gam in range(4, gamma_max + 1):
         for eps in range(gam - 2):  # fixed small remainders, one row each
             offset = eps - (gam - 2)
@@ -81,16 +92,15 @@ def table1(gamma_max: int = 6, mode: str = "paper-faithful") -> list[TableRow]:
                     if eps == 0 else "no"
             else:
                 token = ""
-            rows.append(TableRow(expr, gam, gam - 1, eps, str(eps), token,
-                                 (gam - 1, offset), (gam - 1, offset),
-                                 star=(gam == 4 and eps == 0)))
-        rows.append(TableRow(f"{gam - 1}r <= d <= {gam}r-{gam}", gam, gam - 1,
-                             None, f"{gam - 2} <= eps <= r-2", "yes",
-                             (gam - 1, 0), (gam, -gam)))
-        rows.append(TableRow(f"{gam}r-{gam - 1}", gam, gam, 0, "0", "yes",
-                             (gam, -(gam - 1)), (gam, -(gam - 1))))
-    rows.append(TableRow("...", None, None, None, "", "", None, None))
-    return rows
+            yield TableRow(expr, gam, gam - 1, eps, str(eps), token,
+                           (gam - 1, offset), (gam - 1, offset),
+                           star=(gam == 4 and eps == 0))
+        yield TableRow(f"{gam - 1}r <= d <= {gam}r-{gam}", gam, gam - 1,
+                       None, f"{gam - 2} <= eps <= r-2", "yes",
+                       (gam - 1, 0), (gam, -gam))
+        yield TableRow(f"{gam}r-{gam - 1}", gam, gam, 0, "0", "yes",
+                       (gam, -(gam - 1)), (gam, -(gam - 1)))
+    yield TableRow("...", None, None, None, "", "", None, None)
 
 
 def row_models(row: TableRow, r: int) -> list[ExtremalModel]:

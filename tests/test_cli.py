@@ -265,6 +265,26 @@ def test_plane_streams_an_unbounded_table():
                            + b"| 2 | 100000000000000000000 | violated | noether-block |\n")
 
 
+def test_table1_streams_an_unbounded_table():
+    # gonality up to 10**20 means about 5*10**39 rows: they must flow long before that
+    header = b"| d | gamma | m | eps | slope |\n| --- | --- | --- | --- | --- |\n"
+    data = _read_then_kill(_cli_child("table1", "--gamma-max", str(10**20)),
+                           len(header) + 65536)
+    assert len(data) == len(header) + 65536
+    assert data.startswith(header + GOLDEN.read_bytes()[len(header):300])
+
+
+def test_bounds_is_linear_in_the_genus():
+    # a closure that rescans every split of every index takes minutes here
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "extremalcurves", "bounds", "3", "200000", "--format", "csv"],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == "200002,400002,400002,True,riemann-roch"
+
+
 # sha256 of the scan output as rendered before batches went through one
 # json encode and csv took raw values: every byte of it is pinned
 SCAN_SHA256 = {
@@ -291,6 +311,79 @@ def test_scan_output_is_pinned(capsys, argv, fmt):
     code, out, err = run_cli(capsys, *argv.split(), "--format", fmt)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == SCAN_SHA256[argv, fmt]
+
+
+def _assume(kind, gamma, g):
+    """One --assume of each kind for (gamma, g) in range: "true" leaves the
+    ledger consistent and lowers hi[2] for gamma >= 3; "contradicting" puts
+    d_{g-2} at its lower bound, which subadditivity takes below
+    d_{g-1} = 2g-2, or at gamma's Brill-Noether maximum just under it."""
+    if kind == "true":
+        return ["--assume", f"2={max(gamma + 1, 4)}"]
+    if kind == "contradicting":
+        return ["--assume", f"{g - 2}={gamma + g - 3 - (2 * gamma >= g + 1)}"]
+    return []
+
+
+LEDGER_ARGV = {
+    **{(f"bounds {gamma} 3..44", kind):
+       [["bounds", str(gamma), str(g), *_assume(kind, gamma, g)] for g in range(3, 45)]
+       for kind in ("none", "true", "contradicting") for gamma in range(2, 9)},
+    **{("verylast 3..30", fmt): [["verylast", str(n), "--format", fmt] for n in range(3, 31)]
+       for fmt in ("md", "csv", "json")},
+}
+
+# sha256 over every argv's stdout, stderr and exit code, as the ledger
+# closure gave them before it consulted only the change log below t.  A
+# change to the ledger's rules changes these on purpose: re-pin them, and
+# log each changed value, only in the same change as the brute-force
+# oracle gate that proves the new bounds.
+LEDGER_SHA256 = {
+    ("bounds 2 3..44", "none"): "6c83fb13aa2316b010c4be5422237082357b710d883d9e0e2f9a51abb52a536a",
+    ("bounds 3 3..44", "none"): "c15f3d99ef8bbe87e263d967c3f087142c51af0e457bdb19db3f19c42bf8d695",
+    ("bounds 4 3..44", "none"): "63566b3f6e2e378d8b95787f95147f93dc08a93a6da1fb1c6cc8fb250db19cb2",
+    ("bounds 5 3..44", "none"): "22571c3c64d97d2cf99844fac96fc0319bd94cb4d153acbb1999ea461c6fee0d",
+    ("bounds 6 3..44", "none"): "740fec0961cba313c3e75b0d34d1e5a3c3d8452b9a29db183995ebafb45a80e3",
+    ("bounds 7 3..44", "none"): "6db0be526567d57ca6cea5a5cd7305b9e8ab4eac7e161980ef21aa6ef16ec607",
+    ("bounds 8 3..44", "none"): "74d32479c0e7fd427d86d467089e8c0b14af372943e0fcf7cdb0a436dc906688",
+    ("bounds 2 3..44", "true"): "03b747ab4fc6efc421be0a97d8f794b14a0425f5ed8eee55589321af6f365171",
+    ("bounds 3 3..44", "true"): "d7f1042b842b7231557e390b1327fa2d803417e8606899a5114cc528c0245120",
+    ("bounds 4 3..44", "true"): "5485da07325de4b2229ba59e04fcd8fc4641a31ed47b21d3e621cfcc184fd89d",
+    ("bounds 5 3..44", "true"): "84a41c9fc663c9df606fa488e4b968c3e1ab1ecd9ec4994b40ca24d2adb78aaf",
+    ("bounds 6 3..44", "true"): "2d11faacd7fb54542d803c3ce96cd631e7884a188094100a3292154291982328",
+    ("bounds 7 3..44", "true"): "18be00504aee9cb3d06b6a9342baec6ee7790d7a3832c484452e95aebf5c10a7",
+    ("bounds 8 3..44", "true"): "b20b008c6718e7280c6b39d5729ca881208fe6e60e89c2e7be5a3167a09f1a9d",
+    ("bounds 2 3..44", "contradicting"):
+        "3998f442b5639cbe79ddd136ea79caed7d7eed67511dc51ba28c7fdd7df3e991",
+    ("bounds 3 3..44", "contradicting"):
+        "ac96b5a46a0cd8ea3173dae6d0e054c8f62ac166778af46af8456533bff86810",
+    ("bounds 4 3..44", "contradicting"):
+        "7723679235b71f59b5444de9e3106b9bc853dd8eb6bfb1e1ed6690a9dd61dca7",
+    ("bounds 5 3..44", "contradicting"):
+        "12f966d64ddc2fd7acc08450aaafafd6cebcef8fe99336f79eb7c53873130d44",
+    ("bounds 6 3..44", "contradicting"):
+        "c362f77bb049d561459118e1b3279fba3abbfe04a21285c9326a465077e69cd7",
+    ("bounds 7 3..44", "contradicting"):
+        "7c43bf461500f15f32eb309c8e119abaa2a49762a80423e15c5e76c0f1c85f8e",
+    ("bounds 8 3..44", "contradicting"):
+        "c3aa1a5e50d728eb1c4dd7c5393ab19153fae3c0083a3c7b1742a206dbeaa84a",
+    ("verylast 3..30", "md"): "0f506b7f4de6813f4938b361597988393234eff8fbd03bc298a1d8be113a7f9e",
+    ("verylast 3..30", "csv"): "ec6d0f0b8ba8aa05b7e652fab4d22bd14f7aa092cc8755c4d26bdc65a839b02f",
+    ("verylast 3..30", "json"): "2f669ce1186d377d5f53b2bd02e989444f041d2cbfa333e744f1eb24252b02f2",
+}
+
+
+@pytest.mark.parametrize("key", LEDGER_SHA256, ids=str)
+def test_ledger_output_is_pinned(capsys, key):
+    digest = hashlib.sha256()
+    codes = set()
+    for argv in LEDGER_ARGV[key]:
+        code, out, err = run_cli(capsys, *argv)
+        codes.add(code)
+        digest.update(f"$ {' '.join(argv)}\n{code}\n{out}\0{err}\0".encode())
+    # gamma above the Brill-Noether maximum exits 2; every other argv runs
+    assert codes - {2} == {3 if key[1] == "contradicting" else 0}
+    assert digest.hexdigest() == LEDGER_SHA256[key]
 
 
 class _CountingSink:

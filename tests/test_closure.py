@@ -85,8 +85,9 @@ def _assume_inside(rng, led):
 
 
 def _closure_grid():
-    """Seeded baselines with assumptions, the foursecant sweeps, and plane
-    curves with every third true value asserted."""
+    """Seeded baselines with assumptions, larger bare baselines, the
+    foursecant sweeps, and plane curves with every third true value
+    asserted."""
     rng = random.Random(20220527)
     for gamma in range(2, 9):
         for g in range(max(3, 2 * gamma - 3), 70):  # gamma <= (g+3)//2
@@ -99,6 +100,9 @@ def _closure_grid():
                     with_assumptions(base, _assume_inside(rng, base))
                 except ContradictionError:
                     pass
+    for gamma in range(3, 9):  # most of the log lies above t after the chain pass
+        for g in range(70, 201, 10):
+            baseline_ledger(gamma, g)
     for n in range(3, 30):
         verylast_sequence(n)
     for k in range(5, 30):
@@ -188,6 +192,19 @@ def test_every_closure_is_closed(closure_guard):
     print(f"closure guard: {closure_guard}")
     assert closure_guard["closed"] > 500
     assert closure_guard["scans"]
+
+
+@pytest.mark.parametrize("gamma", range(3, 9))
+def test_baseline_closure_scans_at_most_one_index(closure_guard, gamma):
+    # the chain pass logs the indices above about g/(gamma-1), and none of them
+    # is a side of a split below them
+    baseline_ledger(gamma, 600)
+    assert closure_guard["scans"] <= 1
+
+
+def test_foursecant_closure_scans_few_indices(closure_guard):
+    verylast_sequence(100)
+    assert closure_guard["scans"] <= 102
 
 
 # -- brute-force soundness oracle --------------------------------------------
