@@ -24,17 +24,16 @@ _HOME = {
         ("extremal", "EmbedResult ExtremalModel ModelKind classify_extremal"
                      " embed_extremal gonality_from_class verify_extremal_class"),
         ("gonality", "GonalityEntry GonalityLedger VerylastRow apply_extremal_facts"
-                     " baseline_ledger known_family_verdict plane_curve_gonality"
-                     " plane_slope_verdict slope_verdict verylast_sequence"
-                     " with_assumptions"),
+                     " baseline_ledger verylast_sequence with_assumptions"),
         ("lattice", "DivisorClass ScrollEmbedding adjunction_genus canonical_class"
                     " class_in_HL formal_genus h0_unisecant intersect"
                     " intersect_on_scroll is_irreducible_smoothable is_very_ample"
                     " scroll_canonical_class scroll_from_rn"),
         ("selfcheck", "run_selfcheck"),
-        ("tables", "SCAN_FIELDS STAR STAR_RESOLVED TABLE_FIELDS TableRow"
+        ("tables", "SCAN_FIELDS STAR STAR_RESOLVED TABLE_FIELDS ScanRecord TableRow"
                    " expected_status row_models scan serialize table1"),
-        ("verdicts", "SlopeVerdict Status"),
+        ("verdicts", "SlopeVerdict Status known_family_verdict plane_curve_gonality"
+                     " plane_slope_verdict slope_verdict"),
     )
     for name in names.split()
 }

@@ -46,7 +46,7 @@ def profile(d: int, r: int, strict: bool = True) -> CurveProfile:
     if d < r + 1:
         raise InvalidInput(f"need d >= {r + 1} in lenient mode, got d={d}")
     m, eps = divmod(d - 1, r - 1)
-    return CurveProfile(d, r, m, eps, max_genus(m, eps, r))
+    return tuple.__new__(CurveProfile, (d, r, m, eps, max_genus(m, eps, r)))
 
 
 def brill_noether(d: int, r: int, g: int) -> int:

@@ -4,7 +4,9 @@ Subcommands mirror the library: profile, classify, embed, bounds, slope,
 table1, scan, verylast, plane, selfcheck.  Results go to stdout in
 markdown (default), csv, or json; diagnostics go to stderr.  Exit codes:
 0 success, 1 selfcheck failure, 2 invalid input or usage (an input too
-large to hold included), 3 a bound contradiction.
+large to hold included), 3 a bound contradiction, 4 an internal fault:
+an invariant check of the package itself failed (an ``ArithmeticError``
+other than overflow), reported on one ``internal error:`` line.
 
 Each ``_cmd_*`` handler returns its result and writes nothing to stdout:
 a dict is one record, a list of dicts a table, a ``(fieldnames,
@@ -117,7 +119,7 @@ def _cmd_bounds(args) -> list[dict]:
 
 
 def _cmd_slope(args) -> dict | list[dict]:
-    from .gonality import known_family_verdict, slope_verdict
+    from .verdicts import known_family_verdict, slope_verdict
 
     if args.family is not None:
         return {"family": args.family, **known_family_verdict(args.family).record()}
@@ -170,7 +172,7 @@ def _cmd_verylast(args) -> str | dict | list[dict]:
 
 def _cmd_plane(args) -> dict | tuple:
     from .castelnuovo import plane_genus
-    from .gonality import plane_curve_gonality, plane_slope_verdict
+    from .verdicts import plane_curve_gonality, plane_slope_verdict
 
     def record(r: int) -> dict:
         v = plane_slope_verdict(args.k, r)
@@ -302,6 +304,9 @@ def run(argv: list[str]) -> int:
     except (OverflowError, MemoryError) as exc:
         print(f"error: input too large to hold ({type(exc).__name__})", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:  # a broken invariant: a fault here, not in the input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     return 0
 
 

@@ -24,6 +24,9 @@ scroll class by adjunction against the genus bound.  ``embed_extremal``
 runs the constructive direction: it takes a class gamma*C0 + lambda*L on
 a Hirzebruch surface and produces its unisecant embedding, an extremal
 model when gamma >= 4 (gamma = 3 lands at d = 2r-1, below the regime).
+These two and ``gonality_from_class`` are the lattice layer's only users
+here, and they import it when called, so classifying and scanning never
+load it.
 """
 
 from __future__ import annotations
@@ -38,14 +41,6 @@ from .errors import (
     InvalidInput,
     PlaneCurveContraction,
     UnsupportedInput,
-)
-from .lattice import (
-    DivisorClass,
-    ScrollEmbedding,
-    adjunction_genus,
-    class_in_HL,
-    formal_genus,
-    is_irreducible_smoothable,
 )
 
 
@@ -127,19 +122,25 @@ class ExtremalModel(namedtuple("ExtremalModel", "kind d r m eps gamma g scroll_c
         }
 
 
+# The kinds as globals for the per-model paths below: EnumType defines
+# __getattr__, which takes every read of a member off the class
+# (ModelKind.TYPE_II) off the fast path, at about ten times a global read.
+_TYPE_II, _TYPE_III, _PLANE_VERONESE = ModelKind
+
+
 def _model(kind: ModelKind, p: CurveProfile) -> ExtremalModel:
     """The model of ``kind`` on the profile p, unchecked: the one place
     that derives gamma, the scroll class and the plane degree k."""
-    m, eps, r = p.m, p.eps, p.r
-    if kind is ModelKind.TYPE_II:
+    d, r, m, eps, pi = p
+    if kind is _TYPE_II:
         gamma, scroll, k = m, (m, 1), None
-    elif kind is ModelKind.TYPE_III:
+    elif kind is _TYPE_III:
         gamma, scroll, k = m + 1, (m + 1, -(r - eps - 2)), None
-    elif kind is ModelKind.PLANE_VERONESE:
-        gamma, scroll, k = p.d // 2 - 1, None, p.d // 2
+    elif kind is _PLANE_VERONESE:
+        gamma, scroll, k = d // 2 - 1, None, d // 2
     else:
         raise InvalidInput(f"unknown model kind {kind!r}")
-    return tuple.__new__(ExtremalModel, (kind, p.d, r, m, eps, gamma, p.pi, scroll, k))
+    return tuple.__new__(ExtremalModel, (kind, d, r, m, eps, gamma, pi, scroll, k))
 
 
 def classify_extremal(d: int, r: int) -> list[ExtremalModel]:
@@ -152,10 +153,10 @@ def classify_extremal(d: int, r: int) -> list[ExtremalModel]:
     strict mode refuses r < 3 and d < 2r+1 as the model constructor does.
     """
     p = profile(d, r)
-    models = [_model(ModelKind.TYPE_II, p)] if p.eps == 0 else []
-    models.append(_model(ModelKind.TYPE_III, p))
+    models = [_model(_TYPE_II, p)] if p.eps == 0 else []
+    models.append(_model(_TYPE_III, p))
     if r == 5 and d % 2 == 0:
-        models.append(_model(ModelKind.PLANE_VERONESE, p))
+        models.append(_model(_PLANE_VERONESE, p))
     return models
 
 
@@ -167,6 +168,8 @@ def verify_extremal_class(h: int, l: int, scroll: ScrollEmbedding) -> bool:
     maximal genus.  Classes with d < 2r+1 are outside the extremal regime
     and verify False; d <= 0 is a domain error.
     """
+    from .lattice import DivisorClass, formal_genus
+
     r = scroll.r
     d = h * (r - 1) + l
     if d <= 0:
@@ -219,6 +222,14 @@ def embed_extremal(gamma: int, lam: int, n: int) -> EmbedResult:
     when lambda = gamma*n: the unisecant model is then a cone, but the
     curve misses the contracted section and still embeds.
     """
+    from .lattice import (
+        DivisorClass,
+        ScrollEmbedding,
+        adjunction_genus,
+        class_in_HL,
+        is_irreducible_smoothable,
+    )
+
     x = DivisorClass(n, gamma, lam).normalized_ruling()
     gamma, lam, n = x.a, x.b, x.n
     if not is_irreducible_smoothable(x):
@@ -281,6 +292,8 @@ def gonality_from_class(x: DivisorClass) -> int:
     and on n=1 the multiples alpha*(C0+L), alpha >= 2, blow down to plane
     curves of degree alpha with gonality alpha-1.
     """
+    from .lattice import is_irreducible_smoothable
+
     if not is_irreducible_smoothable(x):
         raise DomainError(f"{x} is not an irreducible-smoothable class")
     a, b, n = x.a, x.b, x.n

@@ -18,12 +18,7 @@ from itertools import product
 from .castelnuovo import profile
 from .errors import ContradictionError, DomainError, InvalidInput
 from .extremal import classify_extremal, embed_extremal, verify_extremal_class
-from .gonality import (
-    plane_curve_gonality,
-    plane_slope_verdict,
-    slope_verdict,
-    verylast_sequence,
-)
+from .gonality import verylast_sequence
 from .lattice import (
     DivisorClass,
     adjunction_genus,
@@ -33,7 +28,7 @@ from .lattice import (
     intersect,
     scroll_from_rn,
 )
-from .verdicts import Status
+from .verdicts import Status, plane_curve_gonality, plane_slope_verdict, slope_verdict
 
 
 def random_triples(seed: int, count: int, n_max: int, bound: int, scale: int) -> tuple:

@@ -8,17 +8,21 @@ the table can be cross-checked against the engine.  ``table1_rows``
 checks its arguments when called and yields the rows one at a time;
 ``table1`` is the same rows as a list.
 
-``scan`` walks a concrete (r, d) window instead and yields one flat
-record per extremal model, including its slope verdict and the
-Brill-Noether number at the extremal genus.  It checks its arguments
+``scan`` walks a concrete (r, d) window instead and yields one
+``ScanRecord`` row per extremal model, including its slope verdict and
+the Brill-Noether number at the extremal genus.  It checks its arguments
 when called and returns an iterator, not a list.
 
 ``write_records`` renders records as markdown, csv or json to a text
 stream, BATCH records per write, so its memory does not grow with the
-number of records; ``serialize`` runs it into a string.
+number of records; ``serialize`` runs it into a string.  A record is a
+dict or a row, a tuple in fieldnames order such as a ``ScanRecord``; a
+batch of rows goes through one format template per table, with no
+per-record dict.
 
-The engine layers and the csv and json encoders are imported inside the
-functions that use them, so ``table1`` and markdown output load neither.
+The engine layers, the verdicts and the csv and json encoders are
+imported inside the functions that use them, so ``table1`` and markdown
+output load none of them.
 """
 
 from __future__ import annotations
@@ -29,12 +33,23 @@ from collections.abc import Iterable, Iterator
 from itertools import chain, islice
 
 from .errors import InvalidInput
-from .verdicts import Status
 
 TABLE_FIELDS = ("d", "gamma", "m", "eps", "slope")
 SCAN_FIELDS = ("r", "d", "m", "eps", "pi", "kind", "gamma", "verdict", "rho")
 
 BATCH = 512  # records per write: rendering memory stays flat in the record count
+
+
+class ScanRecord(namedtuple("ScanRecord", SCAN_FIELDS)):
+    """One extremal model of a scan: its (r, d) point, the split (m, eps),
+    the genus pi, the kind and gonality, the slope status token and the
+    Brill-Noether number rho."""
+
+    __slots__ = ()
+
+    def record(self) -> dict:
+        return dict(zip(SCAN_FIELDS, self))
+
 
 STAR = "★"
 STAR_RESOLVED = "yes if r=4; no if r>=5"
@@ -132,6 +147,8 @@ def row_models(row: TableRow, r: int) -> list[ExtremalModel]:
 
 def expected_status(row: TableRow, r: int) -> Status | None:
     """The verdict the row claims at a concrete r; None where it is silent."""
+    from .verdicts import Status
+
     if row.star:
         if r == 4:
             return Status.HOLDS
@@ -145,8 +162,8 @@ def expected_status(row: TableRow, r: int) -> Status | None:
     return None
 
 
-def scan(r_lo: int, r_hi: int, d_max: int | None = None) -> Iterator[dict]:
-    """Flat per-model records over r in [r_lo, r_hi], d from 2r+1 up.
+def scan(r_lo: int, r_hi: int, d_max: int | None = None) -> Iterator[ScanRecord]:
+    """One ``ScanRecord`` per model over r in [r_lo, r_hi], d from 2r+1 up.
 
     The degree ceiling is d_max when given, else 6r-5 per r (one full
     period past the highest tabulated family).  rho is the Brill-Noether
@@ -163,44 +180,45 @@ def scan(r_lo: int, r_hi: int, d_max: int | None = None) -> Iterator[dict]:
     return _scan_records(r_lo, r_hi, d_max)
 
 
-def _scan_records(r_lo: int, r_hi: int, d_max: int | None) -> Iterator[dict]:
+def _scan_records(r_lo: int, r_hi: int, d_max: int | None) -> Iterator[ScanRecord]:
     from .castelnuovo import brill_noether
     from .extremal import classify_extremal
-    from .gonality import slope_verdict
+    from .verdicts import slope_verdict
 
+    new = tuple.__new__
     for r in range(r_lo, r_hi + 1):
         ceiling = d_max if d_max is not None else 6 * r - 5
         for d in range(2 * r + 1, ceiling + 1):
-            for model in classify_extremal(d, r):
-                yield {
-                    "r": r,
-                    "d": d,
-                    "m": model.m,
-                    "eps": model.eps,
-                    "pi": model.g,
-                    "kind": str(model.kind),
-                    "gamma": model.gamma,
-                    "verdict": str(slope_verdict(model).status),
-                    "rho": brill_noether(d, r, model.g),
-                }
+            models = classify_extremal(d, r)
+            rho = brill_noether(d, r, models[0].g)  # one genus pi(d, r) for all
+            for model in models:
+                # _value_ is the token str() returns, without the call
+                yield new(ScanRecord, (r, d, model.m, model.eps, model.g,
+                                       model.kind._value_, model.gamma,
+                                       slope_verdict(model).status._value_, rho))
 
 
-def write_records(out, records: Iterable[dict], fmt: str = "md",
+def write_records(out, records: Iterable[dict | tuple], fmt: str = "md",
                   fieldnames: tuple[str, ...] | None = None) -> None:
     """Write flat records to the text stream ``out`` as a markdown pipe
     table, csv, or json, one ``out.write`` per BATCH records.
 
-    Fields come from the first record unless given explicitly; no records
-    at all need explicit fieldnames.  The header goes out with the first
-    batch, so an error raised while the first batch is made leaves ``out``
-    untouched.  Output ends with a newline.
+    A record is a dict or a row: a tuple of values in fieldnames order,
+    such as a ``ScanRecord``; the records of one batch are all of one
+    kind.  Fields come from the first record (a row's ``_fields``) unless
+    given explicitly; no records at all need explicit fieldnames.  A row
+    renders as the dict of its fieldnames would, and a dict renders as
+    ever: markdown and csv read its fields by name, json writes its own
+    keys.  The header goes out with the first batch, so an error raised
+    while the first batch is made leaves ``out`` untouched.  Output ends
+    with a newline.
     """
     records = iter(records)
     if fieldnames is None:
         first = next(records, None)
         if first is None:
             raise InvalidInput("empty record list needs explicit fieldnames")
-        fieldnames = tuple(first)
+        fieldnames = tuple(first) if isinstance(first, dict) else first._fields
         records = chain((first,), records)
     render = _RENDERERS.get(fmt)
     if render is None:
@@ -210,7 +228,7 @@ def write_records(out, records: Iterable[dict], fmt: str = "md",
         out.write(text)
 
 
-def serialize(records: Iterable[dict], fmt: str = "md",
+def serialize(records: Iterable[dict | tuple], fmt: str = "md",
               fieldnames: tuple[str, ...] | None = None) -> str:
     """``write_records`` into a string."""
     buf = io.StringIO()
@@ -222,12 +240,23 @@ def _cell(value) -> str:
     return "" if value is None else str(value)
 
 
+def _rows(batch: list, fieldnames: tuple[str, ...]) -> list:
+    """The batch as rows: a dict record gives its fields in order, None
+    for a missing one."""
+    if isinstance(batch[0], dict):
+        return [tuple(map(rec.get, fieldnames)) for rec in batch]
+    return batch
+
+
 def _md(batches, fieldnames):
     head = ("| " + " | ".join(fieldnames) + " |\n"
             + "| " + " | ".join("---" for _ in fieldnames) + " |\n")
+    row = "| " + " | ".join(["%s"] * len(fieldnames)) + " |\n"
     for batch in batches:
-        yield head + "".join("| " + " | ".join([_cell(rec.get(f)) for f in fieldnames])
-                             + " |\n" for rec in batch)
+        cells = tuple(chain.from_iterable(_rows(batch, fieldnames)))
+        if None in cells:  # %s would write None as "None", not as an empty cell
+            cells = tuple(map(_cell, cells))
+        yield head + (row * len(batch)) % cells
         head = ""
     if head:
         yield head
@@ -241,7 +270,7 @@ def _csv(batches, fieldnames):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fieldnames)
     for batch in batches:
-        writer.writerows(map(rec.get, fieldnames) for rec in batch)
+        writer.writerows(_rows(batch, fieldnames))
         yield buf.getvalue()
         buf.seek(0)
         buf.truncate()
@@ -251,18 +280,41 @@ def _csv(batches, fieldnames):
 
 def _json(batches, fieldnames):
     # Equal to json.dumps(records, indent=2) for flat records, through one
-    # C-encoder call per batch: indent= forces the pure-Python encoder.  With
-    # these separators the list comes out as '[{' rec '},\n    {' rec ... '}]',
-    # and an encoded key or value never holds a raw newline, so '},\n    {'
-    # occurs only between two records and, once each record is re-indented,
-    # '{\n    \n  }' only for an empty one.
+    # C-encoder call per batch: indent= forces the pure-Python encoder.  An
+    # encoded key or scalar never holds a raw newline.
+    #
+    # Rows: the batch's values are encoded as one flat list with "\n"
+    # between items, so the pieces between newlines are the values, and
+    # they fill a template of the record with its keys already encoded.  A
+    # nested value adds pieces, or starts one with "[" or "{", which no
+    # scalar does; such a batch, and a row of no fields, takes the
+    # pure-Python encoder, which is exact for any value.
+    #
+    # Dicts: with these separators the list comes out as
+    # '[{' rec '},\n    {' rec ... '}]', so '},\n    {' occurs only between
+    # two records and, once each record is re-indented, '{\n    \n  }' only
+    # for an empty one.
     import json
 
     encode = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+    flat = json.JSONEncoder(separators=("\n", ": ")).encode
+    record = ("  {\n    " + ",\n    ".join(json.dumps(f).replace("%", "%%") + ": %s"
+                                          for f in fieldnames) + "\n  }")
     sep = "[\n"
     for batch in batches:
-        body = encode(batch)[2:-2].replace("},\n    {", "\n  },\n  {\n    ")
-        yield (sep + "  {\n    " + body + "\n  }").replace("{\n    \n  }", "{}")
+        if isinstance(batch[0], dict):
+            body = encode(batch)[2:-2].replace("},\n    {", "\n  },\n  {\n    ")
+            yield (sep + "  {\n    " + body + "\n  }").replace("{\n    \n  }", "{}")
+        else:
+            values = list(chain.from_iterable(batch))
+            text = flat(values)
+            pieces = text[1:-1].split("\n")
+            if len(pieces) == len(values) and not (
+                    text[1] in "[{" or "\n[" in text or "\n{" in text):
+                yield sep + ",\n".join([record] * len(batch)) % tuple(pieces)
+            else:
+                batch = [dict(zip(fieldnames, row)) for row in batch]
+                yield sep + json.dumps(batch, indent=2)[2:-2]
         sep = ",\n"
     yield "[]\n" if sep == "[\n" else "\n]\n"
 

@@ -193,10 +193,10 @@ def test_criterion_09():
            budget_ms=1000.0)
 def test_criterion_10():
     records = scan(3, 12)
-    violated = [rec for rec in records if rec["verdict"] == "violated"]
+    violated = [rec for rec in records if rec.verdict == "violated"]
     assert violated
     for rec in violated:
-        assert rec["rho"] < 0
+        assert rec.rho < 0
 
 
 @criterion(11, "randomized consistent assumptions never cross; injected"

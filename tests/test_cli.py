@@ -547,6 +547,38 @@ def test_memory_error_exits_two(capsys, monkeypatch):
         2, "", "error: input too large to hold (MemoryError)\n")
 
 
+@pytest.mark.parametrize("error", [ArithmeticError("genus broke"), ZeroDivisionError("by 0")],
+                         ids=lambda e: type(e).__name__)
+def test_internal_fault_exits_four(capsys, monkeypatch, error):
+    def broken(args):
+        raise error
+
+    monkeypatch.setattr(extremalcurves.cli, "_cmd_profile", broken)
+    assert run_cli(capsys, "profile", "10", "4") == (
+        4, "", f"internal error: {type(error).__name__}: {error}\n")
+
+
+BROKEN_LATTICE = """
+import sys
+import extremalcurves.lattice as lattice
+from extremalcurves.cli import main
+genus = lattice.adjunction_genus
+lattice.adjunction_genus = lambda x: genus(x) + 1
+sys.argv = ["extremalcurves", "verylast", "5"]
+main()
+"""
+
+
+def test_internal_fault_in_a_child_prints_no_traceback():
+    # a wrong genus trips the foursecant sweep's own invariant check
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", BROKEN_LATTICE], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr.startswith("internal error: ArithmeticError: foursecant invariants broke")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 def _md_records(text: str) -> list[dict]:
     """Records back from a markdown pipe table or a ``k=v`` line."""
     head, *rows = text.splitlines()

@@ -5,6 +5,7 @@ what the bare interpreter had already loaded, so the result does not
 depend on what this test process has imported.
 """
 
+import inspect
 import os
 import subprocess
 import sys
@@ -53,13 +54,32 @@ def test_profile_loads_only_its_layer():
     assert ours == {"extremalcurves.castelnuovo"}
 
 
-@pytest.mark.parametrize("argv", [["bounds", "4", "12"], ["plane", "7"]], ids=" ".join)
+@pytest.mark.parametrize("argv", [["bounds", "4", "12"]], ids=" ".join)
 def test_ledger_commands_skip_the_model_layers(argv):
     result, on_import, on_run = _child(CHILD.format(argv=argv))
     assert result.startswith("0 ")
     loaded = set(on_import.split()) | set(on_run.split())
     assert "extremalcurves.gonality" in loaded
     assert not {"extremalcurves.extremal", "extremalcurves.lattice"} & loaded
+
+
+# the package modules a subcommand loads when it runs, on top of the cli's
+# own: the ledger and the lattice only where the command uses them
+RUN_LAYERS = {
+    "scan 3 4": "castelnuovo extremal tables verdicts",
+    "classify 13 5": "castelnuovo extremal tables",
+    "slope 13 5": "castelnuovo extremal tables verdicts",
+    "table1": "tables",
+    "plane 7": "castelnuovo tables verdicts",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(RUN_LAYERS))
+def test_subcommand_loads_only_its_layers(argv):
+    result, _, on_run = _child(CHILD.format(argv=argv.split()))
+    assert result.startswith("0 ")
+    ours = {m for m in on_run.split() if m.startswith("extremalcurves")}
+    assert ours == {f"extremalcurves.{m}" for m in RUN_LAYERS[argv].split()}
 
 
 ARGUMENTS = """
@@ -104,3 +124,14 @@ def test_no_module_uses_dataclasses():
 def test_every_public_name_resolves():
     for name in extremalcurves.__all__:
         assert getattr(extremalcurves, name) is not None
+
+
+def test_every_public_definition_lives_where_the_table_says():
+    # the lazy table names each definition's module; a moved definition must move there too
+    defined = 0
+    for name, module in extremalcurves._HOME.items():
+        value = getattr(extremalcurves, name)
+        if inspect.isclass(value) or inspect.isfunction(value):
+            assert value.__module__ == f"extremalcurves.{module}", name
+            defined += 1
+    assert defined == len(extremalcurves._HOME) - 4  # the field tuples and the stars

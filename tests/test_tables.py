@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import random
+from itertools import islice
 
 import pytest
 
@@ -139,24 +140,24 @@ def test_rows_agree_with_engine():
 def test_scan_window():
     records = list(scan(3, 4))
     assert len(records) == 26
-    assert records[0] == {
+    assert records[0].record() == {
         "r": 3, "d": 7, "m": 3, "eps": 0, "pi": 6,
         "kind": "type_ii", "gamma": 3, "verdict": "holds", "rho": -2,
     }
-    assert records[1] == {
+    assert records[1].record() == {
         "r": 3, "d": 7, "m": 3, "eps": 0, "pi": 6,
         "kind": "type_iii", "gamma": 4, "verdict": "undetermined", "rho": -2,
     }
-    assert records[2] == {
+    assert records[2].record() == {
         "r": 3, "d": 8, "m": 3, "eps": 1, "pi": 9,
         "kind": "type_iii", "gamma": 4, "verdict": "violated", "rho": -7,
     }
-    by_key = {(rec["r"], rec["d"], rec["gamma"]): rec for rec in records}
-    assert by_key[(4, 10, 4)]["verdict"] == "holds"
-    assert by_key[(4, 11, 4)]["verdict"] == "violated"
-    assert by_key[(4, 12, 4)]["verdict"] == "holds"
-    assert by_key[(4, 16, 5)]["verdict"] == "holds"
-    assert all(tuple(rec) == SCAN_FIELDS for rec in records)
+    by_key = {(rec.r, rec.d, rec.gamma): rec for rec in records}
+    assert by_key[(4, 10, 4)].verdict == "holds"
+    assert by_key[(4, 11, 4)].verdict == "violated"
+    assert by_key[(4, 12, 4)].verdict == "holds"
+    assert by_key[(4, 16, 5)].verdict == "holds"
+    assert all(rec._fields == tuple(rec.record()) == SCAN_FIELDS for rec in records)
 
 
 def test_scan_options():
@@ -191,13 +192,14 @@ def test_serialize_json():
     records = list(scan(3, 4))[:2]
     text = serialize(records, "json")
     assert text.endswith("\n")
-    assert json.loads(text) == records
+    assert json.loads(text) == [rec.record() for rec in records]
 
 
 def test_serialize_edge_cases():
     assert serialize([], "csv", fieldnames=("a", "b")) == "a,b\n"
     assert serialize([], "md", fieldnames=("a",)) == "| a |\n| --- |\n"
     assert serialize([{"a": None}], "md") == "| a |\n| --- |\n|  |\n"
+    assert serialize([(), ()], "json", ()) == serialize([{}, {}], "json") == "[\n  {},\n  {}\n]\n"
     with pytest.raises(InvalidInput):
         serialize([], "csv")
     with pytest.raises(InvalidInput):
@@ -207,7 +209,10 @@ def test_serialize_edge_cases():
 # the text the json renderer splits a batch at, and the text of an empty record
 SPLIT, EMPTY = "},\n    {", "{\n    \n  }"
 VALUES = (None, True, False, 0, -7, -10**30, 10**30, 0.1, -2.5, 1e300, "", "★",
-          'say "hi"', "back\\slash", "two\nlines", "é", "a,b", "pipe | cell", SPLIT, EMPTY)
+          'say "hi"', "back\\slash", "two\nlines", "é", "a,b", "pipe | cell", SPLIT, EMPTY,
+          "%s", "100%", "%(r)s")
+# a row's json template holds its keys, so one of them holds a format character
+FIELDS = ("r", "name", "é", "x %s y")
 
 
 def _old_serialize(records, fmt, fieldnames):
@@ -233,12 +238,12 @@ def _old_serialize(records, fmt, fieldnames):
 @pytest.mark.parametrize("count", [0, 1, BATCH - 1, BATCH, BATCH + 1])
 def test_serialize_matches_the_whole_text_renderer(count):
     rng = random.Random(count)
-    fieldnames = ("r", "name", "é", "x y")
+    fieldnames = FIELDS
     records = [{f: rng.choice(VALUES) for f in fieldnames if rng.random() < 0.7}
                for _ in range(count)]
     # the split text as keys and values, and an empty record, about a batch boundary
     for i, rec in zip(range(BATCH - 2, count),
-                      ({}, {"name": SPLIT, SPLIT: EMPTY}, {EMPTY: 1, "x y": EMPTY, "r": SPLIT})):
+                      ({}, {"name": SPLIT, SPLIT: EMPTY}, {EMPTY: 1, "x %s y": EMPTY, "r": SPLIT})):
         records[i] = rec
     for fmt in ("md", "csv", "json"):
         want = _old_serialize(records, fmt, fieldnames)
@@ -246,6 +251,32 @@ def test_serialize_matches_the_whole_text_renderer(count):
         assert serialize(iter(records), fmt, fieldnames) == want
         if records:
             assert serialize(records, fmt) == _old_serialize(records, fmt, tuple(records[0]))
+
+
+@pytest.mark.parametrize("count", [0, 1, BATCH - 1, BATCH, BATCH + 1])
+def test_rows_serialize_as_their_dicts(count):
+    rng = random.Random(count)
+    rows = [tuple(rng.choice(VALUES) for _ in FIELDS) for _ in range(count)]
+    dicts = [dict(zip(FIELDS, row)) for row in rows]
+    scanned = list(islice(scan(3, 24), count))
+    for fmt in ("md", "csv", "json"):
+        want = _old_serialize(dicts, fmt, FIELDS)
+        assert serialize(rows, fmt, FIELDS) == serialize(dicts, fmt, FIELDS) == want
+        assert serialize(iter(rows), fmt, FIELDS) == want
+        want = serialize([rec.record() for rec in scanned], fmt, SCAN_FIELDS)
+        assert serialize(scanned, fmt, SCAN_FIELDS) == want
+        if scanned:  # a ScanRecord names its own fields
+            assert serialize(scanned, fmt) == want
+
+
+@pytest.mark.parametrize("nested", [[5], [1, "two"], [[]], {"a": [1]}, {"%s": None}, [], {}],
+                         ids=repr)
+def test_row_with_a_nested_value_renders_as_json_dumps(nested):
+    rows = [(1, "a", 0.5, "b")] * (BATCH + 3)
+    rows[0] = (nested, 3, "d", None)  # the first batch's only nested value is its first
+    rows[BATCH + 1] = (2, nested, None, nested)
+    dicts = [dict(zip(FIELDS, row)) for row in rows]
+    assert serialize(rows, "json", FIELDS) == json.dumps(dicts, indent=2) + "\n"
 
 
 def test_scan_profiles_each_point_once(monkeypatch):
@@ -260,7 +291,7 @@ def test_scan_profiles_each_point_once(monkeypatch):
     monkeypatch.setattr(extremalcurves.extremal, "profile", counting)
     records = list(scan(3, 48))
     assert len(records) == 4653
-    assert calls == len({(rec["r"], rec["d"]) for rec in records}) == 4462
+    assert calls == len({(rec.r, rec.d) for rec in records}) == 4462
 
 
 def test_equal_slope_verdicts_are_one_object():
