@@ -16,9 +16,9 @@ when called and returns an iterator, not a list.
 ``write_records`` renders records as markdown, csv or json to a text
 stream, BATCH records per write, so its memory does not grow with the
 number of records; ``serialize`` runs it into a string.  A record is a
-dict or a row, a tuple in fieldnames order such as a ``ScanRecord``; a
-batch of rows goes through one format template per table, with no
-per-record dict.
+row, a tuple in fieldnames order such as a ``ScanRecord``, or a dict
+read at the fieldnames, with None for a missing field, in every format;
+the renderers see rows only, one format template per table.
 
 The engine layers, the verdicts and the csv and json encoders are
 imported inside the functions that use them, so ``table1`` and markdown
@@ -30,7 +30,7 @@ from __future__ import annotations
 import io
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 
 from .errors import InvalidInput
 
@@ -203,27 +203,42 @@ def write_records(out, records: Iterable[dict | tuple], fmt: str = "md",
     """Write flat records to the text stream ``out`` as a markdown pipe
     table, csv, or json, one ``out.write`` per BATCH records.
 
-    A record is a dict or a row: a tuple of values in fieldnames order,
-    such as a ``ScanRecord``; the records of one batch are all of one
-    kind.  Fields come from the first record (a row's ``_fields``) unless
-    given explicitly; no records at all need explicit fieldnames.  A row
-    renders as the dict of its fieldnames would, and a dict renders as
-    ever: markdown and csv read its fields by name, json writes its own
-    keys.  The header goes out with the first batch, so an error raised
-    while the first batch is made leaves ``out`` untouched.  Output ends
-    with a newline.
+    A record is a row, a tuple of values in fieldnames order such as a
+    ``ScanRecord``, or a dict read at the fieldnames, with None for a
+    missing field, in every format.  Fields come from the first record (a
+    dict's keys, a row's ``_fields``) unless given explicitly; no records
+    at all, or a first row without ``_fields``, need explicit fieldnames
+    and raise ``InvalidInput`` without them.  A record of another kind
+    than the first, or a row of another width, raises ``InvalidInput`` as
+    its batch is made.  The header goes out with the first batch, so an
+    error raised while the first batch is made leaves ``out`` untouched.
+    Output ends with a newline.
     """
     records = iter(records)
+    first = list(islice(records, 1))
+    kind = dict if first and isinstance(first[0], dict) else tuple
     if fieldnames is None:
-        first = next(records, None)
-        if first is None:
+        if not first:
             raise InvalidInput("empty record list needs explicit fieldnames")
-        fieldnames = tuple(first) if isinstance(first, dict) else first._fields
-        records = chain((first,), records)
+        fieldnames = tuple(first[0]) if kind is dict else getattr(first[0], "_fields", None)
+        if fieldnames is None:
+            raise InvalidInput("rows without _fields need explicit fieldnames")
     render = _RENDERERS.get(fmt)
     if render is None:
         raise InvalidInput(f"unknown format {fmt!r}; use md, csv, or json")
-    batches = iter(lambda: list(islice(records, BATCH)), [])
+
+    def rows(batch: list) -> list:
+        # one C-level pass per check, so a row batch costs no Python step per record
+        if not all(map(isinstance, batch, repeat(kind))):
+            raise InvalidInput(f"records mix {kind.__name__}s with other kinds")
+        if kind is dict:
+            return [tuple(map(rec.get, fieldnames)) for rec in batch]
+        if set(map(len, batch)) != {len(fieldnames)}:
+            raise InvalidInput(f"a row does not hold the fields {fieldnames}")
+        return batch
+
+    records = chain(first, records)
+    batches = map(rows, iter(lambda: list(islice(records, BATCH)), []))
     for text in render(batches, fieldnames):
         out.write(text)
 
@@ -240,20 +255,12 @@ def _cell(value) -> str:
     return "" if value is None else str(value)
 
 
-def _rows(batch: list, fieldnames: tuple[str, ...]) -> list:
-    """The batch as rows: a dict record gives its fields in order, None
-    for a missing one."""
-    if isinstance(batch[0], dict):
-        return [tuple(map(rec.get, fieldnames)) for rec in batch]
-    return batch
-
-
 def _md(batches, fieldnames):
     head = ("| " + " | ".join(fieldnames) + " |\n"
             + "| " + " | ".join("---" for _ in fieldnames) + " |\n")
     row = "| " + " | ".join(["%s"] * len(fieldnames)) + " |\n"
     for batch in batches:
-        cells = tuple(chain.from_iterable(_rows(batch, fieldnames)))
+        cells = tuple(chain.from_iterable(batch))
         if None in cells:  # %s would write None as "None", not as an empty cell
             cells = tuple(map(_cell, cells))
         yield head + (row * len(batch)) % cells
@@ -270,7 +277,7 @@ def _csv(batches, fieldnames):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fieldnames)
     for batch in batches:
-        writer.writerows(_rows(batch, fieldnames))
+        writer.writerows(batch)
         yield buf.getvalue()
         buf.seek(0)
         buf.truncate()
@@ -279,42 +286,31 @@ def _csv(batches, fieldnames):
 
 
 def _json(batches, fieldnames):
-    # Equal to json.dumps(records, indent=2) for flat records, through one
-    # C-encoder call per batch: indent= forces the pure-Python encoder.  An
-    # encoded key or scalar never holds a raw newline.
-    #
-    # Rows: the batch's values are encoded as one flat list with "\n"
-    # between items, so the pieces between newlines are the values, and
-    # they fill a template of the record with its keys already encoded.  A
-    # nested value adds pieces, or starts one with "[" or "{", which no
-    # scalar does; such a batch, and a row of no fields, takes the
-    # pure-Python encoder, which is exact for any value.
-    #
-    # Dicts: with these separators the list comes out as
-    # '[{' rec '},\n    {' rec ... '}]', so '},\n    {' occurs only between
-    # two records and, once each record is re-indented, '{\n    \n  }' only
-    # for an empty one.
+    # Equal to json.dumps(records, indent=2) for any records, through one
+    # C-encoder call per batch of flat ones: indent= forces the pure-Python
+    # encoder.  The batch's values are encoded as one flat list with "\n"
+    # between items; an encoded scalar never holds a raw newline, so the
+    # pieces between newlines are the values, and they fill a template of
+    # the record with its keys already encoded.  A nested value adds
+    # pieces, or starts one with "[" or "{", which no scalar does; such a
+    # batch, and a row of no fields, takes the pure-Python encoder, which
+    # is exact for any value.
     import json
 
-    encode = json.JSONEncoder(separators=(",\n    ", ": ")).encode
     flat = json.JSONEncoder(separators=("\n", ": ")).encode
     record = ("  {\n    " + ",\n    ".join(json.dumps(f).replace("%", "%%") + ": %s"
                                           for f in fieldnames) + "\n  }")
     sep = "[\n"
     for batch in batches:
-        if isinstance(batch[0], dict):
-            body = encode(batch)[2:-2].replace("},\n    {", "\n  },\n  {\n    ")
-            yield (sep + "  {\n    " + body + "\n  }").replace("{\n    \n  }", "{}")
+        values = list(chain.from_iterable(batch))
+        text = flat(values)
+        pieces = text[1:-1].split("\n")
+        if len(pieces) == len(values) and not (
+                text[1] in "[{" or "\n[" in text or "\n{" in text):
+            yield sep + ",\n".join([record] * len(batch)) % tuple(pieces)
         else:
-            values = list(chain.from_iterable(batch))
-            text = flat(values)
-            pieces = text[1:-1].split("\n")
-            if len(pieces) == len(values) and not (
-                    text[1] in "[{" or "\n[" in text or "\n{" in text):
-                yield sep + ",\n".join([record] * len(batch)) % tuple(pieces)
-            else:
-                batch = [dict(zip(fieldnames, row)) for row in batch]
-                yield sep + json.dumps(batch, indent=2)[2:-2]
+            batch = [dict(zip(fieldnames, row)) for row in batch]
+            yield sep + json.dumps(batch, indent=2)[2:-2]
         sep = ",\n"
     yield "[]\n" if sep == "[\n" else "\n]\n"
 

@@ -373,17 +373,93 @@ LEDGER_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("key", LEDGER_SHA256, ids=str)
-def test_ledger_output_is_pinned(capsys, key):
+def _pinned_run(capsys, argvs):
+    """The exit codes of running every argv, and one sha256 over each
+    argv's stdout, stderr and exit code."""
     digest = hashlib.sha256()
     codes = set()
-    for argv in LEDGER_ARGV[key]:
+    for argv in argvs:
         code, out, err = run_cli(capsys, *argv)
         codes.add(code)
         digest.update(f"$ {' '.join(argv)}\n{code}\n{out}\0{err}\0".encode())
+    return codes, digest.hexdigest()
+
+
+@pytest.mark.parametrize("key", LEDGER_SHA256, ids=str)
+def test_ledger_output_is_pinned(capsys, key):
+    codes, digest = _pinned_run(capsys, LEDGER_ARGV[key])
     # gamma above the Brill-Noether maximum exits 2; every other argv runs
     assert codes - {2} == {3 if key[1] == "contradicting" else 0}
-    assert digest.hexdigest() == LEDGER_SHA256[key]
+    assert digest == LEDGER_SHA256[key]
+
+
+RECORD_ARGV = {
+    "profile": [["profile", *dr] for dr in (("10", "4"), ("13", "5"), ("21", "6"),
+                                            ("5", "3", "--lenient"), ("5", "3"))],
+    "classify": [["classify", str(d), str(r)] for r in (3, 5, 8) for d in range(2 * r, 6 * r)],
+    "embed": [["embed", *args] for args in (("4", "12", "3"), ("3", "7", "2"), ("5", "20", "4"),
+                                            ("3", "5", "2"), ("4", "9", "1"))],
+    "slope": [["slope", str(d), str(r), *gamma] for r in (3, 5, 7) for d in range(2 * r + 1, 5 * r)
+              for gamma in ((), ("--gamma", "4"))],
+    "slope --family": [["slope", "--family", family] for family in
+                       ("hyperelliptic", "trigonal", "bielliptic", "general_fourgonal")],
+    "bounds": [["bounds", str(gamma), str(g)] for gamma in (2, 4, 7) for g in (6, 15, 30)],
+    "bounds --assume": [["bounds", str(gamma), str(g), *_assume(kind, gamma, g)]
+                        for gamma in (3, 5) for g in (12, 25)
+                        for kind in ("true", "contradicting")],
+    "table1": [["table1", "--gamma-max", gamma_max, "--mode", mode]
+               for gamma_max in ("6", "40") for mode in ("paper-faithful", "resolved")],
+    "plane": [["plane", str(k)] for k in (4, 7, 12)],
+    "plane --r": [["plane", str(k), "--r", str(r)] for k in (4, 9) for r in (1, 2, 5, 40)],
+    "selfcheck": [["selfcheck"]],
+}
+
+# sha256 over every argv's stdout, stderr and exit code, as the renderers
+# gave them while md and csv read a dict record at the fieldnames and
+# json wrote the dict's own keys: every byte of these tables is pinned.
+RECORD_SHA256 = {
+    ('profile', 'md'): 'e8af3bb9080de1ee3243ac0f64c679421637ff692861bb690b9ba6e3251e0ab3',
+    ('profile', 'csv'): '9eaa607b25d92cef4204aad968680c738d0454c4ef3d984b2421887b0aa7ff0e',
+    ('profile', 'json'): '487dced41d10908998399e0bab0a32a4b9f8ad2333ebe653eb40f6b027236382',
+    ('classify', 'md'): '118b7134c5a6307aae4f50f01e5f41762ad7d3002529b16925d0727255cb6f67',
+    ('classify', 'csv'): 'a5e8bfc7ebddf409679fb6eb0fce85f470171c30afdf6e895c865a6593482f64',
+    ('classify', 'json'): 'fa9ffd263b47b73f4733c69665eaf4fc14a72d8a4340a7b075b2fcb75a853b64',
+    ('embed', 'md'): 'e8b02cdd8a97a563deab3f62856ea40e7547c49e7eca2f243504402b934eeb3f',
+    ('embed', 'csv'): '85bf35a8d3f72cb97f02fc0a68051166406f5ffb275b2203804cd9fd74669a9e',
+    ('embed', 'json'): '36ba3d037d705ccc1ad75efd1e6678057913bd7fab5021c77f9c98e5051503c0',
+    ('slope', 'md'): '679a72be50836fc3a1e587bb0e467d8a7fae6b8bbed666b7678b7eeb36ec51ef',
+    ('slope', 'csv'): 'f1e73739fd943a082ac8c4163957a5babbaed2f92ee1c38de7d78761b4ba12fb',
+    ('slope', 'json'): '76294f02ec16422001ef05cee423f81be10258c7d953d7757c3a499a039f9827',
+    ('slope --family', 'md'): '34f2343c1234418ee0f738261aa11e8245d330a04a0f1905965814ad8d0c9b5e',
+    ('slope --family', 'csv'): '6c5257e0905a90aec2054bca307306ae1254fa6b977fadadc5bd666881bdf0a3',
+    ('slope --family', 'json'): 'd06515ed375c6ac4b8a867ed8a315e1f4303b958a1f0840d220681804845d69d',
+    ('bounds', 'md'): '472c629ae9d5dec6be32a4940deaa67869467f44223f2ac7f2fd958c2b12af73',
+    ('bounds', 'csv'): 'bc17515d0284251be7652205103a3dc02de6a132f6f643d18698991c5b09507f',
+    ('bounds', 'json'): '23e1e4f98c7e7645199341df59eca0979649e90c3dd34bc2f101625a7f2a6d30',
+    ('bounds --assume', 'md'): 'f3986c841df6628e881feda4b0a832ba74880e7d955c48c1011a9e294eb23497',
+    ('bounds --assume', 'csv'): '43d5f9d7cad6346c03a63a7743f2f78fa15ca75de023b1ee80827c1d7011a8c7',
+    ('bounds --assume', 'json'):
+        '21f59a619027a3dca36f8cc2bd8004338a33f66ba7e3b0dd11179c6713b7ab7c',
+    ('table1', 'md'): 'b1f25fb88fac0e0163c544b129a86a83f624caf144263a75ea5712598d72037a',
+    ('table1', 'csv'): 'bdef264b1bbca2c4af60907504531125e20c821c743d72633a7c328fee8700dd',
+    ('table1', 'json'): '93c31595289a0289bac33aeb2e7149dc119382df99f3df602afbc888986fd9db',
+    ('plane', 'md'): '155b7c2d1e30c5485cab5f21d5feb12d9215b69238ec5d97305051677db6fd61',
+    ('plane', 'csv'): '3202770e9b0df2f21ac908b3258af550b6dc85ce4c22875107a90757610637a9',
+    ('plane', 'json'): '9cd9218ed0bef9240da7312042ecf494e0430a0a5139fd1e16552b36218656dd',
+    ('plane --r', 'md'): 'cf21f46631860f91420a84f583ce2f0a2371e8c8b4796beb38e4be993e6a5dfd',
+    ('plane --r', 'csv'): '0a22fc3da2cf16365776c0e868e278af182502a2a959d5fd91c2be3779acb96f',
+    ('plane --r', 'json'): 'eaea45086efffda09cced7989f0eba679ed887398c5b443441231dc0c42fcda9',
+    ('selfcheck', 'md'): '1d23d6da041500b6281c89d54f4ed5fef399b22e543de1ec22f4053433075c5a',
+    ('selfcheck', 'csv'): '3ef59ec812dd03a7c9c7eea20eebe9bb0c87a2119c3b2d1406d7b939cd6e2979',
+    ('selfcheck', 'json'): '40c6d3874457947b4317efc7348aa8f5a616a68659643ef221c374cdb341b56d',
+}
+
+
+@pytest.mark.parametrize("key", RECORD_SHA256, ids=str)
+def test_record_tables_are_pinned(capsys, key):
+    name, fmt = key
+    argvs = [[*argv, "--format", fmt] for argv in RECORD_ARGV[name]]
+    assert _pinned_run(capsys, argvs)[1] == RECORD_SHA256[key]
 
 
 class _CountingSink:

@@ -23,7 +23,7 @@ from extremalcurves import (
     table1,
 )
 import extremalcurves.extremal
-from extremalcurves.tables import BATCH
+from extremalcurves.tables import BATCH, write_records
 
 
 def test_table_shape():
@@ -203,10 +203,12 @@ def test_serialize_edge_cases():
     with pytest.raises(InvalidInput):
         serialize([], "csv")
     with pytest.raises(InvalidInput):
+        serialize([(1, 2)], "md")
+    with pytest.raises(InvalidInput):
         serialize([{"a": 1}], "yaml")
 
 
-# the text the json renderer splits a batch at, and the text of an empty record
+# text shaped like a boundary between two json records, and like an empty record
 SPLIT, EMPTY = "},\n    {", "{\n    \n  }"
 VALUES = (None, True, False, 0, -7, -10**30, 10**30, 0.1, -2.5, 1e300, "", "★",
           'say "hi"', "back\\slash", "two\nlines", "é", "a,b", "pipe | cell", SPLIT, EMPTY,
@@ -232,6 +234,7 @@ def _old_serialize(records, fmt, fieldnames):
         writer.writerow(fieldnames)
         writer.writerows([cell(rec.get(f)) for f in fieldnames] for rec in records)
         return buf.getvalue()
+    records = [{f: rec.get(f) for f in fieldnames} for rec in records]
     return json.dumps(records, indent=2) + "\n"
 
 
@@ -276,7 +279,29 @@ def test_row_with_a_nested_value_renders_as_json_dumps(nested):
     rows[0] = (nested, 3, "d", None)  # the first batch's only nested value is its first
     rows[BATCH + 1] = (2, nested, None, nested)
     dicts = [dict(zip(FIELDS, row)) for row in rows]
-    assert serialize(rows, "json", FIELDS) == json.dumps(dicts, indent=2) + "\n"
+    for records in (rows, dicts):
+        assert serialize(records, "json", FIELDS) == json.dumps(dicts, indent=2) + "\n"
+    assert serialize(dicts, "json") == json.dumps(dicts, indent=2) + "\n"
+
+
+# a row of another width, and a record of another kind than the first
+MALFORMED = [((1, 2), (3, 4, 5)), ((1, 2), (4,)), ((1, 2), {"a": 5, "b": 6}),
+             ({"a": 1, "b": 2}, (5, 6)), ((1, 2), [5, 6]), ((1, 2), None)]
+
+
+@pytest.mark.parametrize("good, bad", MALFORMED, ids=repr)
+@pytest.mark.parametrize("at", [1, BATCH + 1])
+@pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+def test_malformed_records_raise_invalid_input(fmt, at, good, bad):
+    records = [good] * (BATCH + 3)
+    records[at] = bad
+    out = io.StringIO()
+    with pytest.raises(InvalidInput):
+        write_records(out, records, fmt, ("a", "b"))
+    # the batches before the bad one are out, so a bad first batch writes nothing
+    written = out.getvalue()
+    assert serialize([good] * BATCH, fmt, ("a", "b")).startswith(written)
+    assert (written == "") == (at < BATCH)
 
 
 def test_scan_profiles_each_point_once(monkeypatch):
