@@ -251,18 +251,17 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                        help="assert d_R = V before propagating (repeatable)")
 
     if p := add("slope", _cmd_slope, "slope-inequality verdicts for extremal models"):
+        from .verdicts import FAMILIES
         p.add_argument("d", type=int, nargs="?")
         p.add_argument("r", type=int, nargs="?")
         p.add_argument("--gamma", type=int, help="only models with this gonality")
-        p.add_argument("--family",
-                       choices=("hyperelliptic", "trigonal", "bielliptic",
-                                "general_fourgonal"),
+        p.add_argument("--family", choices=FAMILIES,
                        help="verdict for a named curve family instead")
 
     if p := add("table1", _cmd_table1, "summary table of extremal families per gonality"):
+        from .tables import MODES
         p.add_argument("--gamma-max", type=int, default=6, dest="gamma_max")
-        p.add_argument("--mode", choices=("paper-faithful", "resolved"),
-                       default="paper-faithful")
+        p.add_argument("--mode", choices=MODES, default=MODES[0])
 
     if p := add("scan", _cmd_scan, "flat per-model records over an (r, d) window"):
         p.add_argument("r_lo", type=int)

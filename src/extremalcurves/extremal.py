@@ -11,12 +11,14 @@ and the scroll classes are what the gonality theory consumes: the ruling
 cuts out the gonality pencil, so type-II models are m-gonal and type-III
 models are (m+1)-gonal, while the plane model of degree k is (k-1)-gonal.
 
-``ExtremalModel(kind, d, r)`` refuses d < 2r+1 and derives every other
-field: the split (m, eps) and the genus pi(d, r) from ``profile``, gamma,
-the scroll class and k from the kind.  Those per-kind formulas live in
-one private helper that the constructor and ``classify_extremal`` share;
-callers that computed a field another way pass it as a claim for the
-constructor to confirm.
+``ExtremalModel(kind, d, r)`` is the model of that kind among
+``classify_extremal(d, r)``: ``profile`` refuses d < 2r+1 first, and
+then a kind not listed there is refused.  So ``classify_extremal`` is the
+one place that says when a kind exists, and its private helper the one
+place that derives each kind's fields: the split (m, eps) and the genus
+pi(d, r) from ``profile``, gamma, the scroll class and k from the kind.
+Callers that computed a field another way pass it as a claim, and the
+constructor compares each claim with the model's field.
 
 ``classify_extremal`` enumerates the candidate models for (d, r); they
 are candidates, not a unique answer.  ``verify_extremal_class`` checks a
@@ -56,12 +58,14 @@ class ModelKind(Enum):
 class ExtremalModel(namedtuple("ExtremalModel", "kind d r m eps gamma g scroll_class k")):
     """One candidate model of an extremal curve of degree d in P^r.
 
-    (kind, d, r) determine the rest, and d < 2r+1 is refused.  m, eps and
-    the genus g = pi(d, r) come from ``profile``; the kind gives gamma,
-    the scroll class in the (H, L) basis (scroll kinds) and the plane
-    degree k (plane kind only).  The fields after r are optional claims:
-    each one given is checked on its own against the derived value, and a
-    disagreement is refused.
+    (kind, d, r) determine the rest: the constructor returns the model of
+    ``kind`` that ``classify_extremal(d, r)`` lists, and refuses d < 2r+1
+    and a kind absent at (d, r).  m, eps and the genus g = pi(d, r) come
+    from ``profile``; the kind gives gamma, the scroll class in the
+    (H, L) basis (scroll kinds) and the plane degree k (plane kind only).
+    The fields after r are optional claims: each one given is compared
+    with the model's field, and a disagreement is refused with a message
+    naming the field, the claim and the model.
     """
 
     __slots__ = ()
@@ -69,28 +73,18 @@ class ExtremalModel(namedtuple("ExtremalModel", "kind d r m eps gamma g scroll_c
     def __new__(cls, kind: ModelKind, d: int, r: int, m: int | None = None,
                 eps: int | None = None, gamma: int | None = None, g: int | None = None,
                 scroll_class: tuple[int, int] | None = None, k: int | None = None):
-        p = profile(d, r)
-        if m not in (None, p.m) or eps not in (None, p.eps):
-            given = tuple.__new__(cls, (kind, d, r, m, eps, gamma, g, scroll_class, k))
-            raise InvalidInput(f"(m, eps) do not split d-1 for {given}")
-        if g not in (None, p.pi):
-            raise InvalidInput(f"genus {g} is not the maximal genus {p.pi}")
-        model = _model(kind, p)
-        if kind is ModelKind.TYPE_II:
-            if p.eps != 0 or gamma not in (None, model.gamma):
-                raise InvalidInput("type-II models need eps=0 and gamma=m")
-            if scroll_class not in (None, model.scroll_class) or k is not None:
-                raise InvalidInput("type-II models live in |m*H + L|")
-        elif kind is ModelKind.TYPE_III:
-            if gamma not in (None, model.gamma):
-                raise InvalidInput("type-III models need gamma=m+1")
-            if scroll_class not in (None, model.scroll_class) or k is not None:
-                raise InvalidInput("type-III models live in |(m+1)*H - (r-eps-2)*L|")
-        else:  # the plane kind: ``_model`` refused every other
-            if r != 5 or d % 2 or k not in (None, model.k):
-                raise InvalidInput("plane models need r=5 and d=2k")
-            if gamma not in (None, model.gamma) or scroll_class is not None:
-                raise InvalidInput("plane models of degree k are (k-1)-gonal")
+        for model in classify_extremal(d, r):
+            if model.kind is kind:
+                break
+        else:
+            raise InvalidInput(
+                f"no {kind} model at d={d} r={r}: type-II models need eps=0"
+                " and plane models need r=5 and d=2k"
+                if isinstance(kind, ModelKind) else f"unknown model kind {kind!r}")
+        claims = (m, eps, gamma, g, scroll_class, k)
+        for name, claim, value in zip(cls._fields[3:], claims, model[3:]):
+            if claim is not None and claim != value:
+                raise InvalidInput(f"claimed {name}={claim!r}, but the model is {model}")
         return model
 
     @property
@@ -136,10 +130,8 @@ def _model(kind: ModelKind, p: CurveProfile) -> ExtremalModel:
         gamma, scroll, k = m, (m, 1), None
     elif kind is _TYPE_III:
         gamma, scroll, k = m + 1, (m + 1, -(r - eps - 2)), None
-    elif kind is _PLANE_VERONESE:
+    else:  # the plane kind; ``classify_extremal`` passes no other
         gamma, scroll, k = d // 2 - 1, None, d // 2
-    else:
-        raise InvalidInput(f"unknown model kind {kind!r}")
     return tuple.__new__(ExtremalModel, (kind, d, r, m, eps, gamma, pi, scroll, k))
 
 
@@ -149,8 +141,9 @@ def classify_extremal(d: int, r: int) -> list[ExtremalModel]:
     Always contains the type-III model; adds the type-II model when
     eps = 0 (listed first, it has the lower gonality) and the plane model
     when r = 5 and d = 2k is even (listed last; k >= 6 holds automatically
-    once d >= 2r+1).  One ``profile`` call serves every model, and its
-    strict mode refuses r < 3 and d < 2r+1 as the model constructor does.
+    once d >= 2r+1).  These are the only existence conditions: the model
+    constructor refuses any kind this list omits.  One ``profile`` call
+    serves every model, and its strict mode refuses r < 3 and d < 2r+1.
     """
     p = profile(d, r)
     models = [_model(_TYPE_II, p)] if p.eps == 0 else []

@@ -51,6 +51,8 @@ class ScanRecord(namedtuple("ScanRecord", SCAN_FIELDS)):
         return dict(zip(SCAN_FIELDS, self))
 
 
+# table1's modes, ``table1 --mode``'s choices; the first is the default
+MODES = ("paper-faithful", "resolved")
 STAR = "★"
 STAR_RESOLVED = "yes if r=4; no if r>=5"
 
@@ -73,7 +75,7 @@ class TableRow(namedtuple("TableRow", "degree_expr gamma m eps eps_expr verdict"
         }
 
 
-def table1(gamma_max: int = 6, mode: str = "paper-faithful") -> list[TableRow]:
+def table1(gamma_max: int = 6, mode: str = MODES[0]) -> list[TableRow]:
     """Rows of the degree/gonality summary table up to the given gonality.
 
     mode "paper-faithful" leaves the open gamma=4 corner as a star;
@@ -83,14 +85,14 @@ def table1(gamma_max: int = 6, mode: str = "paper-faithful") -> list[TableRow]:
     return list(table1_rows(gamma_max, mode))
 
 
-def table1_rows(gamma_max: int = 6, mode: str = "paper-faithful") -> Iterator[TableRow]:
+def table1_rows(gamma_max: int = 6, mode: str = MODES[0]) -> Iterator[TableRow]:
     """The rows of ``table1`` one at a time.  The arguments are checked
     when it is called, so a huge gamma_max streams its about
     gamma_max**2/2 rows instead of holding them."""
     if gamma_max < 4:
         raise InvalidInput(f"need gamma_max >= 4, got {gamma_max}")
-    if mode not in ("paper-faithful", "resolved"):
-        raise InvalidInput(f"unknown mode {mode!r}; use paper-faithful or resolved")
+    if mode not in MODES:
+        raise InvalidInput(f"unknown mode {mode!r}; use {' or '.join(MODES)}")
     return _table1_rows(gamma_max, mode)
 
 

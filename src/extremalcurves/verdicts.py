@@ -105,15 +105,18 @@ def slope_verdict(model: ExtremalModel) -> SlopeVerdict:
     return _OPEN
 
 
+# the families whose whole sequence behavior is known, ``slope --family``'s choices
+FAMILIES = ("hyperelliptic", "trigonal", "bielliptic", "general_fourgonal")
+
+
 def known_family_verdict(family: str) -> SlopeVerdict:
     """Verdicts for curve families whose whole sequence behavior is known.
 
     Only reachable by naming the family explicitly; nothing infers these
     from (d, r, gamma).
     """
-    families = ("hyperelliptic", "trigonal", "bielliptic", "general_fourgonal")
-    if family not in families:
-        raise InvalidInput(f"unknown curve family {family!r}; pick one of {families}")
+    if family not in FAMILIES:
+        raise InvalidInput(f"unknown curve family {family!r}; pick one of {FAMILIES}")
     return SlopeVerdict(
         Status.HOLDS,
         "known-family",
@@ -124,12 +127,17 @@ def known_family_verdict(family: str) -> SlopeVerdict:
 # -- smooth plane curves ---------------------------------------------------
 
 
-def _noether_split(r: int) -> tuple[int, int]:
+def _noether_split(k: int, r: int) -> tuple[int, int]:
     """The unique (alpha, beta) with r = alpha*(alpha+3)/2 - beta, 0 <= beta <= alpha.
 
     The blocks [alpha*(alpha+1)/2, alpha*(alpha+3)/2] tile the positive
     integers, so alpha is the largest value with alpha*(alpha+1)/2 <= r.
+    Refuses a plane degree k < 5 first, then r < 1.
     """
+    if k < 5:
+        raise UnsupportedInput(f"plane-curve sequences need degree k >= 5, got {k}")
+    if r < 1:
+        raise InvalidInput(f"need r >= 1, got {r}")
     alpha = (isqrt(8 * r + 1) - 1) // 2
     beta = alpha * (alpha + 3) // 2 - r
     return alpha, beta
@@ -141,14 +149,10 @@ def plane_curve_gonality(k: int, r: int) -> int:
     Below the genus the sequence is alpha*k - beta on the Noether split
     of r; from r = g on it is the known tail r + g.
     """
-    if k < 5:
-        raise UnsupportedInput(f"plane-curve sequences need degree k >= 5, got {k}")
-    if r < 1:
-        raise InvalidInput(f"need r >= 1, got {r}")
+    alpha, beta = _noether_split(k, r)
     g = plane_genus(k)
     if r >= g:
         return r + g
-    alpha, beta = _noether_split(r)
     return alpha * k - beta
 
 
@@ -159,11 +163,7 @@ def plane_slope_verdict(k: int, r: int) -> SlopeVerdict:
     holds; on a block boundary it fails when alpha <= k-4, and otherwise
     r >= g-1, where the steps are 2 then 1 and it holds (equality at g-1).
     """
-    if k < 5:
-        raise UnsupportedInput(f"plane-curve sequences need degree k >= 5, got {k}")
-    if r < 1:
-        raise InvalidInput(f"need r >= 1, got {r}")
-    alpha, beta = _noether_split(r)
+    alpha, beta = _noether_split(k, r)
     if beta != 0:
         return SlopeVerdict(
             Status.HOLDS,

@@ -9,6 +9,7 @@ one PASS/FAIL line to ``REPORT_LINES``; the terminal summary hook in
 
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from time import perf_counter
 
 import pytest
 
+import extremalcurves
 from extremalcurves import (
     ContradictionError,
     Status,
@@ -47,6 +49,7 @@ from extremalcurves.selfcheck import (
     tally,
 )
 
+SRC = str(Path(extremalcurves.__file__).resolve().parents[1])
 GOLDEN = Path(__file__).parent / "golden" / "table1_gamma6_paper.md"
 
 REPORT_LINES = []
@@ -233,10 +236,11 @@ def test_criterion_11():
         assert info.value.lo_tag == "assume"
         assert info.value.hi_tag != "assume"
 
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(
         [sys.executable, "-m", "extremalcurves", "bounds", "4", "12",
          "--assume", "2=9"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 3
     assert "assume" in proc.stderr and "gonal-ceiling" in proc.stderr

@@ -763,19 +763,21 @@ def test_the_named_subparser_parses_as_the_whole_parser(capsys, monkeypatch):
 
 
 def test_module_invocation_contradiction():
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(
         [sys.executable, "-m", "extremalcurves", "bounds", "4", "12",
          "--assume", "2=9"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 3
     assert "assume" in proc.stderr and "gonal-ceiling" in proc.stderr
 
 
 def test_module_invocation_unicode():
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(
         [sys.executable, "-m", "extremalcurves", "table1"],
-        capture_output=True, text=True, encoding="utf-8",
+        capture_output=True, text=True, encoding="utf-8", env=env,
     )
     assert proc.returncode == 0
     assert "★" in proc.stdout

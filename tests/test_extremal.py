@@ -93,7 +93,7 @@ def test_maximal_genus_check_covers_plane_models():
     for k in range(6, 2001):
         assert profile(2 * k, 5).pi == plane_genus(k)
     ExtremalModel(kind=ModelKind.PLANE_VERONESE, d=14, r=5, m=3, eps=1, gamma=6, g=15, k=7)
-    with pytest.raises(InvalidInput, match="is not the maximal genus"):
+    with pytest.raises(InvalidInput, match=r"claimed g=14, but the model is .* g=15,"):
         ExtremalModel(kind=ModelKind.PLANE_VERONESE, d=14, r=5, m=3, eps=1,
                       gamma=6, g=14, k=7)
 
@@ -108,17 +108,23 @@ def _per_kind(d, r, p):
 
 
 def test_constructor_derives_every_field():
-    count = 0
+    count = absent = 0
     for r in range(3, 31):
         for d in range(2 * r + 1, 8 * r + 1):
             p = profile(d, r)
             per_kind = _per_kind(d, r, p)
-            for model in classify_extremal(d, r):
+            models = classify_extremal(d, r)
+            for model in models:
                 gamma, scroll_class, k = per_kind[model.kind]
                 assert model == (model.kind, d, r, p.m, p.eps, gamma, p.pi, scroll_class, k)
                 assert ExtremalModel(model.kind, d, r) == model
                 count += 1
+            for kind in set(ModelKind) - {model.kind for model in models}:
+                with pytest.raises(InvalidInput, match=f"no {kind} model at d={d} r={r}"):
+                    ExtremalModel(kind, d, r)
+                absent += 1
     assert count == 2964
+    assert absent == 5352
 
 
 def _sample_models():

@@ -113,11 +113,11 @@ def test_invalid_data_rejected_by_constructor():
         ScrollEmbedding(n=3, beta=2, r=2)
     with pytest.raises(InvalidInput):
         ScrollEmbedding(n=1, beta=2, r=5)
-    with pytest.raises(InvalidInput, match=r"do not split d-1 for ExtremalModel\(kind="):
+    with pytest.raises(InvalidInput, match=r"claimed eps=1, but the model is ExtremalModel\(kind="):
         ExtremalModel(kind=ModelKind.TYPE_II, d=13, r=5, m=3, eps=1, gamma=3, g=12,
                       scroll_class=(3, 1))
-    with pytest.raises(InvalidInput, match="not the maximal genus 12"):
+    with pytest.raises(InvalidInput, match=r"claimed g=11, but the model is .* g=12,"):
         ExtremalModel(ModelKind.TYPE_III, 13, 5, 3, 0, 4, 11, (4, -3))
-    with pytest.raises(InvalidInput, match="plane models need r=5 and d=2k"):
+    with pytest.raises(InvalidInput, match=r"claimed k=6, but the model is .* k=7\)"):
         ExtremalModel(kind=ModelKind.PLANE_VERONESE, d=14, r=5, m=3, eps=1,
                       gamma=6, g=15, k=6)
