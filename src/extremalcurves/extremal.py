@@ -11,17 +11,12 @@ and the scroll classes are what the gonality theory consumes: the ruling
 cuts out the gonality pencil, so type-II models are m-gonal and type-III
 models are (m+1)-gonal, while the plane model of degree k is (k-1)-gonal.
 
-``ExtremalModel(kind, d, r)`` is the model of that kind among
-``classify_extremal(d, r)``: ``profile`` refuses d < 2r+1 first, and
-then a kind not listed there is refused.  So ``classify_extremal`` is the
-one place that says when a kind exists, and its private helper the one
-place that derives each kind's fields: the split (m, eps) and the genus
-pi(d, r) from ``profile``, gamma, the scroll class and k from the kind.
-Callers that computed a field another way pass it as a claim, and the
-constructor compares each claim with the model's field.
-
 ``classify_extremal`` enumerates the candidate models for (d, r); they
-are candidates, not a unique answer.  ``verify_extremal_class`` checks a
+are candidates, not a unique answer.  It is the one place that says when
+a kind exists: ``ExtremalModel(kind, d, r)`` is the model of that kind
+it lists, and ``classify_run`` the degrees over which its list keeps
+its kinds.  Its private helper is the one place that derives each
+kind's fields.  ``verify_extremal_class`` checks a
 scroll class by adjunction against the genus bound.  ``embed_extremal``
 runs the constructive direction: it takes a class gamma*C0 + lambda*L on
 a Hirzebruch surface and produces its unisecant embedding, an extremal
@@ -151,6 +146,17 @@ def classify_extremal(d: int, r: int) -> list[ExtremalModel]:
     if r == 5 and d % 2 == 0:
         models.append(_model(_PLANE_VERONESE, p))
     return models
+
+
+def classify_run(d: int, r: int) -> tuple[list[ExtremalModel], int]:
+    """``classify_extremal(d, r)`` and the end of its run: up to that degree
+    the list holds the same kinds and gamma, with m fixed and eps one up
+    per degree.  The conditions above change the kinds only at eps = 0 and,
+    at r = 5, with the parity of d: a run is one degree there, else the
+    rest of the period of m."""
+    models = classify_extremal(d, r)
+    eps = models[0].eps
+    return models, d + 1 if eps == 0 or r == 5 else d + r - 1 - eps
 
 
 def verify_extremal_class(h: int, l: int, scroll: ScrollEmbedding) -> bool:

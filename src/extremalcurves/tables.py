@@ -10,8 +10,10 @@ checks its arguments when called and yields the rows one at a time;
 
 ``scan`` walks a concrete (r, d) window instead and yields one
 ``ScanRecord`` row per extremal model, including its slope verdict and
-the Brill-Noether number at the extremal genus.  It checks its arguments
-when called and returns an iterator, not a list.
+the Brill-Noether number at the extremal genus, from one ``classify_run``
+and ``slope_run`` per run of degrees and C-level zips that step pi and rho
+by one difference of ``max_genus`` and ``brill_noether`` per degree.  It
+checks its arguments when called and returns an iterator, not a list.
 
 ``write_records`` renders records as markdown, csv or json to a text
 stream, BATCH records per write, so its memory does not grow with the
@@ -30,7 +32,7 @@ from __future__ import annotations
 import io
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from itertools import chain, islice, repeat
+from itertools import chain, count, islice, repeat
 
 from .errors import InvalidInput
 
@@ -121,47 +123,29 @@ def _table1_rows(gamma_max: int, mode: str) -> Iterator[TableRow]:
 
 
 def row_models(row: TableRow, r: int) -> list[ExtremalModel]:
-    """The row's extremal models at a concrete r (empty off the row)."""
-    from .extremal import ModelKind, classify_extremal
+    """The row's scroll models at a concrete r (empty off the row)."""
+    from .extremal import classify_extremal
 
     if r < 3:
         raise InvalidInput(f"need r >= 3, got {r}")
     if row.degree_lo is None:
         return []
-    d_lo = row.degree_lo[0] * r + row.degree_lo[1]
-    d_hi = row.degree_hi[0] * r + row.degree_hi[1]
-    out = []
-    for d in range(d_lo, d_hi + 1):
-        if d < 2 * r + 1:
-            continue
-        for model in classify_extremal(d, r):
-            if model.gamma != row.gamma:
-                continue
-            if model.kind is ModelKind.PLANE_VERONESE:
-                continue
-            if model.m != row.m:
-                continue
-            if row.eps is not None and model.eps != row.eps:
-                continue
-            out.append(model)
-    return out
+    (a, b), (c, e) = row.degree_lo, row.degree_hi
+    return [model for d in range(max(a * r + b, 2 * r + 1), c * r + e + 1)
+            for model in classify_extremal(d, r)
+            if model.k is None and (model.gamma, model.m) == (row.gamma, row.m)
+            and row.eps in (None, model.eps)]
 
 
 def expected_status(row: TableRow, r: int) -> Status | None:
     """The verdict the row claims at a concrete r; None where it is silent."""
     from .verdicts import Status
 
-    if row.star:
-        if r == 4:
-            return Status.HOLDS
-        if r >= 5:
-            return Status.VIOLATED
-        return None
+    if row.star:  # holds at r = 4, fails from r = 5 on
+        return Status.HOLDS if r == 4 else Status.VIOLATED if r >= 5 else None
     if row.verdict.startswith("yes"):
         return Status.HOLDS
-    if row.verdict == "no":
-        return Status.VIOLATED
-    return None
+    return Status.VIOLATED if row.verdict == "no" else None
 
 
 def scan(r_lo: int, r_hi: int, d_max: int | None = None) -> Iterator[ScanRecord]:
@@ -179,25 +163,35 @@ def scan(r_lo: int, r_hi: int, d_max: int | None = None) -> Iterator[ScanRecord]
         raise InvalidInput(f"need r_hi >= r_lo, got {r_hi} < {r_lo}")
     if d_max is not None:  # no degree d >= 2r+1 fits under d_max past this r
         r_hi = min(r_hi, (d_max - 1) // 2)
-    return _scan_records(r_lo, r_hi, d_max)
+    return chain.from_iterable(_scan_runs(r_lo, r_hi, d_max))
 
 
-def _scan_records(r_lo: int, r_hi: int, d_max: int | None) -> Iterator[ScanRecord]:
-    from .castelnuovo import brill_noether
-    from .extremal import classify_extremal
-    from .verdicts import slope_verdict
+def _scan_runs(r_lo: int, r_hi: int, d_max: int | None):  # one record iterator per run
+    from .castelnuovo import brill_noether, max_genus
+    from .extremal import classify_run
+    from .verdicts import slope_run
 
-    new = tuple.__new__
     for r in range(r_lo, r_hi + 1):
-        ceiling = d_max if d_max is not None else 6 * r - 5
-        for d in range(2 * r + 1, ceiling + 1):
-            models = classify_extremal(d, r)
-            rho = brill_noether(d, r, models[0].g)  # one genus pi(d, r) for all
-            for model in models:
+        d, stop = 2 * r + 1, (d_max if d_max is not None else 6 * r - 5) + 1
+        while d < stop:
+            models, end = classify_run(d, r)
+            verdicts, ends = zip(*map(slope_run, models))
+            end, rows = min(stop, end, *filter(None, ends)), []
+            _, _, _, m, eps, _, pi, _, _ = models[0]  # the models share one split and genus
+            rho = brill_noether(d, r, pi)
+            for model, verdict in zip(models, verdicts):
                 # _value_ is the token str() returns, without the call
-                yield new(ScanRecord, (r, d, model.m, model.eps, model.g,
-                                       model.kind._value_, model.gamma,
-                                       slope_verdict(model).status._value_, rho))
+                kind, gamma, status = model.kind._value_, model.gamma, verdict.status._value_
+                if end == d + 1:  # one degree: its row, not a set of iterators
+                    rows.append([(r, d, m, eps, pi, kind, gamma, status, rho)])
+                    continue
+                step = max_genus(m, eps + 1, r) - pi
+                rows.append(zip(repeat(r), range(d, end), repeat(m), count(eps),
+                                count(pi, step), repeat(kind), repeat(gamma), repeat(status),
+                                count(rho, brill_noether(d + 1, r, pi + step) - rho)))
+            rows = rows[0] if len(rows) == 1 else chain.from_iterable(zip(*rows))
+            yield map(tuple.__new__, repeat(ScanRecord), rows)
+            d = end
 
 
 def write_records(out, records: Iterable[dict | tuple], fmt: str = "md",

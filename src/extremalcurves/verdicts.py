@@ -4,10 +4,11 @@ A verdict is always three-valued: the r-th slope inequality
 d_r / r >= d_{r+1} / (r+1) either provably holds, is provably violated,
 or is left open.  Undetermined is a first-class answer, never an error.
 
-``slope_verdict`` decides it for an extremal model from (d, r, gamma)
-alone, ``plane_slope_verdict`` for a smooth plane curve from its
-Noether split, and ``known_family_verdict`` for a named family.  None of
-them needs the gonality ledger, so a scan of verdicts never loads it.
+``slope_run`` decides it for an extremal model from (d, r, gamma) alone
+per run of degrees (``slope_verdict`` at one degree), ``plane_slope_verdict``
+for a smooth plane curve from its Noether split, and
+``known_family_verdict`` for a named family.  None of them needs the
+gonality ledger, so a scan of verdicts never loads it.
 """
 
 from __future__ import annotations
@@ -26,9 +27,7 @@ class Status(Enum):
     UNDETERMINED = "undetermined"
 
     def __str__(self) -> str:  # serialization token
-        # _value_ is a plain attribute; the .value property costs about five
-        # times as much, and a scan renders one token per record
-        return self._value_
+        return self._value_  # a plain attribute, unlike the .value property
 
 
 class SlopeVerdict(namedtuple("SlopeVerdict", "status tag reason")):
@@ -44,65 +43,55 @@ class SlopeVerdict(namedtuple("SlopeVerdict", "status tag reason")):
         return {"status": self.status.value, "tag": self.tag, "reason": self.reason}
 
 
-# the verdicts slope_verdict returns outside the plane branch, one object each
+# the verdicts slope_run returns outside the plane branch, one object each
 _LOW_GONALITY = SlopeVerdict(
-    Status.HOLDS,
-    "low-gonality",
-    "gonality at most 3: the full sequence is known and slope-monotone",
-)
+    Status.HOLDS, "low-gonality",
+    "gonality at most 3: the full sequence is known and slope-monotone")
 _FOURGONAL_10_4 = SlopeVerdict(
-    Status.HOLDS,
-    "fourgonal-10-4",
-    "the genus-9 fourgonal space model has d_4=10 and d_5=13;"
-    " no slope violation fits",
-)
+    Status.HOLDS, "fourgonal-10-4",
+    "the genus-9 fourgonal space model has d_4=10 and d_5=13; no slope violation fits")
 _DUAL_PROJECTION = SlopeVerdict(
-    Status.VIOLATED,
-    "dual-projection",
-    "double projection pins d_{r+1} = 3r+1 while d_r <= 3r-2;"
-    " the r-th slope fails",
-)
+    Status.VIOLATED, "dual-projection",
+    "double projection pins d_{r+1} = 3r+1 while d_r <= 3r-2; the r-th slope fails")
 _DEGREE_3R_1 = SlopeVerdict(
-    Status.VIOLATED,
-    "degree-3r-1",
-    "degree 3r-1 extremal curves violate the r-th slope inequality",
-)
+    Status.VIOLATED, "degree-3r-1",
+    "degree 3r-1 extremal curves violate the r-th slope inequality")
 _BAND = SlopeVerdict(
-    Status.HOLDS,
-    "band",
+    Status.HOLDS, "band",
     "degree sits in the band r*(gamma-1) <= d <= gamma*(r-1)+1 where"
-    " the residual pencil argument closes the inequality",
-)
+    " the residual pencil argument closes the inequality")
 _OPEN = SlopeVerdict(
-    Status.UNDETERMINED,
-    "open",
-    "outside every certified range; no verdict is known",
-)
+    Status.UNDETERMINED, "open", "outside every certified range; no verdict is known")
 
 
 def slope_verdict(model: ExtremalModel) -> SlopeVerdict:
-    """Three-valued verdict on the r-th slope inequality for an extremal model.
+    """Three-valued verdict on the r-th slope inequality for an extremal model."""
+    return slope_run(model)[0]
 
-    Decision order (first match wins): low gonality, plane models, the
-    fourgonal degree-(3r-2) split, degree 3r-1, the harmless band
-    r*(gamma-1) <= d <= gamma*(r-1)+1, otherwise Undetermined.  Every
-    verdict but the plane one is a shared constant.
-    """
-    r, d, gamma = model.r, model.d, model.gamma
+
+def slope_run(model: ExtremalModel) -> tuple[SlopeVerdict, int | None]:
+    """The slope verdict of ``model`` and the degree where its run ends
+    (None: no end): the models of its kind, r and gamma from ``model.d``
+    up to there have it.  Decision list, first match wins: low gonality,
+    plane models (a run of one degree), the band r*(gamma-1) <= d <=
+    gamma*(r-1)+1, the fourgonal degree-(3r-2) split, degree 3r-1, else
+    Undetermined.  The band starts at 3r or above for gamma >= 4, so a run
+    ends where d reaches 3r-2, 3r-1 or the band, or leaves one of them."""
+    d, r, gamma = model.d, model.r, model.gamma
     if gamma <= 3:
-        return _LOW_GONALITY
+        return _LOW_GONALITY, None
     if model.k is not None:  # the plane model of degree k
-        return plane_slope_verdict(model.k, r)
-    if gamma == 4 and d == 3 * r - 2:
-        if r == 4:
-            return _FOURGONAL_10_4
-        if r >= 5:
-            return _DUAL_PROJECTION
+        return plane_slope_verdict(model.k, r), d + 1
+    band, top = r * (gamma - 1), gamma * (r - 1) + 1
+    if band <= d <= top:
+        return _BAND, top + 1
+    if d == 3 * r - 2 and gamma == 4 and r >= 4:
+        return (_FOURGONAL_10_4 if r == 4 else _DUAL_PROJECTION), d + 1
     if d == 3 * r - 1:
-        return _DEGREE_3R_1
-    if r * (gamma - 1) <= d <= gamma * (r - 1) + 1:
-        return _BAND
-    return _OPEN
+        return _DEGREE_3R_1, d + 1
+    # open up to the next degree where a rule above starts: 3r-2, 3r-1, the band
+    return _OPEN, (3 * r - 2 if d < 3 * r - 2 else d + 1 if d < 3 * r
+                   else band if d < band else None)
 
 
 # the families whose whole sequence behavior is known, ``slope --family``'s choices

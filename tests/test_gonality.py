@@ -21,6 +21,7 @@ from extremalcurves import (
     with_assumptions,
 )
 from extremalcurves.selfcheck import foursecant_sweep, tally
+from extremalcurves.verdicts import slope_run
 
 
 def rows(led):
@@ -220,6 +221,20 @@ def test_slope_verdict_table():
     assert v.status is Status.VIOLATED and v.tag == "noether-block"
     v = verdict(21, 6, 4)
     assert v.status is Status.HOLDS and v.tag == "band"
+
+
+def test_slope_run_keeps_its_verdict_up_to_its_end():
+    # scroll models of one kind, r and gamma at any degree: each keeps the
+    # verdict of its run up to the run's end, and an endless run far past it
+    for r in range(3, 13):
+        base = classify_extremal(2 * r + 1, r)[-1]
+        for gamma in range(2, 10):
+            for d in range(2 * r + 1, 8 * r):
+                model = base._replace(d=d, gamma=gamma)
+                verdict, end = slope_run(model)
+                assert end is None or end > d
+                for later in range(d, end or 10 * r):
+                    assert slope_verdict(model._replace(d=later)) is verdict, (r, gamma, d)
 
 
 def test_verdict_reasons_are_comma_free():

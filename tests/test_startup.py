@@ -82,6 +82,21 @@ def test_subcommand_loads_only_its_layers(argv):
     assert ours == {f"extremalcurves.{m}" for m in RUN_LAYERS[argv].split()}
 
 
+def test_scan_child_source_does_not_grow():
+    # With bytecode writing off, a child compiles every package module it
+    # imports, and the compile's memory peak counts in its peak RSS.  A
+    # `python -m extremalcurves scan 3 4` child also compiles __main__.
+    _, on_import, on_run = _child(CHILD.format(argv=["scan", "3", "4"]))
+    package = Path(extremalcurves.__file__).parent
+    lines = {name: len((package / f"{name}.py").read_text(encoding="utf-8").splitlines())
+             for name in ["__main__"] + [m.partition(".")[2] or "__init__"
+                                         for m in (on_import + " " + on_run).split()
+                                         if m.startswith("extremalcurves")]}
+    assert len(lines) == 8
+    assert sum(lines.values()) <= 1300
+    assert lines["tables"] <= 320
+
+
 ARGUMENTS = """
 import argparse, io, sys
 import extremalcurves.cli

@@ -13,7 +13,9 @@ from extremalcurves import (
     SCAN_FIELDS,
     STAR,
     STAR_RESOLVED,
+    ScanRecord,
     Status,
+    brill_noether,
     classify_extremal,
     expected_status,
     row_models,
@@ -23,6 +25,7 @@ from extremalcurves import (
     table1,
 )
 import extremalcurves.extremal
+import extremalcurves.verdicts
 from extremalcurves.tables import BATCH, write_records
 
 
@@ -304,19 +307,56 @@ def test_malformed_records_raise_invalid_input(fmt, at, good, bad):
     assert (written == "") == (at < BATCH)
 
 
-def test_scan_profiles_each_point_once(monkeypatch):
-    calls = 0
-    profile = extremalcurves.extremal.profile
+def test_scan_profiles_each_run_once(monkeypatch):
+    # classification and decision calls grow with the runs of degrees, not
+    # with the records: past r = 5 every r has the same runs in number
+    calls = {"profile": 0, "slope_run": 0}
 
-    def counting(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return profile(*args, **kwargs)
+    def counting(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(extremalcurves.extremal, "profile", counting)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(extremalcurves.extremal, "profile")
+    counting(extremalcurves.verdicts, "slope_run")
+    seen = {}
+    for r in (8, 40, 80):
+        calls.update(profile=0, slope_run=0)
+        seen[r] = (len(list(scan(r, r))), calls["profile"], calls["slope_run"])
+    assert seen == {8: (31, 11, 15), 40: (159, 11, 15), 80: (319, 11, 15)}
+    calls.update(profile=0, slope_run=0)
     records = list(scan(3, 48))
     assert len(records) == 4653
-    assert calls == len({(rec.r, rec.d) for rec in records}) == 4462
+    assert calls["profile"] <= 11 * 46 and calls["slope_run"] <= 16 * 46
+
+
+def _scan_reference(r_lo, r_hi, d_max=None):
+    # the per-point loop scan ran before it walked runs of degrees
+    for r in range(r_lo, r_hi + 1):
+        ceiling = d_max if d_max is not None else 6 * r - 5
+        for d in range(2 * r + 1, ceiling + 1):
+            for model in classify_extremal(d, r):
+                yield (r, d, model.m, model.eps, model.g, model.kind.value, model.gamma,
+                       slope_verdict(model).status.value, brill_noether(d, r, model.g))
+
+
+# windows that cut every run boundary: d_max below 2*r_lo+1 and at it,
+# inside a period, at 3r-2 and 3r-1 and far past 6r-5; r_lo = r_hi; r = 4
+# (the fourgonal 10-4 case) and r = 5 (plane models between scroll records)
+DIFFERENTIAL = [(3, 40, None), (6, 9, 12), (6, 9, 13), (3, 12, 200), (20, 22, 500),
+                (17, 17, None), (4, 4, None), (5, 5, None), (5, 5, 120)] + [
+    (r, r, d_max) for r in (3, 4, 5, 6, 7, 9, 13) for d_max in range(2 * r, 6 * r + 2)]
+
+
+def test_scan_equals_the_per_point_reference():
+    for r_lo, r_hi, d_max in DIFFERENTIAL:
+        records = list(scan(r_lo, r_hi, d_max))
+        assert records == list(_scan_reference(r_lo, r_hi, d_max)), (r_lo, r_hi, d_max)
+        assert all(type(rec) is ScanRecord for rec in records)
 
 
 def test_equal_slope_verdicts_are_one_object():
