@@ -42,10 +42,13 @@ only fall, and a crossing stops the closure, so every hi[r] stays at or
 above lo[r].  A crossing raises a ``ContradictionError`` naming the
 provenance tags on both sides.
 
-Ledgers are single-owner and mutable while built, then frozen; frozen
-ledgers are immutable and safe to share.  The derived-fact helpers below
-(``apply_extremal_facts``, ``with_assumptions``, ``verylast_sequence``)
-all return new frozen ledgers.
+A ledger is its seed facts closed once.  Seeds are facts (index, lo, hi,
+tag): the classical values, the entries an extremal model pins, or
+what-if assumptions.  ``tighten`` applies facts in order to a ledger
+under construction; ``_close`` applies them to a copy of a frozen base,
+closes the copy with ``propagate`` and freezes it.  Frozen ledgers are
+immutable and safe to share, and every helper below returns a new one
+and leaves its base untouched.
 """
 
 from __future__ import annotations
@@ -132,27 +135,27 @@ class GonalityLedger:
         if self._frozen:
             raise RuntimeError("ledger is frozen; thaw() a copy to refine it")
 
-    def _check_index(self, r: int) -> None:
-        if not 1 <= r <= self.max_index:
-            raise InvalidInput(
-                f"index {r} outside the tracked range 1..{self.max_index}"
-            )
-
-    def set_lo(self, r: int, value: int, tag: str) -> None:
+    def tighten(self, facts) -> "GonalityLedger":
+        """Apply each fact (r, lo, hi, tag) in order: raise lo[r] to lo, then
+        lower hi[r] to hi, each checked against the other side.  A one-sided
+        fact passes lo = 1 or hi = r*gamma.  Past the window d_r is the tail
+        r + g, and a fact there is checked against it under ``riemann-roch``."""
         self._check_mutable()
-        self._check_index(r)
-        if value > self._lo[r]:
-            self._raise_lo(r, value, tag)
-
-    def set_hi(self, r: int, value: int, tag: str) -> None:
-        self._check_mutable()
-        self._check_index(r)
-        if value < self._hi[r]:
-            self._lower_hi(r, value, tag)
-
-    def set_exact(self, r: int, value: int, tag: str) -> None:
-        self.set_lo(r, value, tag)
-        self.set_hi(r, value, tag)
+        for r, lo, hi, tag in facts:
+            if r < 1:
+                raise InvalidInput(f"need index >= 1, got {r}")
+            if r > self.max_index:
+                known = r + self.g
+                if lo > known:
+                    raise ContradictionError(r, lo, known, tag, "riemann-roch")
+                if hi < known:
+                    raise ContradictionError(r, known, hi, "riemann-roch", tag)
+                continue
+            if lo > self._lo[r]:
+                self._raise_lo(r, lo, tag)
+            if hi < self._hi[r]:
+                self._lower_hi(r, hi, tag)
+        return self
 
     def _raise_lo(self, r: int, value: int, tag: str) -> None:
         """Tighten lo[r] to value, checking it against hi[r]."""
@@ -170,14 +173,8 @@ class GonalityLedger:
             raise ContradictionError(r, self._lo[r], value, self._lo_tag[r], tag)
 
     def propagate(self) -> "GonalityLedger":
-        """Close the intervals under strict increase and subadditivity:
-        one ascending lo pass, one descending chain pass (hi becomes
-        strictly increasing) and one ascending subadditivity pass.  With
-        t-1 closed, every split has hi[s] + hi[t-s] >= hi[t-1] + 1, so no
-        second round is needed and slope-one steps are skipped unscanned.
-        Both sides of a split of t lie below t, so only the logged indices
-        below t count: with none, t is skipped; with more than about t/4,
-        every split is scanned; else only the splits with a logged side."""
+        """Close the intervals under strict increase and subadditivity in
+        the three passes the module docstring proves sufficient."""
         self._check_mutable()
         lo, hi = self._lo, self._hi
         lo_tag, hi_tag = self._lo_tag, self._hi_tag
@@ -251,18 +248,20 @@ def _join_tags(t1: str, t2: str) -> str:
     return "+".join(parts)
 
 
+def _close(base: GonalityLedger, facts) -> GonalityLedger:
+    """A new frozen ledger: the facts applied to a copy of base, closed."""
+    return base.thaw().tighten(facts).propagate().freeze()
+
+
 def baseline_ledger(gamma: int, g: int) -> GonalityLedger:
     """The frozen ledger seeded with the classical facts alone."""
-    led = GonalityLedger(gamma, g)
-    led.set_exact(1, gamma, "gonality")
-    led.set_exact(g - 1, 2 * g - 2, "canonical")
-    for r in range(g, led.max_index + 1):
-        led.set_exact(r, r + g, "riemann-roch")
-    return led.propagate().freeze()
+    seeds = [(1, gamma, gamma, "gonality"), (g - 1, 2 * g - 2, 2 * g - 2, "canonical")]
+    seeds += [(r, r + g, r + g, "riemann-roch") for r in range(g, g + 3)]
+    return GonalityLedger(gamma, g).tighten(seeds).propagate().freeze()
 
 
-def _seed_extremal_facts(led: GonalityLedger, model: ExtremalModel) -> None:
-    """Seed (without propagating) the exact entries an extremal model pins.
+def _extremal_facts(model: ExtremalModel) -> list[tuple[int, int, int, str]]:
+    """The facts an extremal model pins.
 
     Degree d >= 3r-1 pins d_{r-1} = d-1, and for gonality >= 4 also
     d_r = d plus, away from plane models, hi_{r+1} <= d + gamma - 1.
@@ -270,14 +269,16 @@ def _seed_extremal_facts(led: GonalityLedger, model: ExtremalModel) -> None:
     d_{r+1} = 3r+1.
     """
     r, d, gamma = model.r, model.d, model.gamma
+    facts = []
     if d >= 3 * r - 1:
-        led.set_exact(r - 1, d - 1, "extremal-drop")
+        facts.append((r - 1, d - 1, d - 1, "extremal-drop"))
         if gamma >= 4:
-            led.set_exact(r, d, "extremal-degree")
+            facts.append((r, d, d, "extremal-degree"))
             if model.k is None:  # away from plane models
-                led.set_hi(r + 1, d + gamma - 1, "gonal-residual")
+                facts.append((r + 1, 1, d + gamma - 1, "gonal-residual"))
     if gamma == 4 and d == 3 * r - 2 and r >= 5:
-        led.set_exact(r + 1, 3 * r + 1, "dual-projection")
+        facts.append((r + 1, 3 * r + 1, 3 * r + 1, "dual-projection"))
+    return facts
 
 
 def apply_extremal_facts(ledger: GonalityLedger, model: ExtremalModel) -> GonalityLedger:
@@ -287,9 +288,7 @@ def apply_extremal_facts(ledger: GonalityLedger, model: ExtremalModel) -> Gonali
             f"ledger is for (gamma={ledger.gamma}, g={ledger.g}) but the model"
             f" has (gamma={model.gamma}, g={model.g})"
         )
-    led = ledger.thaw()
-    _seed_extremal_facts(led, model)
-    return led.propagate().freeze()
+    return _close(ledger, _extremal_facts(model))
 
 
 def with_assumptions(ledger: GonalityLedger,
@@ -299,19 +298,7 @@ def with_assumptions(ledger: GonalityLedger,
     Useful for what-if checks; crossing a derived bound raises a
     ``ContradictionError`` naming the tag ``assume`` and the bound's tag.
     """
-    led = ledger.thaw()
-    for r, value in assumptions:
-        if r < 1:
-            raise InvalidInput(f"need index >= 1, got {r}")
-        if r > led.max_index:
-            known = r + led.g
-            if value != known:  # the tail is already exact out here
-                if value > known:
-                    raise ContradictionError(r, value, known, "assume", "riemann-roch")
-                raise ContradictionError(r, known, value, "riemann-roch", "assume")
-            continue
-        led.set_exact(r, value, "assume")
-    return led.propagate().freeze()
+    return _close(ledger, [(r, value, value, "assume") for r, value in assumptions])
 
 
 # -- the foursecant family on a Hirzebruch surface -------------------------
@@ -346,8 +333,8 @@ def verylast_sequence(n: int) -> tuple[GonalityLedger, list[VerylastRow]]:
     gamma = gonality_from_class(x)
     if (g, gamma) != (6 * n - 3, 4):
         raise ArithmeticError(f"foursecant invariants broke for {x}: g={g} gamma={gamma}")
-    led = baseline_ledger(gamma, g).thaw()
-    rows = []
+    base = baseline_ledger(gamma, g)  # before the sweep: an n too large fails here
+    rows, facts = [], []
     for a in range((n - 3) // 2 + 1):
         r_a = n + 2 * a + 1
         delta_a = 4 * (n + a)
@@ -360,6 +347,5 @@ def verylast_sequence(n: int) -> tuple[GonalityLedger, list[VerylastRow]]:
         model = ExtremalModel(ModelKind.TYPE_III, delta_a, r_a, gamma=gamma, g=g,
                               scroll_class=(4, -4 * a))
         rows.append(VerylastRow(a=a, r=r_a, degree=delta_a, eps=prof.eps))
-        _seed_extremal_facts(led, model)
-    led.propagate().freeze()
-    return led, rows
+        facts += _extremal_facts(model)
+    return _close(base, facts), rows

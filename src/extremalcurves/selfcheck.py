@@ -53,14 +53,21 @@ def bilinearity(cases=random_triples(20210614, 200, 6, 9, 3)):
 
 
 def adjunction_parity(classes=tuple(product(range(7), range(-15, 16), range(-15, 16)))):
-    """(K + X).X is even for X = (n, a, b), and the formal genus is half of it plus one."""
+    """(K + X).X = 2(ab - a - b) - n*a(a-1) for X = (n, a, b), and the formal
+    genus is ab - a - b + 1 - n*a(a-1)/2.
+
+    The pairing is even for every class: 2(ab - a - b) is even, and so is
+    a(a-1), a product of two consecutive integers.  So half the pairing
+    plus one is an integer, and ``formal_genus`` may assert the parity.
+    """
     canonical = functools.cache(canonical_class)  # one canonical class per surface
     for n, a, b in classes:
         x = DivisorClass(n, a, b)
-        pair = intersect(canonical(n) + x, x)
-        yield pair % 2 == 0, f"odd adjunction pairing at {x}"
-        yield (formal_genus(x) == pair // 2 + 1,
-               f"formal genus disagrees with pairing at {x}")
+        half, twist = a * b - a - b, n * a * (a - 1)
+        yield (intersect(canonical(n) + x, x) == 2 * half - twist,
+               f"adjunction pairing off its closed form at {x}")
+        yield (formal_genus(x) == half + 1 - twist // 2,
+               f"formal genus off its closed form at {x}")
 
 
 def genus_closed_form(classes=tuple((n, a, b) for n in range(7) for a in range(2, 9)

@@ -29,7 +29,7 @@ def test_closure_terminates_when_bounds_cross():
     code = (
         "from extremalcurves import ContradictionError, GonalityLedger\n"
         "led = GonalityLedger(4, 10)\n"
-        "led.set_hi(5, 3, 'x')\n"
+        "led.tighten([(5, 1, 3, 'x')])\n"
         "try:\n"
         "    led.propagate()\n"
         "except ContradictionError as exc:\n"
@@ -44,10 +44,8 @@ def test_closure_terminates_when_bounds_cross():
 
 def test_thaw_keeps_pending_tightenings():
     led = GonalityLedger(4, 12)
-    led.set_exact(1, 4, "gonality")
-    led.set_exact(11, 22, "canonical")
-    for r in range(12, 15):
-        led.set_exact(r, r + 12, "riemann-roch")
+    led.tighten([(1, 4, 4, "gonality"), (11, 22, 22, "canonical")])
+    led.tighten([(r, r + 12, r + 12, "riemann-roch") for r in range(12, 15)])
     assert led.thaw().propagate().entries() == baseline_ledger(4, 12).entries()
 
 
@@ -125,15 +123,15 @@ def test_closure_matches_full_rescan(against_reference):
 
 
 def _refine_inside(rng, led):
-    """One to four set_hi/set_lo calls, each to a value inside the current
-    interval, so no setter raises; every hi stays at or above its index."""
+    """One to four one-sided facts, each to a value inside the current
+    interval, so no fact raises; every hi stays at or above its index."""
     for _ in range(rng.randint(1, 4)):
         r = rng.randint(1, led.max_index)
         e = led.entry(r)
         if rng.random() < 0.5:
-            led.set_hi(r, rng.randint(max(r, e.lo), e.hi), rng.choice("abc"))
+            led.tighten([(r, 1, rng.randint(max(r, e.lo), e.hi), rng.choice("abc"))])
         else:
-            led.set_lo(r, rng.randint(e.lo, e.hi), rng.choice("xyz"))
+            led.tighten([(r, rng.randint(e.lo, e.hi), r * led.gamma, rng.choice("xyz"))])
 
 
 def test_random_refinements_match_full_rescan(against_reference):

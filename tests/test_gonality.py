@@ -8,6 +8,7 @@ from extremalcurves import (
     ContradictionError,
     GonalityLedger,
     InvalidInput,
+    ModelKind,
     Status,
     UnsupportedInput,
     apply_extremal_facts,
@@ -140,10 +141,10 @@ def test_facts_reject_mismatched_ledger():
 def test_frozen_ledger_is_immutable():
     led = baseline_ledger(4, 12)
     with pytest.raises(RuntimeError, match="thaw"):
-        led.set_lo(2, 6, "probe")
+        led.tighten([(2, 6, 8, "probe")])
     twin = led.thaw()
     assert not twin.frozen and led.frozen
-    twin.set_lo(2, 6, "probe")
+    twin.tighten([(2, 6, 8, "probe")])
     assert led.entry(2).lo == 5 and twin.entry(2).lo == 6
 
 
@@ -187,6 +188,36 @@ def test_assumptions_beyond_the_window():
     assert (info.value.lo_tag, info.value.hi_tag) == ("riemann-roch", "assume")
     with pytest.raises(InvalidInput):
         with_assumptions(led, [(0, 4)])
+
+
+def test_tighten_at_the_edges():
+    led = GonalityLedger(4, 12)
+    with pytest.raises(InvalidInput):
+        led.tighten([(0, 1, 4, "probe")])
+    # past the window d_20 is the tail 20 + 12 = 32
+    with pytest.raises(ContradictionError) as info:
+        led.tighten([(20, 1, 31, "probe")])
+    assert (info.value.lo_tag, info.value.hi_tag) == ("riemann-roch", "probe")
+    with pytest.raises(ContradictionError) as info:
+        led.tighten([(20, 33, 80, "probe")])
+    assert (info.value.lo_tag, info.value.hi_tag) == ("probe", "riemann-roch")
+    before = rows(led)
+    assert led.tighten([(20, 32, 32, "probe")]) is led
+    assert rows(led) == before and led.entry(20).provenance == ("riemann-roch",)
+
+
+def test_helpers_leave_their_base_untouched():
+    base = baseline_ledger(4, 12)
+    before = base.entries()
+    (model,) = [m for m in classify_extremal(13, 5) if m.kind is ModelKind.TYPE_III]
+    assert (model.gamma, model.g) == (4, 12)
+    assert apply_extremal_facts(base, model).exact_value(6) == 16
+    assert with_assumptions(base, [(3, 6)]).exact_value(3) == 6
+    with pytest.raises(ContradictionError):
+        with_assumptions(base, [(3, 6), (2, 9)])
+    with pytest.raises(InvalidInput):
+        with_assumptions(base, [(3, 6), (0, 4)])
+    assert base.entries() == before and base.frozen
 
 
 def test_consistent_assumptions_refine():
@@ -328,11 +359,8 @@ def test_verylast_validation():
 
 def test_raw_ledger_matches_baseline():
     led = GonalityLedger(4, 12)
-    for r in range(1, led.max_index + 1):
-        led.set_hi(r, 4 * r, "gonal-ceiling")
-    led.set_exact(1, 4, "gonality")
-    led.set_exact(11, 22, "canonical")
-    for r in range(12, 15):
-        led.set_exact(r, r + 12, "riemann-roch")
+    led.tighten([(r, 1, 4 * r, "gonal-ceiling") for r in range(1, led.max_index + 1)])
+    led.tighten([(1, 4, 4, "gonality"), (11, 22, 22, "canonical")])
+    led.tighten([(r, r + 12, r + 12, "riemann-roch") for r in range(12, 15)])
     led.propagate().freeze()
     assert rows(led) == rows(baseline_ledger(4, 12))
