@@ -156,8 +156,7 @@ def _cmd_verylast(args) -> str | dict | list[dict]:
     from .gonality import verylast_sequence
 
     led, rows = verylast_sequence(args.n)
-    abar = (args.n - 3) // 2
-    entries = [_entry_record(led.entry(r)) for r in range(args.n, args.n + 2 * abar + 3)]
+    entries = [_entry_record(led.entry(r)) for r in range(rows[0].r - 1, rows[-1].r + 2)]
     rows = [row.record() for row in rows]
     if args.format == "csv":
         return entries

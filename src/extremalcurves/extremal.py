@@ -21,9 +21,11 @@ scroll class by adjunction against the genus bound.  ``embed_extremal``
 runs the constructive direction: it takes a class gamma*C0 + lambda*L on
 a Hirzebruch surface and produces its unisecant embedding, an extremal
 model when gamma >= 4 (gamma = 3 lands at d = 2r-1, below the regime).
-These two and ``gonality_from_class`` are the lattice layer's only users
-here, and they import it when called, so classifying and scanning never
-load it.
+Its private ``_unisecant_image`` is the one computation of a class's
+image under |C0 + beta*L|, and the foursecant sweep re-embeds through it
+too.  These, ``verify_extremal_class`` and ``gonality_from_class`` are
+the lattice layer's only users here, and they import it when called, so
+classifying and scanning never load it.
 """
 
 from __future__ import annotations
@@ -203,6 +205,15 @@ class EmbedResult(namedtuple(
         return self.profile.r
 
 
+def _unisecant_image(x: DivisorClass, beta: int) -> tuple[ScrollEmbedding, CurveProfile]:
+    """The scroll of |C0 + beta*L| on x's surface and the lenient profile of
+    x's image on it, whose degree is X.H."""
+    from .lattice import ScrollEmbedding, intersect
+
+    scroll = ScrollEmbedding.from_unisecant(x.n, beta)
+    return scroll, profile(intersect(x, scroll.hyperplane_class), scroll.r, strict=False)
+
+
 def embed_extremal(gamma: int, lam: int, n: int) -> EmbedResult:
     """Embed the curve class gamma*C0 + lambda*L by a unisecant system under
     which it becomes an extremal curve.
@@ -221,18 +232,11 @@ def embed_extremal(gamma: int, lam: int, n: int) -> EmbedResult:
     when lambda = gamma*n: the unisecant model is then a cone, but the
     curve misses the contracted section and still embeds.
     """
-    from .lattice import (
-        DivisorClass,
-        ScrollEmbedding,
-        adjunction_genus,
-        class_in_HL,
-        is_irreducible_smoothable,
-    )
+    from .lattice import DivisorClass, adjunction_genus, class_in_HL
 
     x = DivisorClass(n, gamma, lam).normalized_ruling()
     gamma, lam, n = x.a, x.b, x.n
-    if not is_irreducible_smoothable(x):
-        raise DomainError(f"{x} is not an irreducible-smoothable class")
+    genus = adjunction_genus(x)
     if gamma < 3:
         raise UnsupportedInput(
             f"gonality coefficient {gamma} < 3: the unisecant split divides by gamma-2"
@@ -255,10 +259,7 @@ def embed_extremal(gamma: int, lam: int, n: int) -> EmbedResult:
             f"beta={beta} = n: the unisecant model is a cone and the curve"
             f" meets the contracted section (intersection {lam - gamma * n})"
         )
-    scroll = ScrollEmbedding.from_unisecant(n, beta)
-    d = gamma * (beta - n) + lam
-    prof = profile(d, scroll.r, strict=False)
-    genus = adjunction_genus(x)
+    scroll, prof = _unisecant_image(x, beta)
     hypothesis = 2 * lam >= gamma * (gamma + n - 2)
     model = None
     if hypothesis:
@@ -268,8 +269,8 @@ def embed_extremal(gamma: int, lam: int, n: int) -> EmbedResult:
                 f"m={prof.m} eps={prof.eps} g={genus} pi={prof.pi}"
             )
         if gamma > 3:
-            model = ExtremalModel(ModelKind.TYPE_III, d, scroll.r, m=gamma - 1, eps=eps,
-                                  gamma=gamma, g=genus, scroll_class=class_in_HL(x, scroll))
+            model = ExtremalModel(_TYPE_III, prof.d, prof.r,
+                                  scroll_class=class_in_HL(x, scroll))
     return EmbedResult(
         gamma=gamma,
         lam=lam,
@@ -296,12 +297,10 @@ def gonality_from_class(x: DivisorClass) -> int:
     if not is_irreducible_smoothable(x):
         raise DomainError(f"{x} is not an irreducible-smoothable class")
     a, b, n = x.a, x.b, x.n
-    if n == 0:
-        if (a, b) in ((0, 1), (1, 0)):
-            raise DomainError(f"{x} is a ruling fiber; its members are lines")
-        return min(a, b)
-    if (a, b) == (0, 1):
+    if (a, b) == (0, 1) or (n == 0 and (a, b) == (1, 0)):
         raise DomainError(f"{x} is a ruling fiber; its members are lines")
+    if n == 0:
+        return min(a, b)
     if n == 1 and a == b and a >= 2:
         return a - 1
     return a

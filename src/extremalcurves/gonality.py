@@ -56,7 +56,6 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import add
 
-from .castelnuovo import profile
 from .errors import ContradictionError, InvalidInput, UnsupportedInput
 # the verdicts live in ``verdicts``; callers that name them through this
 # module (perfbench times ``gonality.slope_verdict``) still find them here
@@ -317,14 +316,16 @@ class VerylastRow(namedtuple("VerylastRow", "a r degree eps")):
 def verylast_sequence(n: int) -> tuple[GonalityLedger, list[VerylastRow]]:
     """Ledger and sweep report for the class 4*C0 + 4n*L on the surface n >= 3.
 
-    The curve has genus 6n-3 and gonality 4.  Each a in
-    0..floor((n-3)/2) re-embeds it as an extremal curve of degree 4(n+a)
-    in P^{n+2a+1}; folding those models' exact facts into one ledger
-    pins d_{n+2a} = 4(n+a)-1 and d_{n+2a+1} = 4(n+a) across the sweep
-    and bounds the first entry after it by 4(n+abar)+3.
+    The curve has genus 6n-3 and gonality 4.  Each a in 0..floor((n-3)/2)
+    re-embeds it by |C0 + (n+a)*L|, as ``embed_extremal`` does; the image's
+    profile gives the type-III model of its degree and rank, whose gamma,
+    genus and scroll class must be the lattice's.  Folding those models'
+    exact facts into one ledger pins d_{n+2a} = 4(n+a)-1 and
+    d_{n+2a+1} = 4(n+a) across the sweep and bounds the first entry after
+    it by 4(n+abar)+3.
     """
-    from .extremal import ExtremalModel, ModelKind, gonality_from_class
-    from .lattice import DivisorClass, adjunction_genus
+    from .extremal import ExtremalModel, ModelKind, _unisecant_image, gonality_from_class
+    from .lattice import DivisorClass, adjunction_genus, class_in_HL
 
     if n < 3:
         raise UnsupportedInput(f"the foursecant sweep needs n >= 3, got {n}")
@@ -336,16 +337,14 @@ def verylast_sequence(n: int) -> tuple[GonalityLedger, list[VerylastRow]]:
     base = baseline_ledger(gamma, g)  # before the sweep: an n too large fails here
     rows, facts = [], []
     for a in range((n - 3) // 2 + 1):
-        r_a = n + 2 * a + 1
-        delta_a = 4 * (n + a)
-        prof = profile(delta_a, r_a)
-        if (prof.m, prof.eps, prof.pi) != (3, n - 2 * a - 1, g):
+        scroll, prof = _unisecant_image(x, n + a)
+        model = ExtremalModel(ModelKind.TYPE_III, prof.d, prof.r)
+        want = (gamma, g, class_in_HL(x, scroll))
+        if (model.gamma, model.g, model.scroll_class) != want:
             raise ArithmeticError(
-                f"re-embedding a={a} is not extremal: m={prof.m} eps={prof.eps}"
-                f" pi={prof.pi} g={g}"
+                f"re-embedding a={a} is not extremal: the model is {model}, but"
+                f" the lattice gives (gamma, g, scroll_class)={want}"
             )
-        model = ExtremalModel(ModelKind.TYPE_III, delta_a, r_a, gamma=gamma, g=g,
-                              scroll_class=(4, -4 * a))
-        rows.append(VerylastRow(a=a, r=r_a, degree=delta_a, eps=prof.eps))
+        rows.append(VerylastRow(a=a, r=model.r, degree=model.d, eps=model.eps))
         facts += _extremal_facts(model)
     return _close(base, facts), rows

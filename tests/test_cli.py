@@ -24,6 +24,7 @@ from extremalcurves import (
 )
 import extremalcurves.cli
 import extremalcurves.gonality
+import extremalcurves.lattice
 from extremalcurves.cli import run
 from extremalcurves.tables import _cell
 
@@ -645,14 +646,43 @@ main()
 """
 
 
-def test_internal_fault_in_a_child_prints_no_traceback():
-    # a wrong genus trips the foursecant sweep's own invariant check
+def _internal_fault_in_a_child(code: str) -> str:
+    """Run code in a child; it must exit 4 with one stderr line and no traceback."""
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-c", BROKEN_LATTICE], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stdout) == (4, "")
-    assert proc.stderr.startswith("internal error: ArithmeticError: foursecant invariants broke")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    return proc.stderr
+
+
+def test_internal_fault_in_a_child_prints_no_traceback():
+    # a wrong genus trips the foursecant sweep's own invariant check
+    assert _internal_fault_in_a_child(BROKEN_LATTICE).startswith(
+        "internal error: ArithmeticError: foursecant invariants broke")
+
+
+BROKEN_SCROLL_CLASS = """
+import sys
+import extremalcurves.lattice as lattice
+from extremalcurves.cli import main
+rewrite = lattice.class_in_HL
+lattice.class_in_HL = lambda x, scroll: (rewrite(x, scroll)[0], rewrite(x, scroll)[1] + 1)
+sys.argv = ["extremalcurves", "verylast", "7"]
+main()
+"""
+
+
+def test_wrong_scroll_class_trips_the_foursecant_cross_check(monkeypatch):
+    # the sweep's models are checked against the lattice's class, in process
+    # and in a child, which reports one internal error and no traceback
+    rewrite = extremalcurves.lattice.class_in_HL
+    monkeypatch.setattr(extremalcurves.lattice, "class_in_HL",
+                        lambda x, scroll: (rewrite(x, scroll)[0], rewrite(x, scroll)[1] + 1))
+    with pytest.raises(ArithmeticError, match="re-embedding a=0 is not extremal"):
+        extremalcurves.gonality.verylast_sequence(7)
+    assert _internal_fault_in_a_child(BROKEN_SCROLL_CLASS).startswith(
+        "internal error: ArithmeticError: re-embedding a=0 is not extremal")
 
 
 def _md_records(text: str) -> list[dict]:

@@ -14,6 +14,7 @@ from extremalcurves import (
     apply_extremal_facts,
     baseline_ledger,
     classify_extremal,
+    embed_extremal,
     known_family_verdict,
     plane_curve_gonality,
     plane_slope_verdict,
@@ -346,6 +347,19 @@ def test_verylast_three_embeddings():
     assert led.entry(9).provenance == ("extremal-drop", "gonal-residual")
     e13 = led.entry(13)
     assert (e13.lo, e13.hi, e13.exact) == (37, 39, False)
+
+
+@pytest.mark.parametrize("n", range(3, 41))
+def test_unisecant_embedding_is_the_row_past_the_sweep(n):
+    # embed_extremal's beta for 4*C0 + 4n*L is n+abar+1, one past the last
+    # row: two ranks up, four degrees up, the remainder two down
+    _, sweep = verylast_sequence(n)
+    last = sweep[-1]
+    res = embed_extremal(4, 4 * n, n)
+    assert res.scroll.beta == n + last.a + 1
+    assert (res.r, res.d, res.eps) == (last.r + 2, last.degree + 4, last.eps - 2)
+    m = res.model
+    assert (m.kind, m.gamma, m.g, m.r, m.d) == (ModelKind.TYPE_III, 4, 6 * n - 3, res.r, res.d)
 
 
 def test_verylast_slope_window():
