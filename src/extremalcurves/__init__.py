@@ -22,13 +22,13 @@ _HOME = {
         ("errors", "ContradictionError DomainError EmbeddingError InvalidInput"
                    " PlaneCurveContraction UnsupportedInput"),
         ("extremal", "EmbedResult ExtremalModel ModelKind classify_extremal"
-                     " embed_extremal gonality_from_class verify_extremal_class"),
+                     " embed_extremal verify_extremal_class"),
         ("gonality", "GonalityEntry GonalityLedger VerylastRow apply_extremal_facts"
                      " baseline_ledger verylast_sequence with_assumptions"),
         ("lattice", "DivisorClass ScrollEmbedding adjunction_genus canonical_class"
-                    " class_in_HL formal_genus h0_unisecant intersect"
-                    " intersect_on_scroll is_irreducible_smoothable is_very_ample"
-                    " scroll_canonical_class scroll_from_rn"),
+                    " class_in_HL formal_genus gonality_from_class h0_unisecant"
+                    " intersect intersect_on_scroll is_irreducible_smoothable"
+                    " is_very_ample scroll_canonical_class scroll_from_rn"),
         ("selfcheck", "run_selfcheck"),
         ("tables", "SCAN_FIELDS STAR STAR_RESOLVED TABLE_FIELDS ScanRecord TableRow"
                    " expected_status row_models scan serialize table1"),

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The command line maps these onto exit codes: invalid input exits 2,
-a ledger contradiction exits 3.
+The command line maps these onto its exit codes, listed in full in ``cli``:
+invalid input exits 2, a ledger contradiction 3 and an internal fault 4.
 """
 
 
@@ -26,8 +26,8 @@ class PlaneCurveContraction(DomainError):
 
 
 class EmbeddingError(DomainError):
-    """The unisecant system fails to embed the curve: beta < n, or beta = n
-    with the curve meeting the contracted section of the cone."""
+    """The unisecant system fails to embed the curve: beta = n with the
+    curve meeting the contracted section of the cone."""
 
 
 class ContradictionError(RuntimeError):

@@ -23,9 +23,9 @@ a Hirzebruch surface and produces its unisecant embedding, an extremal
 model when gamma >= 4 (gamma = 3 lands at d = 2r-1, below the regime).
 Its private ``_unisecant_image`` is the one computation of a class's
 image under |C0 + beta*L|, and the foursecant sweep re-embeds through it
-too.  These, ``verify_extremal_class`` and ``gonality_from_class`` are
-the lattice layer's only users here, and they import it when called, so
-classifying and scanning never load it.
+too.  These two and ``verify_extremal_class`` are the lattice layer's
+only users here, and they import it when called, so classifying and
+scanning never load it.
 """
 
 from __future__ import annotations
@@ -226,13 +226,13 @@ def embed_extremal(gamma: int, lam: int, n: int) -> EmbedResult:
     and lands at d = 2r-1 for gamma = 3 (eps = 0), so no model is built.
     Without the hypothesis the embedding is returned unproven.
 
-    Refuses gamma < 3 (after the n=0 ruling swap), classes that are not
-    irreducible-smoothable, and multiples of C0+L on n=1, which blow down
-    to plane curves instead of embedding.  beta = n is allowed exactly
-    when lambda = gamma*n: the unisecant model is then a cone, but the
-    curve misses the contracted section and still embeds.
+    Refuses classes that are not irreducible-smoothable, gamma < 3 (after
+    the n=0 ruling swap) and classes whose gonality is not gamma: on n=1
+    the multiples of C0+L blow down to plane curves.  As lambda >= gamma*n,
+    beta >= n; beta = n is allowed exactly when lambda = gamma*n: the
+    unisecant model is then a cone, but the curve misses its vertex.
     """
-    from .lattice import DivisorClass, adjunction_genus, class_in_HL
+    from .lattice import DivisorClass, adjunction_genus, class_in_HL, gonality_from_class
 
     x = DivisorClass(n, gamma, lam).normalized_ruling()
     gamma, lam, n = x.a, x.b, x.n
@@ -241,17 +241,13 @@ def embed_extremal(gamma: int, lam: int, n: int) -> EmbedResult:
         raise UnsupportedInput(
             f"gonality coefficient {gamma} < 3: the unisecant split divides by gamma-2"
         )
-    if n == 1 and lam == gamma:
+    if (gonality := gonality_from_class(x)) != gamma:
         raise PlaneCurveContraction(
             f"{x} is a multiple of C0+L on the n=1 surface: the unisecant map"
             f" contracts C0 and the image is a plane curve of degree {gamma}"
-            f" with gonality {gamma - 1}, not cut out by the ruling"
+            f" with gonality {gonality}, not cut out by the ruling"
         )
     beta, eps = divmod(lam - n - 1, gamma - 2)
-    if beta < n:
-        raise EmbeddingError(
-            f"beta={beta} < n={n}: |C0 + beta*L| has no unisecant model"
-        )
     if beta == n and lam > gamma * n:
         # the cone case: |C0 + n*L| contracts C0, and the curve meets it
         # in lam - gamma*n > 0 points, so the image is singular
@@ -263,14 +259,14 @@ def embed_extremal(gamma: int, lam: int, n: int) -> EmbedResult:
     hypothesis = 2 * lam >= gamma * (gamma + n - 2)
     model = None
     if hypothesis:
-        if (prof.m, prof.eps) != (gamma - 1, eps) or genus != prof.pi:
-            raise ArithmeticError(
-                f"embedding invariants broke for {x}: "
-                f"m={prof.m} eps={prof.eps} g={genus} pi={prof.pi}"
-            )
         if gamma > 3:
-            model = ExtremalModel(_TYPE_III, prof.d, prof.r,
-                                  scroll_class=class_in_HL(x, scroll))
+            model = ExtremalModel(_TYPE_III, prof.d, prof.r)
+        got = (prof.m, prof.eps, prof.pi, model and model.scroll_class)
+        want = (gamma - 1, eps, genus, model and class_in_HL(x, scroll))
+        if got != want:
+            raise ArithmeticError(
+                f"embedding invariants broke for {x}: (m, eps, g, scroll_class)"
+                f" is {got} for the image but {want} for the class")
     return EmbedResult(
         gamma=gamma,
         lam=lam,
@@ -282,25 +278,3 @@ def embed_extremal(gamma: int, lam: int, n: int) -> EmbedResult:
         model=model,
         hypothesis_met=hypothesis,
     )
-
-
-def gonality_from_class(x: DivisorClass) -> int:
-    """Gonality of a general member of |X|, read off the ruling.
-
-    The ruling cuts a pencil of degree X.L = a, and that is the gonality
-    except in two situations: on n=0 the two rulings compete (min(a, b)),
-    and on n=1 the multiples alpha*(C0+L), alpha >= 2, blow down to plane
-    curves of degree alpha with gonality alpha-1.
-    """
-    from .lattice import is_irreducible_smoothable
-
-    if not is_irreducible_smoothable(x):
-        raise DomainError(f"{x} is not an irreducible-smoothable class")
-    a, b, n = x.a, x.b, x.n
-    if (a, b) == (0, 1) or (n == 0 and (a, b) == (1, 0)):
-        raise DomainError(f"{x} is a ruling fiber; its members are lines")
-    if n == 0:
-        return min(a, b)
-    if n == 1 and a == b and a >= 2:
-        return a - 1
-    return a

@@ -324,8 +324,8 @@ def verylast_sequence(n: int) -> tuple[GonalityLedger, list[VerylastRow]]:
     d_{n+2a+1} = 4(n+a) across the sweep and bounds the first entry after
     it by 4(n+abar)+3.
     """
-    from .extremal import ExtremalModel, ModelKind, _unisecant_image, gonality_from_class
-    from .lattice import DivisorClass, adjunction_genus, class_in_HL
+    from .extremal import ExtremalModel, ModelKind, _unisecant_image
+    from .lattice import DivisorClass, adjunction_genus, class_in_HL, gonality_from_class
 
     if n < 3:
         raise UnsupportedInput(f"the foursecant sweep needs n >= 3, got {n}")

@@ -16,6 +16,11 @@ The surface canonical class is -2*C0 - (n+2)*L and the genus of a curve
 class X comes from adjunction, 2g - 2 = (K + X).X; the pairing is
 provably even, which is asserted rather than truncated.  All arithmetic
 is exact (Python integers), and every operation is pure.
+
+The ruling cuts out the gonality pencil of X = a*C0 + b*L, of degree
+X.L = a, except on n=0, where the other ruling competes, and for the
+multiples of C0+L on n=1, which blow down to plane curves.
+``gonality_from_class`` is the one statement of that fact.
 """
 
 from __future__ import annotations
@@ -122,6 +127,26 @@ def adjunction_genus(x: DivisorClass) -> int:
     if g < 0:
         raise DomainError(f"negative genus {g} for {x}")
     return g
+
+
+def gonality_from_class(x: DivisorClass) -> int:
+    """Gonality of a general member of |X|, read off the ruling.
+
+    The ruling cuts a pencil of degree X.L = a, and that is the gonality
+    except in two situations: on n=0 the two rulings compete (min(a, b)),
+    and on n=1 the multiples alpha*(C0+L), alpha >= 2, blow down to plane
+    curves of degree alpha with gonality alpha-1.
+    """
+    if not is_irreducible_smoothable(x):
+        raise DomainError(f"{x} is not an irreducible-smoothable class")
+    a, b, n = x.a, x.b, x.n
+    if (a, b) == (0, 1) or (n == 0 and (a, b) == (1, 0)):
+        raise DomainError(f"{x} is a ruling fiber; its members are lines")
+    if n == 0:
+        return min(a, b)
+    if n == 1 and a == b and a >= 2:
+        return a - 1
+    return a
 
 
 def h0_unisecant(beta: int, n: int) -> int:

@@ -148,11 +148,15 @@ def plane_curve_gonality(k: int, r: int) -> int:
 def plane_slope_verdict(k: int, r: int) -> SlopeVerdict:
     """Slope verdict for a smooth plane curve of degree k at index r.
 
-    Inside a Noether block (beta != 0) the step is one and the inequality
-    holds; on a block boundary it fails when alpha <= k-4, and otherwise
-    r >= g-1, where the steps are 2 then 1 and it holds (equality at g-1).
+    From r = g on, in the Riemann-Roch tail r + g, every step is one and it
+    holds.  Inside a Noether block (beta != 0) the step is one and it holds;
+    on a block boundary it fails when alpha <= k-4, and otherwise r = g-1,
+    where the steps are 2 then 1 and it holds with equality.
     """
     alpha, beta = _noether_split(k, r)
+    if r >= (g := plane_genus(k)):
+        return SlopeVerdict(Status.HOLDS, "riemann-roch", f"index {r} >= g={g} lies in"
+                            " the Riemann-Roch tail d_r = r+g where every step is one")
     if beta != 0:
         return SlopeVerdict(
             Status.HOLDS,

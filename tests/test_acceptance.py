@@ -9,7 +9,6 @@ one PASS/FAIL line to ``REPORT_LINES``; the terminal summary hook in
 
 import io
 import json
-import os
 import random
 import subprocess
 import sys
@@ -19,7 +18,6 @@ from time import perf_counter
 
 import pytest
 
-import extremalcurves
 from extremalcurves import (
     ContradictionError,
     Status,
@@ -48,8 +46,8 @@ from extremalcurves.selfcheck import (
     plane_sequences,
     tally,
 )
+from child_env import child_env
 
-SRC = str(Path(extremalcurves.__file__).resolve().parents[1])
 GOLDEN = Path(__file__).parent / "golden" / "table1_gamma6_paper.md"
 
 REPORT_LINES = []
@@ -236,11 +234,10 @@ def test_criterion_11():
         assert info.value.lo_tag == "assume"
         assert info.value.hi_tag != "assume"
 
-    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(
         [sys.executable, "-m", "extremalcurves", "bounds", "4", "12",
          "--assume", "2=9"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 3
     assert "assume" in proc.stderr and "gonal-ceiling" in proc.stderr

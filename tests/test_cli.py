@@ -6,7 +6,6 @@ import functools
 import hashlib
 import io
 import json
-import os
 import re
 import subprocess
 import sys
@@ -20,6 +19,7 @@ from extremalcurves import (
     ContradictionError,
     EmbeddingError,
     InvalidInput,
+    embed_extremal,
     selfcheck,
 )
 import extremalcurves.cli
@@ -27,8 +27,8 @@ import extremalcurves.gonality
 import extremalcurves.lattice
 from extremalcurves.cli import run
 from extremalcurves.tables import _cell
+from child_env import child_env
 
-SRC = str(Path(extremalcurves.gonality.__file__).resolve().parents[1])
 GOLDEN = Path(__file__).parent / "golden" / "table1_gamma6_paper.md"
 
 
@@ -188,10 +188,9 @@ def test_scan_degree_ceiling(capsys):
 
 def test_scan_degree_ceiling_bounds_the_window():
     # no degree >= 2r+1 fits under d_max = 5, so the scan stops at r = 2
-    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(
         [sys.executable, "-m", "extremalcurves", "scan", "3", str(10**20), "--d-max", "5"],
-        capture_output=True, text=True, env=env, timeout=10,
+        capture_output=True, text=True, env=child_env(), timeout=10,
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == ("| r | d | m | eps | pi | kind | gamma | verdict | rho |\n"
@@ -213,9 +212,8 @@ def test_scan_rejects_before_the_first_byte(capsys, argv, fmt):
 
 
 def _cli_child(*argv):
-    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    return subprocess.Popen([sys.executable, "-m", "extremalcurves", *argv],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    return subprocess.Popen([sys.executable, "-m", "extremalcurves", *argv], env=child_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
 
 def _read_then_kill(proc, size):
@@ -277,10 +275,9 @@ def test_table1_streams_an_unbounded_table():
 
 def test_bounds_is_linear_in_the_genus():
     # a closure that rescans every split of every index takes minutes here
-    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(
         [sys.executable, "-m", "extremalcurves", "bounds", "3", "200000", "--format", "csv"],
-        capture_output=True, text=True, env=env, timeout=30,
+        capture_output=True, text=True, env=child_env(), timeout=30,
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines()[-1] == "200002,400002,400002,True,riemann-roch"
@@ -418,6 +415,7 @@ RECORD_ARGV = {
 # sha256 over every argv's stdout, stderr and exit code, as the renderers
 # gave them while md and csv read a dict record at the fieldnames and
 # json wrote the dict's own keys: every byte of these tables is pinned.
+# The plane pins date from the rows r >= g taking the tag riemann-roch.
 RECORD_SHA256 = {
     ('profile', 'md'): 'e8af3bb9080de1ee3243ac0f64c679421637ff692861bb690b9ba6e3251e0ab3',
     ('profile', 'csv'): '9eaa607b25d92cef4204aad968680c738d0454c4ef3d984b2421887b0aa7ff0e',
@@ -444,12 +442,12 @@ RECORD_SHA256 = {
     ('table1', 'md'): 'b1f25fb88fac0e0163c544b129a86a83f624caf144263a75ea5712598d72037a',
     ('table1', 'csv'): 'bdef264b1bbca2c4af60907504531125e20c821c743d72633a7c328fee8700dd',
     ('table1', 'json'): '93c31595289a0289bac33aeb2e7149dc119382df99f3df602afbc888986fd9db',
-    ('plane', 'md'): '155b7c2d1e30c5485cab5f21d5feb12d9215b69238ec5d97305051677db6fd61',
-    ('plane', 'csv'): '3202770e9b0df2f21ac908b3258af550b6dc85ce4c22875107a90757610637a9',
-    ('plane', 'json'): '9cd9218ed0bef9240da7312042ecf494e0430a0a5139fd1e16552b36218656dd',
-    ('plane --r', 'md'): 'cf21f46631860f91420a84f583ce2f0a2371e8c8b4796beb38e4be993e6a5dfd',
-    ('plane --r', 'csv'): '0a22fc3da2cf16365776c0e868e278af182502a2a959d5fd91c2be3779acb96f',
-    ('plane --r', 'json'): 'eaea45086efffda09cced7989f0eba679ed887398c5b443441231dc0c42fcda9',
+    ('plane', 'md'): '9dbbae42e113bea99e22cff8227701b15608ef16f2a788efe002ecca430e09e9',
+    ('plane', 'csv'): '92fe966b606e6257a7499db35ecac661d40ddb1b5b6eae4209925c490dfd1a45',
+    ('plane', 'json'): '5be8f923744b72b6b0c6b52aa3e790f65472594faa1f309b45ebad4608097258',
+    ('plane --r', 'md'): '35e0701884084e5458e8fefddafaace2d246ff9ab6f6826539ba8152e59710b5',
+    ('plane --r', 'csv'): '1c6adf5580475d44423ccd0f0f1d2e008fb56022cbb288f4c524eecf25f6cdf2',
+    ('plane --r', 'json'): '70f561e04fc453ee74da4f5d9b6170f8f0486278df5e94921ea05b693c6645a8',
     ('selfcheck', 'md'): '1d23d6da041500b6281c89d54f4ed5fef399b22e543de1ec22f4053433075c5a',
     ('selfcheck', 'csv'): '3ef59ec812dd03a7c9c7eea20eebe9bb0c87a2119c3b2d1406d7b939cd6e2979',
     ('selfcheck', 'json'): '40c6d3874457947b4317efc7348aa8f5a616a68659643ef221c374cdb341b56d',
@@ -648,9 +646,8 @@ main()
 
 def _internal_fault_in_a_child(code: str) -> str:
     """Run code in a child; it must exit 4 with one stderr line and no traceback."""
-    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=60)
+                          text=True, env=child_env(), timeout=60)
     assert (proc.returncode, proc.stdout) == (4, "")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     return proc.stderr
@@ -668,21 +665,38 @@ import extremalcurves.lattice as lattice
 from extremalcurves.cli import main
 rewrite = lattice.class_in_HL
 lattice.class_in_HL = lambda x, scroll: (rewrite(x, scroll)[0], rewrite(x, scroll)[1] + 1)
-sys.argv = ["extremalcurves", "verylast", "7"]
+sys.argv = ["extremalcurves", *{argv!r}]
 main()
 """
 
 
-def test_wrong_scroll_class_trips_the_foursecant_cross_check(monkeypatch):
-    # the sweep's models are checked against the lattice's class, in process
-    # and in a child, which reports one internal error and no traceback
+@pytest.fixture
+def wrong_scroll_class(monkeypatch):
+    """In process, ``lattice.class_in_HL`` gives l+1, as BROKEN_SCROLL_CLASS
+    makes it do in a child."""
     rewrite = extremalcurves.lattice.class_in_HL
     monkeypatch.setattr(extremalcurves.lattice, "class_in_HL",
                         lambda x, scroll: (rewrite(x, scroll)[0], rewrite(x, scroll)[1] + 1))
+
+
+def test_wrong_scroll_class_trips_the_foursecant_cross_check(wrong_scroll_class):
+    # the sweep's models are checked against the lattice's class, in process
+    # and in a child, which reports one internal error and no traceback
     with pytest.raises(ArithmeticError, match="re-embedding a=0 is not extremal"):
         extremalcurves.gonality.verylast_sequence(7)
-    assert _internal_fault_in_a_child(BROKEN_SCROLL_CLASS).startswith(
+    child = BROKEN_SCROLL_CLASS.format(argv=["verylast", "7"])
+    assert _internal_fault_in_a_child(child).startswith(
         "internal error: ArithmeticError: re-embedding a=0 is not extremal")
+
+
+def test_wrong_scroll_class_trips_the_embedding_cross_check(wrong_scroll_class):
+    # a model that disagrees with the lattice is a fault of the package, not
+    # of the input: an internal error (exit 4), not invalid input (exit 2)
+    with pytest.raises(ArithmeticError, match="embedding invariants broke"):
+        embed_extremal(4, 12, 3)
+    child = BROKEN_SCROLL_CLASS.format(argv=["embed", "4", "12", "3"])
+    assert _internal_fault_in_a_child(child).startswith(
+        "internal error: ArithmeticError: embedding invariants broke")
 
 
 def _md_records(text: str) -> list[dict]:
@@ -793,21 +807,19 @@ def test_the_named_subparser_parses_as_the_whole_parser(capsys, monkeypatch):
 
 
 def test_module_invocation_contradiction():
-    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(
         [sys.executable, "-m", "extremalcurves", "bounds", "4", "12",
          "--assume", "2=9"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 3
     assert "assume" in proc.stderr and "gonal-ceiling" in proc.stderr
 
 
 def test_module_invocation_unicode():
-    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(
         [sys.executable, "-m", "extremalcurves", "table1"],
-        capture_output=True, text=True, encoding="utf-8", env=env,
+        capture_output=True, text=True, encoding="utf-8", env=child_env(),
     )
     assert proc.returncode == 0
     assert "★" in proc.stdout

@@ -2,11 +2,9 @@
 reference, closure after every call, and soundness against every
 sequence the rules allow."""
 
-import os
 import random
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -19,9 +17,8 @@ from extremalcurves import (
     with_assumptions,
 )
 from extremalcurves import gonality
+from child_env import child_env
 from reference_closure import reference_propagate
-
-SRC = str(Path(gonality.__file__).resolve().parents[1])
 
 
 def test_closure_terminates_when_bounds_cross():
@@ -35,9 +32,8 @@ def test_closure_terminates_when_bounds_cross():
         "except ContradictionError as exc:\n"
         "    print(exc.index, exc.lo_tag, exc.hi_tag)\n"
     )
-    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=10)
+                          env=child_env(), timeout=10)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "5 trivial x\n"
 

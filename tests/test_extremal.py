@@ -252,6 +252,27 @@ def test_embed_rejects_low_gonality():
         embed_extremal(4, 5, 2)  # 4*C0+5*L is not smoothable on F2
 
 
+def test_embed_refuses_only_the_cone_and_the_plane_classes():
+    # beta < n cannot happen: a smoothable class has lam >= gamma*n with
+    # gamma >= 3, so beta = (lam-n-1) div (gamma-2) >= n, and on n=0 the
+    # ruling swap leaves lam >= gamma >= 3
+    cones, planes = [], []
+    for n in range(12):
+        for gamma in range(-3, 15):
+            for lam in range(-40, 220):
+                try:
+                    embed_extremal(gamma, lam, n)
+                except PlaneCurveContraction:
+                    planes.append((gamma, lam, n))
+                except EmbeddingError:
+                    x = DivisorClass(n, gamma, lam).normalized_ruling()
+                    cones.append(((x.b - x.n - 1) // (x.a - 2) == x.n, x.b > x.a * x.n))
+                except (DomainError, InvalidInput):
+                    pass
+    assert planes == [(a, a, 1) for a in range(3, 15)]
+    assert cones == [(True, True)] * 286
+
+
 def test_embed_without_hypothesis_is_unproven():
     res = embed_extremal(6, 7, 0)
     assert not res.hypothesis_met

@@ -17,13 +17,11 @@ never get one, because their output grows with the input.
 
 import itertools
 import json
-import os
 import random
 import subprocess
 import sys
-from pathlib import Path
 
-import extremalcurves.cli
+from child_env import child_env
 
 FAMILIES = ("hyperelliptic", "trigonal", "bielliptic", "general_fourgonal")
 
@@ -106,10 +104,8 @@ print(json.dumps(results))
 def _run_in_child(argvs: list) -> list:
     """[argv, exit code, stderr] of each argv, run through ``cli.run`` in one
     child process, so that a call that hangs fails the test at the timeout."""
-    src = str(Path(extremalcurves.cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-c", CHILD], input=json.dumps(argvs),
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 

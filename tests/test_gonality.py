@@ -312,6 +312,16 @@ def test_plane_slope_verdicts():
         plane_slope_verdict(3, 2)
 
 
+def test_plane_tail_is_tagged_riemann_roch():
+    # from r = g on the sequence is r + g, the ledger's riemann-roch fact
+    for k in range(5, 16):
+        g = (k - 1) * (k - 2) // 2
+        for r in range(g, g + 3):
+            v = plane_slope_verdict(k, r)
+            assert (v.status, v.tag) == (Status.HOLDS, "riemann-roch"), (k, r)
+            assert plane_curve_gonality(k, r) == r + g
+
+
 def test_plane_slope_verdicts_match_the_sequence():
     verdicts = wrong = 0
     for k in range(5, 61):

@@ -6,7 +6,6 @@ depend on what this test process has imported.
 """
 
 import inspect
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,8 +13,7 @@ from pathlib import Path
 import pytest
 
 import extremalcurves
-
-SRC = str(Path(extremalcurves.__file__).resolve().parents[1])
+from child_env import child_env
 
 HEAVY = {"dataclasses", "random", "csv", "json"}
 
@@ -35,10 +33,8 @@ print(" ".join(sorted(on_run)))
 
 
 def _child(code: str) -> list[str]:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60)
+                          env=child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
 
