@@ -215,16 +215,15 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         " gonality sequences.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=("md", "csv", "json"), default="md",
-                     help="output format (default md)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, summary):
         if command not in (None, name):
             sub.add_parser(name, help=summary, add_help=False)
             return None
-        p = sub.add_parser(name, parents=[fmt], help=summary)
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--format", choices=("md", "csv", "json"), default="md",
+                       help="output format (default md)")
         p.set_defaults(func=func)
         return p
 

@@ -2,11 +2,13 @@
 
 The summary table lists, per gonality, the degree ranges an extremal
 curve in P^r can occupy and whether the r-th slope inequality is settled
-there.  Rows are symbolic in r; ``row_models`` instantiates a row at a
-concrete r and ``expected_status`` says what verdict the row claims, so
-the table can be cross-checked against the engine.  ``table1_rows``
-checks its arguments when called and yields the rows one at a time;
-``table1`` is the same rows as a list.
+there.  Rows are symbolic in r: a ``TableRow`` is its gonality, its
+degree range and its verdict token, and the printed d, m and eps columns
+are read off the range.  ``row_models`` instantiates a row at a concrete
+r and ``expected_status`` says what verdict the row claims, so the table
+can be cross-checked against the engine from the same facts it prints.
+``table1_rows`` checks its arguments when called and yields the rows one
+at a time; ``table1`` is the same rows as a list.
 
 ``scan`` walks a concrete (r, d) window instead and yields one
 ``ScanRecord`` row per extremal model, including its slope verdict and
@@ -59,22 +61,29 @@ STAR = "★"
 STAR_RESOLVED = "yes if r=4; no if r>=5"
 
 
-class TableRow(namedtuple("TableRow", "degree_expr gamma m eps eps_expr verdict"
-                                       " degree_lo degree_hi star", defaults=(False,))):
-    """One symbolic row: a degree range in r, its invariants, and the
+class TableRow(namedtuple("TableRow", "gamma degree_lo degree_hi verdict")):
+    """One symbolic row: its gonality, its degree range in r and its
     slope-column token.  degree_lo/degree_hi are (coefficient, offset)
-    pairs meaning coefficient*r + offset; None marks the filler row."""
+    pairs meaning coefficient*r + offset; None marks the filler row.  The
+    printed d, m and eps are read off the range: by d - 1 = m(r-1) + eps,
+    m is the coefficient and eps starts at coefficient + offset - 1."""
 
     __slots__ = ()
 
     def record(self) -> dict:
-        return {
-            "d": self.degree_expr,
-            "gamma": "" if self.gamma is None else self.gamma,
-            "m": "" if self.m is None else self.m,
-            "eps": self.eps_expr,
-            "slope": self.verdict,
-        }
+        if self.degree_lo is None:
+            return dict(zip(TABLE_FIELDS, ("...", "", "", "", self.verdict)))
+        (m, offset), d = self.degree_lo, _linear(self.degree_lo)
+        eps = str(m + offset - 1)
+        if self.degree_hi != self.degree_lo:
+            d, eps = f"{d} <= d <= {_linear(self.degree_hi)}", f"{eps} <= eps <= r-2"
+        return dict(zip(TABLE_FIELDS, (d, self.gamma, m, eps, self.verdict)))
+
+
+def _linear(degree: tuple[int, int]) -> str:
+    """coefficient*r + offset as printed: cr, cr+o or cr-o."""
+    coefficient, offset = degree
+    return f"{coefficient}r{offset:+d}" if offset else f"{coefficient}r"
 
 
 def table1(gamma_max: int = 6, mode: str = MODES[0]) -> list[TableRow]:
@@ -99,31 +108,21 @@ def table1_rows(gamma_max: int = 6, mode: str = MODES[0]) -> Iterator[TableRow]:
 
 
 def _table1_rows(gamma_max: int, mode: str) -> Iterator[TableRow]:
-    yield TableRow("2r+1 <= d <= 3r-3", 3, 2, None, "2 <= eps <= r-2",
-                   "yes (trigonal)", (2, 1), (3, -3))
-    yield TableRow("3r-2", 3, 3, 0, "0", "yes (trigonal)", (3, -2), (3, -2))
+    yield TableRow(3, (2, 1), (3, -3), "yes (trigonal)")
+    yield TableRow(3, (3, -2), (3, -2), "yes (trigonal)")
+    star = STAR if mode == "paper-faithful" else STAR_RESOLVED
     for gam in range(4, gamma_max + 1):
         for eps in range(gam - 2):  # fixed small remainders, one row each
-            offset = eps - (gam - 2)
-            expr = f"{gam - 1}r{offset}"
-            if gam == 4:
-                token = (STAR if mode == "paper-faithful" else STAR_RESOLVED) \
-                    if eps == 0 else "no"
-            else:
-                token = ""
-            yield TableRow(expr, gam, gam - 1, eps, str(eps), token,
-                           (gam - 1, offset), (gam - 1, offset),
-                           star=(gam == 4 and eps == 0))
-        yield TableRow(f"{gam - 1}r <= d <= {gam}r-{gam}", gam, gam - 1,
-                       None, f"{gam - 2} <= eps <= r-2", "yes",
-                       (gam - 1, 0), (gam, -gam))
-        yield TableRow(f"{gam}r-{gam - 1}", gam, gam, 0, "0", "yes",
-                       (gam, -(gam - 1)), (gam, -(gam - 1)))
-    yield TableRow("...", None, None, None, "", "", None, None)
+            degree = (gam - 1, eps - (gam - 2))
+            yield TableRow(gam, degree, degree, "" if gam > 4 else "no" if eps else star)
+        yield TableRow(gam, (gam - 1, 0), (gam, -gam), "yes")
+        yield TableRow(gam, (gam, 1 - gam), (gam, 1 - gam), "yes")
+    yield TableRow(None, None, None, "")
 
 
 def row_models(row: TableRow, r: int) -> list[ExtremalModel]:
-    """The row's scroll models at a concrete r (empty off the row)."""
+    """The row's scroll models at a concrete r (empty off the row).  Their
+    m is the row's coefficient, which fixes eps on a one-degree row."""
     from .extremal import classify_extremal
 
     if r < 3:
@@ -133,15 +132,14 @@ def row_models(row: TableRow, r: int) -> list[ExtremalModel]:
     (a, b), (c, e) = row.degree_lo, row.degree_hi
     return [model for d in range(max(a * r + b, 2 * r + 1), c * r + e + 1)
             for model in classify_extremal(d, r)
-            if model.k is None and (model.gamma, model.m) == (row.gamma, row.m)
-            and row.eps in (None, model.eps)]
+            if model.k is None and (model.gamma, model.m) == (row.gamma, a)]
 
 
 def expected_status(row: TableRow, r: int) -> Status | None:
     """The verdict the row claims at a concrete r; None where it is silent."""
     from .verdicts import Status
 
-    if row.star:  # holds at r = 4, fails from r = 5 on
+    if row.verdict in (STAR, STAR_RESOLVED):  # holds at r = 4, fails from r = 5 on
         return Status.HOLDS if r == 4 else Status.VIOLATED if r >= 5 else None
     if row.verdict.startswith("yes"):
         return Status.HOLDS

@@ -174,6 +174,6 @@ def plane_slope_verdict(k: int, r: int) -> SlopeVerdict:
     return SlopeVerdict(
         Status.HOLDS,
         "canonical-tail",
-        f"index {r} ends a Noether block with alpha={alpha} > k-4, so r >= g-1;"
-        " from d_{g-1} = 2g-2 the steps are 2, then 1, and the inequality holds",
+        f"index {r} = g-1 ends a Noether block with alpha={alpha} > k-4"
+        " and from d_{g-1} = 2g-2 the steps are 2 then 1 so the inequality holds",
     )

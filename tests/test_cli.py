@@ -806,6 +806,17 @@ def test_the_named_subparser_parses_as_the_whole_parser(capsys, monkeypatch):
     assert {code for code, _, _ in got} == {0, 2}
 
 
+# sha256 over every PARSER_ARGV's stdout, stderr and exit code at an
+# 80-column terminal (argparse wraps help to the terminal width), as the
+# parser gave them while every subparser took --format from a shared parent.
+PARSER_SHA256 = "53aede4fcae0c00c604a69a18933e5edaa5038f6a34972fc3cd25864aeb0510f"
+
+
+def test_parser_text_is_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _pinned_run(capsys, PARSER_ARGV)[1] == PARSER_SHA256
+
+
 def test_module_invocation_contradiction():
     proc = subprocess.run(
         [sys.executable, "-m", "extremalcurves", "bounds", "4", "12",

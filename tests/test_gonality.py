@@ -23,7 +23,7 @@ from extremalcurves import (
     with_assumptions,
 )
 from extremalcurves.selfcheck import foursecant_sweep, tally
-from extremalcurves.verdicts import slope_run
+from extremalcurves.verdicts import FAMILIES, slope_run
 
 
 def rows(led):
@@ -275,6 +275,14 @@ def test_verdict_reasons_are_comma_free():
         model = [m for m in classify_extremal(d, r) if m.gamma == gamma][0]
         v = slope_verdict(model)
         assert "," not in v.reason and "," not in v.tag
+    for k in range(5, 16):
+        g = (k - 1) * (k - 2) // 2
+        for r in range(1, g + 3):
+            v = plane_slope_verdict(k, r)
+            assert "," not in v.reason and "," not in v.tag, (k, r, v)
+    for family in FAMILIES:
+        v = known_family_verdict(family)
+        assert "," not in v.reason and "," not in v.tag, family
 
 
 def test_known_family_verdicts():

@@ -45,7 +45,7 @@ def test_table_shape():
     assert rows[2].record() == {
         "d": "3r-2", "gamma": 4, "m": 3, "eps": "0", "slope": STAR,
     }
-    assert rows[2].star
+    assert rows[2] == (4, (3, -2), (3, -2), STAR)
     assert rows[3].record() == {
         "d": "3r-1", "gamma": 4, "m": 3, "eps": "1", "slope": "no",
     }
@@ -68,8 +68,8 @@ def test_table_shape():
 def test_table_blank_verdicts_above_gonality_four():
     rows = table1(6)
     blanks = [row for row in rows if row.verdict == "" and row.degree_lo is not None]
-    assert [(row.gamma, row.eps) for row in blanks] == [
-        (5, 0), (5, 1), (5, 2), (6, 0), (6, 1), (6, 2), (6, 3),
+    assert [(row.gamma, row.record()["eps"]) for row in blanks] == [
+        (5, "0"), (5, "1"), (5, "2"), (6, "0"), (6, "1"), (6, "2"), (6, "3"),
     ]
 
 
@@ -81,7 +81,9 @@ def test_table_modes():
     star_row, split_row = diffs[0]
     assert star_row.verdict == STAR == "★"
     assert split_row.verdict == STAR_RESOLVED == "yes if r=4; no if r>=5"
-    assert star_row.star and split_row.star
+    assert star_row[:3] == split_row[:3] == (4, (3, -2), (3, -2))
+    assert [expected_status(star_row, r) for r in range(3, 31)] == \
+        [expected_status(split_row, r) for r in range(3, 31)]
 
 
 def test_table_validation():
@@ -138,6 +140,25 @@ def test_rows_agree_with_engine():
                 assert slope_verdict(model).status is want
                 hits += 1
     assert hits > 150
+
+
+def test_row_models_need_no_eps_filter():
+    # d - 1 = m(r-1) + eps: once m is the coefficient c of d = cr + o, the
+    # remainder is c + o - 1, so an eps filter on one-degree rows is implied
+    pairs = nonempty = 0
+    for row in table1(12, mode="resolved"):
+        for r in range(3, 41):
+            want = []
+            if row.degree_lo is not None:
+                (c, o), (c_hi, o_hi) = row.degree_lo, row.degree_hi
+                want = [model for d in range(max(c * r + o, 2 * r + 1), c_hi * r + o_hi + 1)
+                        for model in classify_extremal(d, r)
+                        if model.k is None and (model.gamma, model.m) == (row.gamma, c)
+                        and (row.degree_lo != row.degree_hi or model.eps == c + o - 1)]
+            assert row_models(row, r) == want, (row, r)
+            pairs += 1
+            nonempty += bool(want)
+    assert (pairs, nonempty) == (2850, 2646)  # 75 rows, the filler among them
 
 
 def test_scan_window():

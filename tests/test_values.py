@@ -36,7 +36,7 @@ def _samples():
          "gamma lam n scroll eps profile genus model hypothesis_met"),
         (baseline_ledger(4, 12).entry(2), "index lo hi exact provenance"),
         (verylast_sequence(3)[1][0], "a r degree eps"),
-        (table1()[-1], "degree_expr gamma m eps eps_expr verdict degree_lo degree_hi star"),
+        (table1()[-1], "gamma degree_lo degree_hi verdict"),
     ]
 
 
@@ -60,8 +60,7 @@ def test_reprs():
         "GonalityEntry(index=2, lo=5, hi=8, exact=False,"
         " provenance=('gonality', 'gonal-ceiling'))",
         "VerylastRow(a=0, r=4, degree=12, eps=2)",
-        "TableRow(degree_expr='...', gamma=None, m=None, eps=None, eps_expr='',"
-        " verdict='', degree_lo=None, degree_hi=None, star=False)",
+        "TableRow(gamma=None, degree_lo=None, degree_hi=None, verdict='')",
     ]
     assert str(DivisorClass(1, 2, 3)) == "2*C0 + 3*L on F1"
 
@@ -98,8 +97,8 @@ def test_keyword_construction():
         "status": "holds", "tag": "t", "reason": "r"}
     assert GonalityEntry(index=1, lo=2, hi=2, exact=True, provenance=("x",)).index == 1
     assert VerylastRow(a=0, r=4, degree=12, eps=2) == verylast_sequence(3)[1][0]
-    row = TableRow("3r-2", 3, 3, 0, "0", "yes", (3, -2), (3, -2))
-    assert row.star is False
+    row = TableRow(gamma=3, degree_lo=(3, -2), degree_hi=(3, -2), verdict="yes (trigonal)")
+    assert row == table1()[1]
     res = embed_extremal(4, 12, 3)
     assert (res.d, res.r) == (16, 6)
 
