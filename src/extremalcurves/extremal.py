@@ -21,11 +21,11 @@ scroll class by adjunction against the genus bound.  ``embed_extremal``
 runs the constructive direction: it takes a class gamma*C0 + lambda*L on
 a Hirzebruch surface and produces its unisecant embedding, an extremal
 model when gamma >= 4 (gamma = 3 lands at d = 2r-1, below the regime).
-Its private ``_unisecant_image`` is the one computation of a class's
-image under |C0 + beta*L|, and the foursecant sweep re-embeds through it
-too.  These two and ``verify_extremal_class`` are the lattice layer's
-only users here, and they import it when called, so classifying and
-scanning never load it.
+Its private ``_unisecant_images`` is the one computation of a class's
+images under |C0 + beta*L|; the foursecant sweep re-embeds through it
+too, with one lattice import per sweep.  These two and
+``verify_extremal_class`` are the lattice layer's only users here, and
+they import it when called, so classifying and scanning never load it.
 """
 
 from __future__ import annotations
@@ -205,13 +205,15 @@ class EmbedResult(namedtuple(
         return self.profile.r
 
 
-def _unisecant_image(x: DivisorClass, beta: int) -> tuple[ScrollEmbedding, CurveProfile]:
-    """The scroll of |C0 + beta*L| on x's surface and the lenient profile of
-    x's image on it, whose degree is X.H."""
+def _unisecant_images(x: DivisorClass,
+                      betas) -> Iterator[tuple[ScrollEmbedding, CurveProfile]]:
+    """For each beta in turn, the scroll of |C0 + beta*L| on x's surface and
+    the lenient profile of x's image on it, whose degree is X.H."""
     from .lattice import ScrollEmbedding, intersect
 
-    scroll = ScrollEmbedding.from_unisecant(x.n, beta)
-    return scroll, profile(intersect(x, scroll.hyperplane_class), scroll.r, strict=False)
+    for beta in betas:
+        scroll = ScrollEmbedding.from_unisecant(x.n, beta)
+        yield scroll, profile(intersect(x, scroll.hyperplane_class), scroll.r, strict=False)
 
 
 def embed_extremal(gamma: int, lam: int, n: int) -> EmbedResult:
@@ -255,7 +257,7 @@ def embed_extremal(gamma: int, lam: int, n: int) -> EmbedResult:
             f"beta={beta} = n: the unisecant model is a cone and the curve"
             f" meets the contracted section (intersection {lam - gamma * n})"
         )
-    scroll, prof = _unisecant_image(x, beta)
+    [(scroll, prof)] = _unisecant_images(x, [beta])
     hypothesis = 2 * lam >= gamma * (gamma + n - 2)
     model = None
     if hypothesis:

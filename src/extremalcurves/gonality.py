@@ -6,9 +6,9 @@ with a provenance tag on each side.  Baseline seeds:
 
     d_1 = gamma,   d_{g-1} = 2g-2,   d_r = r+g for r >= g,   d_r <= r*gamma.
 
-A new ledger starts at the gonal ceiling hi[r] = r*gamma.  Seeds and
-extremal-curve facts sharpen individual entries, and two rules close the
-system to a fixed point:
+A new ledger starts at lo[r] = 1 and the gonal ceiling hi[r] = r*gamma.
+Seeds and extremal-curve facts sharpen individual entries, and two rules
+close the system to a fixed point:
 
     strict increase   lo[r+1] >= lo[r] + 1,   hi[r] <= hi[r+1] - 1
     subadditivity     hi[r+s] <= hi[r] + hi[s]      (r+s <= g+2)
@@ -26,33 +26,68 @@ hi[t] above hi[t-1], and a slope-one step hi[t] = hi[t-1] + 1 cannot be
 beaten and is skipped without a scan.  A second round would tighten
 nothing.
 
-Every tightening of hi[r] is appended to a change log and checked
-against lo[r] at once, and every tightening of lo[r] is checked against
-hi[r].  The ceiling is additive and strictly increasing, so it is
-already closed, and so is every ledger a closure finishes (which clears
-the log).  A split hi[s] + hi[t-s] can therefore beat hi[t] only if one
-of its sides is in the log.  Both sides are at least 1, so both lie
-below t, and a logged index at or above t is never a side.  The pass
-keeps the logged indices below t in ascending order, counting those it
-lowers itself: a t with none is skipped, a t with more than about t/4 of
-them scans every split, and any other t checks just the splits with a
-logged side.  Candidates are tried in ascending s with a strict ``<``,
-so the bounds and their tags are those of a full rescan.  Upper bounds
-only fall, and a crossing stops the closure, so every hi[r] stays at or
-above lo[r].  A crossing raises a ``ContradictionError`` naming the
-provenance tags on both sides.
+The closure costs what changed.  ``tighten`` logs every index whose lo
+it raises and every index whose hi it lowers, and checks each new bound
+against the other side at once.  The ceiling is additive and strictly
+increasing, so it is closed; lo = 1 is not, so a new ledger starts with
+index 1 logged as raised.  Every ledger a closure finishes is closed,
+and the closure clears both logs.  Above a closed base a strict-increase
+pair (r, r+1) can fail only where lo[r] rose or hi[r+1] fell.  So the
+lower pass walks up from each raised index in ascending order, and the
+chain pass down from each lowered index in descending order, and each
+walk stops at the first pair that already holds: the base held every
+pair beyond it, and nothing beyond it has moved.  The walks make the
+same tightenings as full passes, in the same order, so a crossing names
+the same index and tags.
+
+A split hi[s] + hi[t-s] can beat hi[t] only if one of its sides is in
+the log.  Both sides are at least 1, so both lie below t, and a logged
+index at or above t is never a side.  So the subadditivity pass starts
+just above the lowest logged index, and an empty log closes nothing.
+The pass keeps the logged indices below t in ascending order, counting
+those it lowers itself: a t with more than about t/4 of them scans every
+split that can win (below), and any other t checks just those splits
+with a logged side.
+
+The gonal-line lemma bounds that scan from below.  Write
+
+    Delta(u) = hi[u] - hi[u-1],   D(x) = x*hi[1] - hi[x],
+
+the drop of hi below the line through hi[1].  When the pass reaches t,
+hi is closed below t, so subadditivity at (1, u-1) gives
+Delta(u) <= hi[1] for u < t: D(1) = 0 and D never decreases on 1..t-1.
+For 1 <= s <= t/2,
+
+    hi[s] + hi[t-s] = t*hi[1] - D(s) - D(t-s),
+    hi[1] + hi[t-1] = t*hi[1] - D(t-1),
+
+and D(t-s) <= D(t-1), so the split s sums to less than the split 1 only
+if D(s) > 0, that is only if s >= z0, the first x with hi[x] < x*hi[1].
+The pass tries s = 1 first and then the splits in [z0, t/2] in ascending
+s, each with a strict ``<``.  A split it skips sums to at least the
+s = 1 sum, or, lacking a logged side, to at least hi[t], so the first
+split to attain the least sum below hi[t] is never one it skips: the
+pass finds the split a scan over every split finds, and with it the
+bound and its tag.  D is monotone, so z0 is found by bisection, once per pass; in
+the foursecant sweep z0 = n.  Upper bounds only fall, and a crossing
+stops the closure, so every hi[r] stays at or above lo[r].  A crossing
+raises a ``ContradictionError`` naming the provenance tags on both
+sides.
 
 A ledger is its seed facts closed once.  Seeds are facts (index, lo, hi,
 tag): the classical values, the entries an extremal model pins, or
 what-if assumptions.  ``tighten`` applies facts in order to a ledger
 under construction; ``_close`` applies them to a copy of a frozen base,
-closes the copy with ``propagate`` and freezes it.  Frozen ledgers are
+closes the copy with ``propagate`` and freezes it.  ``baseline_ledger``
+and ``verylast_sequence`` tighten a new ledger by the classical seeds
+(plus the sweep's facts) and close it once.  Frozen ledgers are
 immutable and safe to share, and every helper below returns a new one
 and leaves its base untouched.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
 from operator import add
 
@@ -82,7 +117,8 @@ class GonalityLedger:
     tail d_r = r + g."""
 
     __slots__ = (
-        "gamma", "g", "max_index", "_lo", "_hi", "_lo_tag", "_hi_tag", "_moved", "_frozen"
+        "gamma", "g", "max_index", "_lo", "_hi", "_lo_tag", "_hi_tag", "_raised", "_moved",
+        "_frozen",
     )
 
     def __init__(self, gamma: int, g: int):
@@ -103,6 +139,7 @@ class GonalityLedger:
         self._hi = [r * gamma for r in range(size)]
         self._lo_tag = ["trivial"] * size
         self._hi_tag = ["gonal-ceiling"] * size
+        self._raised = [1]  # indices whose lo rose since the last closure; lo = 1 is not closed
         self._moved: list[int] = []  # indices whose hi fell since the last closure
         self._frozen = False
 
@@ -126,6 +163,7 @@ class GonalityLedger:
         twin._hi = list(self._hi)
         twin._lo_tag = list(self._lo_tag)
         twin._hi_tag = list(self._hi_tag)
+        twin._raised = list(self._raised)
         twin._moved = list(self._moved)
         twin._frozen = False
         return twin
@@ -137,8 +175,9 @@ class GonalityLedger:
     def tighten(self, facts) -> "GonalityLedger":
         """Apply each fact (r, lo, hi, tag) in order: raise lo[r] to lo, then
         lower hi[r] to hi, each checked against the other side.  A one-sided
-        fact passes lo = 1 or hi = r*gamma.  Past the window d_r is the tail
-        r + g, and a fact there is checked against it under ``riemann-roch``."""
+        fact passes lo = 1 or hi = r*gamma.  Each index whose bound moves is
+        logged for ``propagate``.  Past the window d_r is the tail r + g, and
+        a fact there is checked against it under ``riemann-roch``."""
         self._check_mutable()
         for r, lo, hi, tag in facts:
             if r < 1:
@@ -151,6 +190,7 @@ class GonalityLedger:
                     raise ContradictionError(r, known, hi, "riemann-roch", tag)
                 continue
             if lo > self._lo[r]:
+                self._raised.append(r)
                 self._raise_lo(r, lo, tag)
             if hi < self._hi[r]:
                 self._lower_hi(r, hi, tag)
@@ -172,41 +212,63 @@ class GonalityLedger:
             raise ContradictionError(r, self._lo[r], value, self._lo_tag[r], tag)
 
     def propagate(self) -> "GonalityLedger":
-        """Close the intervals under strict increase and subadditivity in
-        the three passes the module docstring proves sufficient."""
+        """Close the intervals under strict increase and subadditivity,
+        starting from the change logs, as the module docstring proves
+        sufficient."""
         self._check_mutable()
         lo, hi = self._lo, self._hi
         lo_tag, hi_tag = self._lo_tag, self._hi_tag
         top = self.max_index
-        for r in range(1, top):  # lower bounds: one ascending pass suffices
-            v = lo[r] + 1
-            if v > lo[r + 1]:
+        for i in sorted(self._raised):  # lo[r+1] >= lo[r] + 1, up from each raise
+            for r in range(i, top):
+                v = lo[r] + 1
+                if v <= lo[r + 1]:
+                    break
                 self._raise_lo(r + 1, v, lo_tag[r])
-        for r in range(top - 1, 0, -1):  # hi[r] <= hi[r+1] - 1
-            v = hi[r + 1] - 1
-            if v < hi[r]:
+        self._raised.clear()
+        least = top + 1  # the least logged index, read off where the walks stop
+        for i in sorted(self._moved, reverse=True):  # hi[r] <= hi[r+1] - 1, down
+            for r in range(i - 1, 0, -1):
+                v = hi[r + 1] - 1
+                if v >= hi[r]:
+                    least = min(least, r + 1)
+                    break
                 self._lower_hi(r, v, hi_tag[r + 1])
+            else:
+                least = 1
+        if least > top:
+            return self
         logged = set(self._moved)
+        h1 = hi[1]
+        z = 1  # the first x with hi[x] < x*hi[1] once found, else a lower bound
         below = []  # the logged indices below t, ascending
-        for t in range(2, top + 1):  # hi[t] <= hi[s] + hi[t-s]
+        for t in range(least + 1, top + 1):  # hi[t] <= hi[s] + hi[t-s]
             if t - 1 in logged:
                 below.append(t - 1)
-            if not below or hi[t] == hi[t - 1] + 1:
-                continue  # no logged side, or a slope-one step no split can beat
+            if hi[t] == hi[t - 1] + 1:
+                continue  # a slope-one step no split can beat
             best = hi[t]
             split = 0
-            if 4 * len(below) > t:  # many logged: scan every split
-                sums = list(_split_sums(hi, t))
-                low = min(sums)
-                if low < best:
-                    best = low
-                    split = sums.index(low) + 1
-            else:  # only a split with a logged side can beat hi[t]
-                for s in sorted({i if 2 * i <= t else t - i for i in below}):
-                    v = hi[s] + hi[t - s]
-                    if v < best:
-                        best = v
-                        split = s
+            if h1 + hi[t - 1] < best:  # the split s = 1 goes first
+                best = h1 + hi[t - 1]
+                split = 1
+            half = t // 2
+            if z <= half and hi[z] >= z * h1:  # z0 not found yet
+                z = _below_gonal_line(hi, z, half)
+            if z <= half:  # only a split s >= z0 can beat s = 1
+                if 4 * len(below) > t:  # many logged: scan every split from z0
+                    sums = list(_split_sums(hi, t, z))
+                    low = min(sums)
+                    if low < best:
+                        best = low
+                        split = sums.index(low) + z
+                else:  # only a split with a logged side can beat hi[t]
+                    for s in sorted({i if 2 * i <= t else t - i for i in below}):
+                        if s >= z:
+                            v = hi[s] + hi[t - s]
+                            if v < best:
+                                best = v
+                                split = s
             if split:
                 self._lower_hi(t, best, _join_tags(hi_tag[split], hi_tag[t - split]))
                 logged.add(t)
@@ -235,9 +297,18 @@ class GonalityLedger:
         return e.lo if e.exact else None
 
 
-def _split_sums(hi: list[int], t: int):
-    """hi[s] + hi[t-s] for s = 1..t//2, in that order."""
-    return map(add, hi[1 : t // 2 + 1], hi[t - 1 : (t - 1) // 2 : -1])
+def _split_sums(hi: list[int], t: int, start: int):
+    """hi[s] + hi[t-s] for s = start..t//2, in that order."""
+    return map(add, hi[start : t // 2 + 1], hi[t - start : (t - 1) // 2 : -1])
+
+
+def _below_gonal_line(hi: list[int], start: int, stop: int) -> int:
+    """The first x in start..stop with hi[x] < x*hi[1], else stop + 1.  Where
+    hi is closed, that condition is monotone in x, so bisection finds it.
+    (Out of ``propagate`` because a lambda there would make its hot locals
+    closure cells.)"""
+    h1 = hi[1]
+    return bisect_left(range(start, stop + 1), True, key=lambda x: x * h1 > hi[x]) + start
 
 
 def _join_tags(t1: str, t2: str) -> str:
@@ -252,11 +323,17 @@ def _close(base: GonalityLedger, facts) -> GonalityLedger:
     return base.thaw().tighten(facts).propagate().freeze()
 
 
-def baseline_ledger(gamma: int, g: int) -> GonalityLedger:
-    """The frozen ledger seeded with the classical facts alone."""
+def _baseline_facts(gamma: int, g: int) -> list[tuple[int, int, int, str]]:
+    """The classical seeds: the gonality, the canonical entry and the
+    Riemann-Roch tail."""
     seeds = [(1, gamma, gamma, "gonality"), (g - 1, 2 * g - 2, 2 * g - 2, "canonical")]
     seeds += [(r, r + g, r + g, "riemann-roch") for r in range(g, g + 3)]
-    return GonalityLedger(gamma, g).tighten(seeds).propagate().freeze()
+    return seeds
+
+
+def baseline_ledger(gamma: int, g: int) -> GonalityLedger:
+    """The frozen ledger seeded with the classical facts alone."""
+    return GonalityLedger(gamma, g).tighten(_baseline_facts(gamma, g)).propagate().freeze()
 
 
 def _extremal_facts(model: ExtremalModel) -> list[tuple[int, int, int, str]]:
@@ -324,7 +401,7 @@ def verylast_sequence(n: int) -> tuple[GonalityLedger, list[VerylastRow]]:
     d_{n+2a+1} = 4(n+a) across the sweep and bounds the first entry after
     it by 4(n+abar)+3.
     """
-    from .extremal import ExtremalModel, ModelKind, _unisecant_image
+    from .extremal import ExtremalModel, ModelKind, _unisecant_images
     from .lattice import DivisorClass, adjunction_genus, class_in_HL, gonality_from_class
 
     if n < 3:
@@ -334,10 +411,10 @@ def verylast_sequence(n: int) -> tuple[GonalityLedger, list[VerylastRow]]:
     gamma = gonality_from_class(x)
     if (g, gamma) != (6 * n - 3, 4):
         raise ArithmeticError(f"foursecant invariants broke for {x}: g={g} gamma={gamma}")
-    base = baseline_ledger(gamma, g)  # before the sweep: an n too large fails here
-    rows, facts = [], []
-    for a in range((n - 3) // 2 + 1):
-        scroll, prof = _unisecant_image(x, n + a)
+    led = GonalityLedger(gamma, g)  # before the sweep: an n too large fails here
+    rows, facts = [], _baseline_facts(gamma, g)
+    abar = (n - 3) // 2
+    for a, (scroll, prof) in enumerate(_unisecant_images(x, range(n, n + abar + 1))):
         model = ExtremalModel(ModelKind.TYPE_III, prof.d, prof.r)
         want = (gamma, g, class_in_HL(x, scroll))
         if (model.gamma, model.g, model.scroll_class) != want:
@@ -347,4 +424,4 @@ def verylast_sequence(n: int) -> tuple[GonalityLedger, list[VerylastRow]]:
             )
         rows.append(VerylastRow(a=a, r=model.r, degree=model.d, eps=model.eps))
         facts += _extremal_facts(model)
-    return _close(base, facts), rows
+    return led.tighten(facts).propagate().freeze(), rows

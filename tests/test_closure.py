@@ -10,7 +10,10 @@ import pytest
 
 from extremalcurves import (
     ContradictionError,
+    ExtremalModel,
     GonalityLedger,
+    ModelKind,
+    apply_extremal_facts,
     baseline_ledger,
     plane_curve_gonality,
     verylast_sequence,
@@ -85,8 +88,9 @@ def _assume_inside(rng, led):
 
 def _closure_grid():
     """Seeded baselines with assumptions, larger bare baselines, the
-    foursecant sweeps, and plane curves with every third true value
-    asserted."""
+    foursecant sweeps and assumptions on them, plane curves with every
+    third true value asserted, and plane models folded onto plane
+    baselines, then refined."""
     rng = random.Random(20220527)
     for gamma in range(2, 9):
         for g in range(max(3, 2 * gamma - 3), 70):  # gamma <= (g+3)//2
@@ -102,20 +106,32 @@ def _closure_grid():
     for gamma in range(3, 9):  # most of the log lies above t after the chain pass
         for g in range(70, 201, 10):
             baseline_ledger(gamma, g)
-    for n in range(3, 30):
-        verylast_sequence(n)
+    for n in range(3, 41):  # closures from a base that is no baseline
+        led, _ = verylast_sequence(n)
+        for _ in range(3):
+            try:
+                with_assumptions(led, _assume_inside(rng, led))
+            except ContradictionError:
+                pass
     for k in range(5, 30):
         g = (k - 1) * (k - 2) // 2
         base = baseline_ledger(k - 1, g)
         truth = [(r, plane_curve_gonality(k, r)) for r in range(1, base.max_index + 1, 3)]
         with_assumptions(base, truth)
+    for k in range(6, 30):  # r = 5 and d = 2k >= 2r+1
+        model = ExtremalModel(ModelKind.PLANE_VERONESE, 2 * k, 5)
+        folded = apply_extremal_facts(baseline_ledger(model.gamma, model.g), model)
+        try:
+            with_assumptions(folded, _assume_inside(rng, folded))
+        except ContradictionError:
+            pass
 
 
 def test_closure_matches_full_rescan(against_reference):
     _closure_grid()
     print(f"closure vs reference: {against_reference}")
-    assert against_reference["identical"] > 500
-    assert against_reference["contradicted"] > 500
+    assert against_reference["identical"] > 1200
+    assert against_reference["contradicted"] > 800
 
 
 def _refine_inside(rng, led):
@@ -154,26 +170,31 @@ def test_random_refinements_match_full_rescan(against_reference):
 
 @pytest.fixture
 def closure_guard(monkeypatch):
-    """After every propagate call, require lo and hi strictly increasing
-    and, for g <= 70, hi[s+t] <= hi[s] + hi[t] by brute force.  During
-    the call, require that no index is fully scanned twice and none at a
-    slope-one step hi[t] = hi[t-1] + 1."""
+    """After every propagate call, require lo and hi strictly increasing,
+    hi[u] - hi[u-1] <= hi[1] (the premise of the gonal-line lemma that
+    bounds each scan from below) and, for g <= 70, hi[s+t] <= hi[s] + hi[t]
+    by brute force.  During the call, require that no index is scanned
+    twice and none at a slope-one step hi[t] = hi[t-1] + 1; count the
+    split sums the scans evaluate."""
     closure = GonalityLedger.propagate
     split_sums = gonality._split_sums
     scanned = set()
-    tally = {"closed": 0, "scans": 0}
+    tally = {"closed": 0, "scans": 0, "sums": 0}
 
-    def scan(hi, t):
-        assert hi[t] != hi[t - 1] + 1, f"full scan of the slope-one step {t}"
-        assert t not in scanned, f"index {t} fully scanned twice in one closure"
+    def scan(hi, t, start):
+        assert hi[t] != hi[t - 1] + 1, f"scan of the slope-one step {t}"
+        assert t not in scanned, f"index {t} scanned twice in one closure"
         scanned.add(t)
-        return split_sums(hi, t)
+        sums = list(split_sums(hi, t, start))
+        tally["sums"] += len(sums)
+        return sums
 
     def propagate(led):
         scanned.clear()
         closure(led)
         lo, hi, top = led._lo, led._hi, led.max_index
         assert all(lo[r] < lo[r + 1] and hi[r] < hi[r + 1] for r in range(1, top))
+        assert all(hi[u] - hi[u - 1] <= hi[1] for u in range(2, top + 1))
         if led.g <= 70:
             assert all(hi[s + t] <= hi[s] + hi[t]
                        for s in range(1, top) for t in range(s, top + 1 - s))
@@ -204,6 +225,15 @@ def test_baseline_closure_scans_at_most_one_index(closure_guard, gamma):
 def test_foursecant_closure_scans_few_indices(closure_guard):
     verylast_sequence(100)
     assert closure_guard["scans"] <= 102
+
+
+@pytest.mark.parametrize("n, sums", [(30, 159), (100, 1321)])
+def test_foursecant_closure_scans_from_the_gonal_line(closure_guard, n, sums):
+    # a split beats s = 1 only with both sides below the line x*hi[1], so
+    # the scans start at the sweep's n; scans over every split from s = 1
+    # evaluated 1,081 and 11,090 sums here
+    verylast_sequence(n)
+    assert closure_guard["sums"] == sums
 
 
 # -- brute-force soundness oracle --------------------------------------------
