@@ -24,7 +24,7 @@ _HOME = {
         ("extremal", "EmbedResult ExtremalModel ModelKind classify_extremal"
                      " embed_extremal verify_extremal_class"),
         ("gonality", "GonalityEntry GonalityLedger VerylastRow apply_extremal_facts"
-                     " baseline_ledger verylast_sequence with_assumptions"),
+                     " baseline_ledger close verylast_sequence with_assumptions"),
         ("lattice", "DivisorClass ScrollEmbedding adjunction_genus canonical_class"
                     " class_in_HL formal_genus gonality_from_class h0_unisecant"
                     " intersect intersect_on_scroll is_irreducible_smoothable"

@@ -122,6 +122,8 @@ def _cmd_slope(args) -> dict | list[dict]:
     from .verdicts import known_family_verdict, slope_verdict
 
     if args.family is not None:
+        if (args.d, args.r, args.gamma) != (None, None, None):
+            raise InvalidInput("slope takes d and r (with --gamma) or --family, not both")
         return {"family": args.family, **known_family_verdict(args.family).record()}
     if args.d is None or args.r is None:
         raise InvalidInput("slope needs either d and r or --family")

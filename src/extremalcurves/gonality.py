@@ -6,9 +6,9 @@ with a provenance tag on each side.  Baseline seeds:
 
     d_1 = gamma,   d_{g-1} = 2g-2,   d_r = r+g for r >= g,   d_r <= r*gamma.
 
-A new ledger starts at lo[r] = 1 and the gonal ceiling hi[r] = r*gamma.
-Seeds and extremal-curve facts sharpen individual entries, and two rules
-close the system to a fixed point:
+A new ledger starts at the trivial floor lo[r] = r and the gonal ceiling
+hi[r] = r*gamma.  Seeds and extremal-curve facts sharpen individual
+entries, and two rules close the system to a fixed point:
 
     strict increase   lo[r+1] >= lo[r] + 1,   hi[r] <= hi[r+1] - 1
     subadditivity     hi[r+s] <= hi[r] + hi[s]      (r+s <= g+2)
@@ -26,17 +26,19 @@ hi[t] above hi[t-1], and a slope-one step hi[t] = hi[t-1] + 1 cannot be
 beaten and is skipped without a scan.  A second round would tighten
 nothing.
 
-The closure costs what changed.  ``tighten`` logs every index whose lo
-it raises and every index whose hi it lowers, and checks each new bound
-against the other side at once.  The ceiling is additive and strictly
-increasing, so it is closed; lo = 1 is not, so a new ledger starts with
-index 1 logged as raised.  Every ledger a closure finishes is closed,
-and the closure clears both logs.  Above a closed base a strict-increase
+The closure costs what changed.  ``close`` applies the facts to a
+closed base, checks each new bound against the other side at once, and
+logs every index whose lo it raises and every index whose hi it lowers.
+A new ledger is a closed base: lo = r is strictly increasing, and the
+ceiling is additive and strictly increasing.  ``propagate`` closes from
+those two logs, which live only in that one ``close`` call, so every
+ledger outside it is closed.  Above a closed base a strict-increase
 pair (r, r+1) can fail only where lo[r] rose or hi[r+1] fell.  So the
 lower pass walks up from each raised index in ascending order, and the
 chain pass down from each lowered index in descending order, and each
 walk stops at the first pair that already holds: the base held every
-pair beyond it, and nothing beyond it has moved.  The walks make the
+pair beyond it, and nothing beyond it has moved.  The chain pass logs
+each index it lowers, as a fact would.  The walks make the
 same tightenings as full passes, in the same order, so a crossing names
 the same index and tags.
 
@@ -76,19 +78,21 @@ sides.
 
 A ledger is its seed facts closed once.  Seeds are facts (index, lo, hi,
 tag): the classical values, the entries an extremal model pins, or
-what-if assumptions.  ``tighten`` applies facts in order to a ledger
-under construction; ``_close`` applies them to a copy of a frozen base,
-closes the copy with ``propagate`` and freezes it.  ``baseline_ledger``
-and ``verylast_sequence`` tighten a new ledger by the classical seeds
-(plus the sweep's facts) and close it once.  Frozen ledgers are
-immutable and safe to share, and every helper below returns a new one
-and leaves its base untouched.
+what-if assumptions.  ``close`` is the one builder: it applies facts
+in order to a new ledger or to a copy of a frozen base, closes the
+result with ``propagate`` and freezes it.  ``baseline_ledger`` and
+``verylast_sequence`` close the classical seeds (plus the sweep's facts)
+on a new ledger; ``apply_extremal_facts`` and ``with_assumptions`` close
+their facts onto a base.  Frozen ledgers are immutable and safe to
+share, and every helper below returns a new one and leaves its base
+untouched.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import namedtuple
+from itertools import chain
 from operator import add
 
 from .errors import ContradictionError, InvalidInput, UnsupportedInput
@@ -116,10 +120,7 @@ class GonalityLedger:
     Indices 1..g+2 are materialized; entries past the end are the known
     tail d_r = r + g."""
 
-    __slots__ = (
-        "gamma", "g", "max_index", "_lo", "_hi", "_lo_tag", "_hi_tag", "_raised", "_moved",
-        "_frozen",
-    )
+    __slots__ = ("gamma", "g", "max_index", "_lo", "_hi", "_lo_tag", "_hi_tag", "_frozen")
 
     def __init__(self, gamma: int, g: int):
         if gamma < 2:
@@ -135,12 +136,10 @@ class GonalityLedger:
         self.g = g
         self.max_index = g + 2
         size = self.max_index + 1  # index 0 unused
-        self._lo = [1] * size
-        self._hi = [r * gamma for r in range(size)]
+        self._lo = list(range(size))  # d_r >= r: closed, as is the ceiling
+        self._hi = list(range(0, size * gamma, gamma))
         self._lo_tag = ["trivial"] * size
         self._hi_tag = ["gonal-ceiling"] * size
-        self._raised = [1]  # indices whose lo rose since the last closure; lo = 1 is not closed
-        self._moved: list[int] = []  # indices whose hi fell since the last closure
         self._frozen = False
 
     # -- construction -------------------------------------------------
@@ -163,38 +162,12 @@ class GonalityLedger:
         twin._hi = list(self._hi)
         twin._lo_tag = list(self._lo_tag)
         twin._hi_tag = list(self._hi_tag)
-        twin._raised = list(self._raised)
-        twin._moved = list(self._moved)
         twin._frozen = False
         return twin
 
     def _check_mutable(self) -> None:
         if self._frozen:
             raise RuntimeError("ledger is frozen; thaw() a copy to refine it")
-
-    def tighten(self, facts) -> "GonalityLedger":
-        """Apply each fact (r, lo, hi, tag) in order: raise lo[r] to lo, then
-        lower hi[r] to hi, each checked against the other side.  A one-sided
-        fact passes lo = 1 or hi = r*gamma.  Each index whose bound moves is
-        logged for ``propagate``.  Past the window d_r is the tail r + g, and
-        a fact there is checked against it under ``riemann-roch``."""
-        self._check_mutable()
-        for r, lo, hi, tag in facts:
-            if r < 1:
-                raise InvalidInput(f"need index >= 1, got {r}")
-            if r > self.max_index:
-                known = r + self.g
-                if lo > known:
-                    raise ContradictionError(r, lo, known, tag, "riemann-roch")
-                if hi < known:
-                    raise ContradictionError(r, known, hi, "riemann-roch", tag)
-                continue
-            if lo > self._lo[r]:
-                self._raised.append(r)
-                self._raise_lo(r, lo, tag)
-            if hi < self._hi[r]:
-                self._lower_hi(r, hi, tag)
-        return self
 
     def _raise_lo(self, r: int, value: int, tag: str) -> None:
         """Tighten lo[r] to value, checking it against hi[r]."""
@@ -204,41 +177,37 @@ class GonalityLedger:
             raise ContradictionError(r, value, self._hi[r], tag, self._hi_tag[r])
 
     def _lower_hi(self, r: int, value: int, tag: str) -> None:
-        """Tighten hi[r] to value, logging r and checking it against lo[r]."""
+        """Tighten hi[r] to value, checking it against lo[r]."""
         self._hi[r] = value
         self._hi_tag[r] = tag
-        self._moved.append(r)
         if value < self._lo[r]:
             raise ContradictionError(r, self._lo[r], value, self._lo_tag[r], tag)
 
-    def propagate(self) -> "GonalityLedger":
-        """Close the intervals under strict increase and subadditivity,
-        starting from the change logs, as the module docstring proves
-        sufficient."""
+    def propagate(self, raised: list[int], moved: list[int]) -> "GonalityLedger":
+        """Close the intervals under strict increase and subadditivity, given
+        the indices whose lo rose (raised) and whose hi fell (moved) since
+        the ledger was closed, as the module docstring proves sufficient."""
         self._check_mutable()
         lo, hi = self._lo, self._hi
         lo_tag, hi_tag = self._lo_tag, self._hi_tag
         top = self.max_index
-        for i in sorted(self._raised):  # lo[r+1] >= lo[r] + 1, up from each raise
+        for i in sorted(raised):  # lo[r+1] >= lo[r] + 1, up from each raise
             for r in range(i, top):
                 v = lo[r] + 1
                 if v <= lo[r + 1]:
                     break
                 self._raise_lo(r + 1, v, lo_tag[r])
-        self._raised.clear()
-        least = top + 1  # the least logged index, read off where the walks stop
-        for i in sorted(self._moved, reverse=True):  # hi[r] <= hi[r+1] - 1, down
+        logged = set(moved)
+        for i in sorted(logged, reverse=True):  # hi[r] <= hi[r+1] - 1, down
             for r in range(i - 1, 0, -1):
                 v = hi[r + 1] - 1
                 if v >= hi[r]:
-                    least = min(least, r + 1)
                     break
                 self._lower_hi(r, v, hi_tag[r + 1])
-            else:
-                least = 1
-        if least > top:
+                logged.add(r)
+        if not logged:
             return self
-        logged = set(self._moved)
+        least = min(logged)
         h1 = hi[1]
         z = 1  # the first x with hi[x] < x*hi[1] once found, else a lower bound
         below = []  # the logged indices below t, ascending
@@ -272,7 +241,6 @@ class GonalityLedger:
             if split:
                 self._lower_hi(t, best, _join_tags(hi_tag[split], hi_tag[t - split]))
                 logged.add(t)
-        self._moved.clear()
         return self
 
     # -- queries -------------------------------------------------------
@@ -318,9 +286,37 @@ def _join_tags(t1: str, t2: str) -> str:
     return "+".join(parts)
 
 
-def _close(base: GonalityLedger, facts) -> GonalityLedger:
-    """A new frozen ledger: the facts applied to a copy of base, closed."""
-    return base.thaw().tighten(facts).propagate().freeze()
+def close(gamma: int, g: int, facts, base: GonalityLedger | None = None) -> GonalityLedger:
+    """A new frozen ledger: a new (gamma, g) ledger, or a copy of base, with
+    the facts applied in order and closed.  ``facts`` is read only once that
+    ledger is made.
+
+    Each fact (r, lo, hi, tag) raises lo[r] to lo, then lowers hi[r] to hi,
+    each checked against the other side; a one-sided fact passes lo = 1 or
+    hi = r*gamma.  Past the window d_r is the tail r + g, and a fact there
+    is checked against it under ``riemann-roch``."""
+    if base is not None and (base.gamma, base.g) != (gamma, g):
+        raise InvalidInput(f"the base ledger is for (gamma, g) = ({base.gamma}, {base.g}),"
+                           f" not ({gamma}, {g})")
+    led = GonalityLedger(gamma, g) if base is None else base.thaw()
+    raised, moved = [], []  # the indices whose lo rose and whose hi fell
+    for r, lo, hi, tag in facts:
+        if r < 1:
+            raise InvalidInput(f"need index >= 1, got {r}")
+        if r > led.max_index:
+            known = r + g
+            if lo > known:
+                raise ContradictionError(r, lo, known, tag, "riemann-roch")
+            if hi < known:
+                raise ContradictionError(r, known, hi, "riemann-roch", tag)
+            continue
+        if lo > led._lo[r]:
+            raised.append(r)
+            led._raise_lo(r, lo, tag)
+        if hi < led._hi[r]:
+            moved.append(r)
+            led._lower_hi(r, hi, tag)
+    return led.propagate(raised, moved).freeze()
 
 
 def _baseline_facts(gamma: int, g: int) -> list[tuple[int, int, int, str]]:
@@ -333,7 +329,7 @@ def _baseline_facts(gamma: int, g: int) -> list[tuple[int, int, int, str]]:
 
 def baseline_ledger(gamma: int, g: int) -> GonalityLedger:
     """The frozen ledger seeded with the classical facts alone."""
-    return GonalityLedger(gamma, g).tighten(_baseline_facts(gamma, g)).propagate().freeze()
+    return close(gamma, g, _baseline_facts(gamma, g))
 
 
 def _extremal_facts(model: ExtremalModel) -> list[tuple[int, int, int, str]]:
@@ -358,13 +354,9 @@ def _extremal_facts(model: ExtremalModel) -> list[tuple[int, int, int, str]]:
 
 
 def apply_extremal_facts(ledger: GonalityLedger, model: ExtremalModel) -> GonalityLedger:
-    """A new frozen ledger with the model's exact facts folded in."""
-    if ledger.gamma != model.gamma or ledger.g != model.g:
-        raise InvalidInput(
-            f"ledger is for (gamma={ledger.gamma}, g={ledger.g}) but the model"
-            f" has (gamma={model.gamma}, g={model.g})"
-        )
-    return _close(ledger, _extremal_facts(model))
+    """A new frozen ledger with the model's exact facts folded in; the
+    ledger must be for the model's (gamma, g)."""
+    return close(model.gamma, model.g, _extremal_facts(model), ledger)
 
 
 def with_assumptions(ledger: GonalityLedger,
@@ -374,7 +366,8 @@ def with_assumptions(ledger: GonalityLedger,
     Useful for what-if checks; crossing a derived bound raises a
     ``ContradictionError`` naming the tag ``assume`` and the bound's tag.
     """
-    return _close(ledger, [(r, value, value, "assume") for r, value in assumptions])
+    facts = [(r, value, value, "assume") for r, value in assumptions]
+    return close(ledger.gamma, ledger.g, facts, ledger)
 
 
 # -- the foursecant family on a Hirzebruch surface -------------------------
@@ -411,17 +404,20 @@ def verylast_sequence(n: int) -> tuple[GonalityLedger, list[VerylastRow]]:
     gamma = gonality_from_class(x)
     if (g, gamma) != (6 * n - 3, 4):
         raise ArithmeticError(f"foursecant invariants broke for {x}: g={g} gamma={gamma}")
-    led = GonalityLedger(gamma, g)  # before the sweep: an n too large fails here
-    rows, facts = [], _baseline_facts(gamma, g)
-    abar = (n - 3) // 2
-    for a, (scroll, prof) in enumerate(_unisecant_images(x, range(n, n + abar + 1))):
-        model = ExtremalModel(ModelKind.TYPE_III, prof.d, prof.r)
-        want = (gamma, g, class_in_HL(x, scroll))
-        if (model.gamma, model.g, model.scroll_class) != want:
-            raise ArithmeticError(
-                f"re-embedding a={a} is not extremal: the model is {model}, but"
-                f" the lattice gives (gamma, g, scroll_class)={want}"
-            )
-        rows.append(VerylastRow(a=a, r=model.r, degree=model.d, eps=model.eps))
-        facts += _extremal_facts(model)
-    return led.tighten(facts).propagate().freeze(), rows
+    rows = []
+
+    def sweep_facts():
+        abar = (n - 3) // 2
+        for a, (scroll, prof) in enumerate(_unisecant_images(x, range(n, n + abar + 1))):
+            model = ExtremalModel(ModelKind.TYPE_III, prof.d, prof.r)
+            want = (gamma, g, class_in_HL(x, scroll))
+            if (model.gamma, model.g, model.scroll_class) != want:
+                raise ArithmeticError(
+                    f"re-embedding a={a} is not extremal: the model is {model}, but"
+                    f" the lattice gives (gamma, g, scroll_class)={want}"
+                )
+            rows.append(VerylastRow(a=a, r=model.r, degree=model.d, eps=model.eps))
+            yield from _extremal_facts(model)
+
+    # ``close`` builds the ledger first: an n too large fails before the sweep
+    return close(gamma, g, chain(_baseline_facts(gamma, g), sweep_facts())), rows

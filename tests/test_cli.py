@@ -141,6 +141,12 @@ def test_slope_family(capsys):
                    " reason=every slope inequality holds for hyperelliptic curves\n")
 
 
+@pytest.mark.parametrize("extra", [["13", "5"], ["13"], ["--gamma", "4"]], ids=" ".join)
+def test_slope_family_refuses_a_model(capsys, extra):
+    assert run_cli(capsys, "slope", "--family", "trigonal", *extra) == (
+        2, "", "error: slope takes d and r (with --gamma) or --family, not both\n")
+
+
 def test_slope_requires_arguments(capsys):
     code, _, err = run_cli(capsys, "slope")
     assert code == 2 and "needs either d and r or --family" in err
@@ -609,7 +615,8 @@ def test_selfcheck_group_error_is_a_failed_check(capsys, monkeypatch, fmt, error
 @pytest.mark.parametrize("argv", [["bounds", "2", str(10**20)], ["verylast", str(10**20)]],
                          ids=" ".join)
 def test_input_too_large_exits_two(capsys, argv):
-    # both raise OverflowError from a list repetition before allocating
+    # both raise OverflowError when the ledger's arrays are sized, before
+    # allocating; verylast builds its ledger before it runs the sweep
     assert run_cli(capsys, *argv) == (2, "", "error: input too large to hold (OverflowError)\n")
 
 

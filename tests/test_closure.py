@@ -15,6 +15,7 @@ from extremalcurves import (
     ModelKind,
     apply_extremal_facts,
     baseline_ledger,
+    close,
     plane_curve_gonality,
     verylast_sequence,
     with_assumptions,
@@ -25,13 +26,12 @@ from reference_closure import reference_propagate
 
 
 def test_closure_terminates_when_bounds_cross():
-    # hi[5] = 3 < 5: the full-rescan loop ratchets hi down forever here
+    # hi[5] = 3 < 5: the full-rescan loop ratchets hi down forever here;
+    # the fact itself crosses the trivial floor lo[5] = 5
     code = (
-        "from extremalcurves import ContradictionError, GonalityLedger\n"
-        "led = GonalityLedger(4, 10)\n"
-        "led.tighten([(5, 1, 3, 'x')])\n"
+        "from extremalcurves import ContradictionError, close\n"
         "try:\n"
-        "    led.propagate()\n"
+        "    close(4, 10, [(5, 1, 3, 'x')])\n"
         "except ContradictionError as exc:\n"
         "    print(exc.index, exc.lo_tag, exc.hi_tag)\n"
     )
@@ -41,11 +41,23 @@ def test_closure_terminates_when_bounds_cross():
     assert proc.stdout == "5 trivial x\n"
 
 
-def test_thaw_keeps_pending_tightenings():
-    led = GonalityLedger(4, 12)
-    led.tighten([(1, 4, 4, "gonality"), (11, 22, 22, "canonical")])
-    led.tighten([(r, r + 12, r + 12, "riemann-roch") for r in range(12, 15)])
-    assert led.thaw().propagate().entries() == baseline_ledger(4, 12).entries()
+def _intervals(gamma, g, *batches):
+    """The intervals after one ``close`` per batch of facts, each onto the
+    last.  (Tags may differ: a fact that only equals a bound an earlier
+    batch derived leaves that bound's tag.)"""
+    led = None
+    for facts in batches:
+        led = close(gamma, g, facts, led)
+    return [(e.lo, e.hi) for e in led.entries()]
+
+
+def test_facts_split_across_closes_match_one_close():
+    for gamma in range(2, 9):
+        for g in range(max(3, 2 * gamma - 3), 60):
+            seeds = gonality._baseline_facts(gamma, g)
+            whole = _intervals(gamma, g, seeds)
+            for cut in range(len(seeds) + 1):
+                assert _intervals(gamma, g, seeds[:cut], seeds[cut:]) == whole, (gamma, g, cut)
 
 
 # -- differential test against the full-rescan reference --------------------
@@ -58,7 +70,7 @@ def against_reference(monkeypatch):
     closure = GonalityLedger.propagate
     tally = {"identical": 0, "contradicted": 0}
 
-    def propagate(led):
+    def propagate(led, *logs):
         want = [list(a) for a in (led._lo, led._hi, led._lo_tag, led._hi_tag)]
         try:
             reference_propagate(*want, led.max_index)
@@ -66,7 +78,7 @@ def against_reference(monkeypatch):
         except ContradictionError as exc:
             expected = exc
         try:
-            closure(led)
+            closure(led, *logs)
         except ContradictionError:
             assert expected is not None, "only the new closure found a crossing"
             tally["contradicted"] += 1
@@ -135,15 +147,17 @@ def test_closure_matches_full_rescan(against_reference):
 
 
 def _refine_inside(rng, led):
-    """One to four one-sided facts, each to a value inside the current
-    interval, so no fact raises; every hi stays at or above its index."""
-    for _ in range(rng.randint(1, 4)):
-        r = rng.randint(1, led.max_index)
+    """One to four one-sided facts at distinct indices, each to a value
+    inside the current interval, so no fact raises; every hi stays at or
+    above its index."""
+    facts = []
+    for r in rng.sample(range(1, led.max_index + 1), rng.randint(1, 4)):
         e = led.entry(r)
         if rng.random() < 0.5:
-            led.tighten([(r, 1, rng.randint(max(r, e.lo), e.hi), rng.choice("abc"))])
+            facts.append((r, 1, rng.randint(e.lo, e.hi), rng.choice("abc")))
         else:
-            led.tighten([(r, rng.randint(e.lo, e.hi), r * led.gamma, rng.choice("xyz"))])
+            facts.append((r, rng.randint(e.lo, e.hi), r * led.gamma, rng.choice("xyz")))
+    return facts
 
 
 def test_random_refinements_match_full_rescan(against_reference):
@@ -153,11 +167,7 @@ def test_random_refinements_match_full_rescan(against_reference):
             led = GonalityLedger(rng.randint(2, (g + 3) // 2), g)
             try:
                 for _ in range(rng.randint(1, 8)):
-                    led = led.freeze().thaw()
-                    _refine_inside(rng, led)
-                    if rng.random() < 0.7:  # else the log stays pending across a thaw
-                        led.propagate()
-                led.freeze().thaw().propagate()
+                    led = close(led.gamma, led.g, _refine_inside(rng, led), led)
             except ContradictionError:
                 pass
     print(f"random refinements vs reference: {against_reference}")
@@ -189,9 +199,9 @@ def closure_guard(monkeypatch):
         tally["sums"] += len(sums)
         return sums
 
-    def propagate(led):
+    def propagate(led, *logs):
         scanned.clear()
-        closure(led)
+        closure(led, *logs)
         lo, hi, top = led._lo, led._hi, led.max_index
         assert all(lo[r] < lo[r + 1] and hi[r] < hi[r + 1] for r in range(1, top))
         assert all(hi[u] - hi[u - 1] <= hi[1] for u in range(2, top + 1))

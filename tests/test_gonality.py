@@ -14,6 +14,7 @@ from extremalcurves import (
     apply_extremal_facts,
     baseline_ledger,
     classify_extremal,
+    close,
     embed_extremal,
     known_family_verdict,
     plane_curve_gonality,
@@ -142,11 +143,18 @@ def test_facts_reject_mismatched_ledger():
 def test_frozen_ledger_is_immutable():
     led = baseline_ledger(4, 12)
     with pytest.raises(RuntimeError, match="thaw"):
-        led.tighten([(2, 6, 8, "probe")])
-    twin = led.thaw()
-    assert not twin.frozen and led.frozen
-    twin.tighten([(2, 6, 8, "probe")])
+        led.propagate([2], [2])
+    twin = close(4, 12, [(2, 6, 8, "probe")], led)
+    assert twin is not led and twin.frozen and led.frozen
     assert led.entry(2).lo == 5 and twin.entry(2).lo == 6
+
+
+def test_bare_ledger_is_closed():
+    # the trivial floor d_r >= r and the gonal ceiling need no closure
+    bare = GonalityLedger(4, 12)
+    assert rows(bare) == [(r, r, 4 * r, False, ("trivial", "gonal-ceiling"))
+                          for r in range(1, 15)]
+    assert bare.entries() == close(4, 12, []).entries()
 
 
 def test_entries_beyond_the_window():
@@ -191,20 +199,21 @@ def test_assumptions_beyond_the_window():
         with_assumptions(led, [(0, 4)])
 
 
-def test_tighten_at_the_edges():
-    led = GonalityLedger(4, 12)
+def test_close_at_the_edges():
     with pytest.raises(InvalidInput):
-        led.tighten([(0, 1, 4, "probe")])
+        close(4, 12, [(0, 1, 4, "probe")])
     # past the window d_20 is the tail 20 + 12 = 32
     with pytest.raises(ContradictionError) as info:
-        led.tighten([(20, 1, 31, "probe")])
+        close(4, 12, [(20, 1, 31, "probe")])
     assert (info.value.lo_tag, info.value.hi_tag) == ("riemann-roch", "probe")
     with pytest.raises(ContradictionError) as info:
-        led.tighten([(20, 33, 80, "probe")])
+        close(4, 12, [(20, 33, 80, "probe")])
     assert (info.value.lo_tag, info.value.hi_tag) == ("probe", "riemann-roch")
-    before = rows(led)
-    assert led.tighten([(20, 32, 32, "probe")]) is led
-    assert rows(led) == before and led.entry(20).provenance == ("riemann-roch",)
+    led = close(4, 12, [(20, 32, 32, "probe")])
+    assert rows(led) == rows(GonalityLedger(4, 12))
+    assert led.entry(20).provenance == ("riemann-roch",)
+    with pytest.raises(InvalidInput, match="base ledger is for"):
+        close(4, 13, [], led)
 
 
 def test_helpers_leave_their_base_untouched():
@@ -390,9 +399,7 @@ def test_verylast_validation():
 
 
 def test_raw_ledger_matches_baseline():
-    led = GonalityLedger(4, 12)
-    led.tighten([(r, 1, 4 * r, "gonal-ceiling") for r in range(1, led.max_index + 1)])
-    led.tighten([(1, 4, 4, "gonality"), (11, 22, 22, "canonical")])
-    led.tighten([(r, r + 12, r + 12, "riemann-roch") for r in range(12, 15)])
-    led.propagate().freeze()
-    assert rows(led) == rows(baseline_ledger(4, 12))
+    facts = [(r, 1, 4 * r, "gonal-ceiling") for r in range(1, 15)]
+    facts += [(1, 4, 4, "gonality"), (11, 22, 22, "canonical")]
+    facts += [(r, r + 12, r + 12, "riemann-roch") for r in range(12, 15)]
+    assert rows(close(4, 12, facts)) == rows(baseline_ledger(4, 12))
