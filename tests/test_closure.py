@@ -1,7 +1,8 @@
 """The ledger closure: termination, agreement with the full-rescan
-reference, closure after every call, and soundness against every
-sequence the rules allow."""
+reference, closure after every call, pinned output, and soundness
+against every sequence the rules allow."""
 
+import hashlib
 import random
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from extremalcurves import (
     ModelKind,
     apply_extremal_facts,
     baseline_ledger,
+    classify_extremal,
     close,
     plane_curve_gonality,
     verylast_sequence,
@@ -244,6 +246,66 @@ def test_foursecant_closure_scans_from_the_gonal_line(closure_guard, n, sums):
     # evaluated 1,081 and 11,090 sums here
     verylast_sequence(n)
     assert closure_guard["sums"] == sums
+
+
+# -- the closure's output is pinned -------------------------------------------
+
+
+def _pinned_grid():
+    """Every ledger and contradiction message of a fixed grid: baselines
+    with in-interval assumptions, every extremal model folded onto its
+    baseline, the foursecant sweeps with assumptions, and plane baselines
+    with every third true value asserted."""
+    rng = random.Random(20221019)
+
+    def refine(base, sets):
+        for _ in range(sets):
+            try:
+                yield with_assumptions(base, _assume_inside(rng, base))
+            except ContradictionError as exc:
+                yield exc
+
+    for gamma in range(2, 9):
+        for g in range(max(3, 2 * gamma - 3), 60):  # gamma <= (g+3)//2
+            base = baseline_ledger(gamma, g)
+            yield base
+            yield from refine(base, 12)
+    for r in range(3, 12):
+        for d in range(2 * r + 1, 6 * r):
+            for model in classify_extremal(d, r):
+                try:
+                    yield apply_extremal_facts(baseline_ledger(model.gamma, model.g), model)
+                except ContradictionError as exc:
+                    yield exc
+    for n in range(3, 200):
+        led, _ = verylast_sequence(n)
+        yield led
+        yield from refine(led, 2)
+    for k in range(5, 40):
+        base = baseline_ledger(k - 1, (k - 1) * (k - 2) // 2)
+        truth = [(r, plane_curve_gonality(k, r)) for r in range(1, base.max_index + 1, 3)]
+        yield with_assumptions(base, truth)
+
+
+def test_closure_output_is_pinned():
+    # every entry (bounds, exactness, tags) and every contradiction message;
+    # a change to the closure's mechanics must leave this digest as it is
+    digest = hashlib.sha256()
+    counts = {"ledgers": 0, "contradictions": 0}
+    for item in _pinned_grid():
+        if isinstance(item, ContradictionError):
+            counts["contradictions"] += 1
+            digest.update(f"! {item}\n".encode())
+        else:
+            counts["ledgers"] += 1
+            for e in item.entries():
+                digest.update(f"{tuple(e)}\n".encode())
+    assert counts == PINNED_COUNTS
+    assert digest.hexdigest() == PINNED_SHA256
+
+
+PINNED_COUNTS = {"ledgers": 3040, "contradictions": 2675}
+PINNED_SHA256 = "cba5b944395a6417012d754d5c79d8fb6fd604fbbc131bae8a1f15b6cfa731b3"
 
 
 # -- brute-force soundness oracle --------------------------------------------
