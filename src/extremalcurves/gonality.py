@@ -37,19 +37,21 @@ pair (r, r+1) can fail only where lo[r] rose or hi[r+1] fell.  So the
 lower pass walks up from each raised index in ascending order, and the
 chain pass down from each lowered index in descending order, and each
 walk stops at the first pair that already holds: the base held every
-pair beyond it, and nothing beyond it has moved.  The chain pass logs
-each index it lowers, as a fact would.  The walks make the
+pair beyond it, and nothing beyond it has moved.  The walks make the
 same tightenings as full passes, in the same order, so a crossing names
 the same index and tags.
 
-A split hi[s] + hi[t-s] can beat hi[t] only if one of its sides is in
-the log.  Both sides are at least 1, so both lie below t, and a logged
-index at or above t is never a side.  So the subadditivity pass starts
-just above the lowest logged index, and an empty log closes nothing.
-The pass keeps the logged indices below t in ascending order, counting
-those it lowers itself: a t with more than about t/4 of them scans every
-split that can win (below), and any other t checks just those splits
-with a logged side.
+A split hi[s] + hi[t-s] can beat hi[t] only if one of its sides fell:
+a split of two unmoved sides sums to at least the closed base's hi[t],
+and hi[t] has only fallen since.  Both sides are at least 1, so both
+lie below t.  Let m be the lowest index whose hi a fact lowered.  Below
+m only the chain pass lowers hi, in one unbroken run down from m, and
+it leaves each index r it lowers at hi[r+1] - 1.  So every t from just
+above the lowest index it lowers up to m is a slope-one step, and every
+t below has only unmoved sides.  The subadditivity pass therefore
+starts at m + 1, and a closure with no such fact ends after the lower
+pass.  Every t the pass reaches that is not a slope-one step gets one
+scan, over the splits that can win (below).
 
 The gonal-line lemma bounds that scan from below.  Write
 
@@ -67,14 +69,13 @@ and D(t-s) <= D(t-1), so the split s sums to less than the split 1 only
 if D(s) > 0, that is only if s >= z0, the first x with hi[x] < x*hi[1].
 The pass tries s = 1 first and then the splits in [z0, t/2] in ascending
 s, each with a strict ``<``.  A split it skips sums to at least the
-s = 1 sum, or, lacking a logged side, to at least hi[t], so the first
-split to attain the least sum below hi[t] is never one it skips: the
-pass finds the split a scan over every split finds, and with it the
-bound and its tag.  D is monotone, so z0 is found by bisection, once per pass; in
-the foursecant sweep z0 = n.  Upper bounds only fall, and a crossing
-stops the closure, so every hi[r] stays at or above lo[r].  A crossing
-raises a ``ContradictionError`` naming the provenance tags on both
-sides.
+s = 1 sum, so the first split to attain the least sum below hi[t] is
+never one it skips: the pass finds the split a scan over every split
+finds, and with it the bound and its tag.  D is monotone, so z0 is
+found by bisection, once per pass; in the foursecant sweep z0 = n.
+Upper bounds only fall, and a crossing stops the closure, so every
+hi[r] stays at or above lo[r].  A crossing raises a
+``ContradictionError`` naming the provenance tags on both sides.
 
 A ledger is its seed facts closed once.  Seeds are facts (index, lo, hi,
 tag): the classical values, the entries an extremal model pins, or
@@ -96,14 +97,9 @@ from itertools import chain
 from operator import add
 
 from .errors import ContradictionError, InvalidInput, UnsupportedInput
-# the verdicts live in ``verdicts``; callers that name them through this
-# module (perfbench times ``gonality.slope_verdict``) still find them here
-from .verdicts import (
-    known_family_verdict,
-    plane_curve_gonality,
-    plane_slope_verdict,
-    slope_verdict,
-)
+# the verdicts live in ``verdicts``; perfbench times this name through
+# this module, as ``gonality.slope_verdict``
+from .verdicts import slope_verdict
 
 
 class GonalityEntry(namedtuple("GonalityEntry", "index lo hi exact provenance")):
@@ -197,23 +193,17 @@ class GonalityLedger:
                 if v <= lo[r + 1]:
                     break
                 self._raise_lo(r + 1, v, lo_tag[r])
-        logged = set(moved)
-        for i in sorted(logged, reverse=True):  # hi[r] <= hi[r+1] - 1, down
+        if not moved:
+            return self
+        for i in sorted(moved, reverse=True):  # hi[r] <= hi[r+1] - 1, down
             for r in range(i - 1, 0, -1):
                 v = hi[r + 1] - 1
                 if v >= hi[r]:
                     break
                 self._lower_hi(r, v, hi_tag[r + 1])
-                logged.add(r)
-        if not logged:
-            return self
-        least = min(logged)
         h1 = hi[1]
         z = 1  # the first x with hi[x] < x*hi[1] once found, else a lower bound
-        below = []  # the logged indices below t, ascending
-        for t in range(least + 1, top + 1):  # hi[t] <= hi[s] + hi[t-s]
-            if t - 1 in logged:
-                below.append(t - 1)
+        for t in range(min(moved) + 1, top + 1):  # hi[t] <= hi[s] + hi[t-s]
             if hi[t] == hi[t - 1] + 1:
                 continue  # a slope-one step no split can beat
             best = hi[t]
@@ -225,22 +215,13 @@ class GonalityLedger:
             if z <= half and hi[z] >= z * h1:  # z0 not found yet
                 z = _below_gonal_line(hi, z, half)
             if z <= half:  # only a split s >= z0 can beat s = 1
-                if 4 * len(below) > t:  # many logged: scan every split from z0
-                    sums = list(_split_sums(hi, t, z))
-                    low = min(sums)
-                    if low < best:
-                        best = low
-                        split = sums.index(low) + z
-                else:  # only a split with a logged side can beat hi[t]
-                    for s in sorted({i if 2 * i <= t else t - i for i in below}):
-                        if s >= z:
-                            v = hi[s] + hi[t - s]
-                            if v < best:
-                                best = v
-                                split = s
+                sums = list(_split_sums(hi, t, z))
+                low = min(sums)
+                if low < best:
+                    best = low
+                    split = sums.index(low) + z
             if split:
                 self._lower_hi(t, best, _join_tags(hi_tag[split], hi_tag[t - split]))
-                logged.add(t)
         return self
 
     # -- queries -------------------------------------------------------

@@ -337,9 +337,10 @@ LEDGER_ARGV = {
        for fmt in ("md", "csv", "json")},
 }
 
-# sha256 over every argv's stdout, stderr and exit code, as the ledger
-# closure gave them before it consulted only the change log below t.  A
-# change to the ledger's rules changes these on purpose: re-pin them, and
+# sha256 over every argv's stdout, stderr and exit code, as the full-rescan
+# ledger closure gives them; a change to the closure's mechanics leaves
+# them as they are.  A change to the ledger's rules changes them on
+# purpose: re-pin them, and
 # log each changed value, only in the same change as the brute-force
 # oracle gate that proves the new bounds.
 LEDGER_SHA256 = {

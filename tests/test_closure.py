@@ -221,15 +221,13 @@ def closure_guard(monkeypatch):
 
 def test_every_closure_is_closed(closure_guard):
     _closure_grid()
-    print(f"closure guard: {closure_guard}")
-    assert closure_guard["closed"] > 500
-    assert closure_guard["scans"]
+    assert closure_guard == {"closed": 1276, "scans": 4911, "sums": 152766}
 
 
 @pytest.mark.parametrize("gamma", range(3, 9))
 def test_baseline_closure_scans_at_most_one_index(closure_guard, gamma):
-    # the chain pass logs the indices above about g/(gamma-1), and none of them
-    # is a side of a split below them
+    # the lowest index a seed lowers is g-1, and above it only the step into
+    # the tail at g is not a slope-one step
     baseline_ledger(gamma, 600)
     assert closure_guard["scans"] <= 1
 
