@@ -23,15 +23,16 @@ a Hirzebruch surface and produces its unisecant embedding, an extremal
 model when gamma >= 4 (gamma = 3 lands at d = 2r-1, below the regime).
 Its private ``_unisecant_images`` is the one computation of a class's
 images under |C0 + beta*L|; the foursecant sweep re-embeds through it
-too, with one lattice import per sweep.  These two and
-``verify_extremal_class`` are the lattice layer's only users here, and
-they import it when called, so classifying and scanning never load it.
+too.  These two and ``verify_extremal_class`` are the lattice layer's
+only users here.  ``_lattice`` imports it on the first such call and
+binds it once, so classifying and scanning never load it.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
+from functools import cache
 
 from .castelnuovo import CurveProfile, profile
 from .errors import (
@@ -161,6 +162,16 @@ def classify_run(d: int, r: int) -> tuple[list[ExtremalModel], int]:
     return models, d + 1 if eps == 0 or r == 5 else d + r - 1 - eps
 
 
+@cache
+def _lattice():
+    """The lattice module, imported on the first call that needs it.  Its
+    names are read off the module at each use, so a patched or traced
+    lattice function is the one called."""
+    from . import lattice
+
+    return lattice
+
+
 def verify_extremal_class(h: int, l: int, scroll: ScrollEmbedding) -> bool:
     """Whether the class h*H + l*L on the scroll is an extremal-curve class.
 
@@ -169,15 +180,15 @@ def verify_extremal_class(h: int, l: int, scroll: ScrollEmbedding) -> bool:
     maximal genus.  Classes with d < 2r+1 are outside the extremal regime
     and verify False; d <= 0 is a domain error.
     """
-    from .lattice import DivisorClass, formal_genus
-
+    lattice = _lattice()
     r = scroll.r
     d = h * (r - 1) + l
     if d <= 0:
         raise DomainError(f"class {h}H{l:+d}L has non-positive degree {d}")
     if d < 2 * r + 1:
         return False
-    return formal_genus(DivisorClass(scroll.n, h, l + h * scroll.beta)) == profile(d, r).pi
+    x = lattice.DivisorClass(scroll.n, h, l + h * scroll.beta)
+    return lattice.formal_genus(x) == profile(d, r).pi
 
 
 class EmbedResult(namedtuple(
@@ -209,11 +220,11 @@ def _unisecant_images(x: DivisorClass,
                       betas) -> Iterator[tuple[ScrollEmbedding, CurveProfile]]:
     """For each beta in turn, the scroll of |C0 + beta*L| on x's surface and
     the lenient profile of x's image on it, whose degree is X.H."""
-    from .lattice import ScrollEmbedding, intersect
-
+    lattice = _lattice()
     for beta in betas:
-        scroll = ScrollEmbedding.from_unisecant(x.n, beta)
-        yield scroll, profile(intersect(x, scroll.hyperplane_class), scroll.r, strict=False)
+        scroll = lattice.ScrollEmbedding.from_unisecant(x.n, beta)
+        yield scroll, profile(lattice.intersect(x, scroll.hyperplane_class), scroll.r,
+                              strict=False)
 
 
 def embed_extremal(gamma: int, lam: int, n: int) -> EmbedResult:
@@ -234,16 +245,15 @@ def embed_extremal(gamma: int, lam: int, n: int) -> EmbedResult:
     beta >= n; beta = n is allowed exactly when lambda = gamma*n: the
     unisecant model is then a cone, but the curve misses its vertex.
     """
-    from .lattice import DivisorClass, adjunction_genus, class_in_HL, gonality_from_class
-
-    x = DivisorClass(n, gamma, lam).normalized_ruling()
+    lattice = _lattice()
+    x = lattice.DivisorClass(n, gamma, lam).normalized_ruling()
     gamma, lam, n = x.a, x.b, x.n
-    genus = adjunction_genus(x)
+    genus = lattice.adjunction_genus(x)
     if gamma < 3:
         raise UnsupportedInput(
             f"gonality coefficient {gamma} < 3: the unisecant split divides by gamma-2"
         )
-    if (gonality := gonality_from_class(x)) != gamma:
+    if (gonality := lattice.gonality_from_class(x)) != gamma:
         raise PlaneCurveContraction(
             f"{x} is a multiple of C0+L on the n=1 surface: the unisecant map"
             f" contracts C0 and the image is a plane curve of degree {gamma}"
@@ -264,7 +274,7 @@ def embed_extremal(gamma: int, lam: int, n: int) -> EmbedResult:
         if gamma > 3:
             model = ExtremalModel(_TYPE_III, prof.d, prof.r)
         got = (prof.m, prof.eps, prof.pi, model and model.scroll_class)
-        want = (gamma - 1, eps, genus, model and class_in_HL(x, scroll))
+        want = (gamma - 1, eps, genus, model and lattice.class_in_HL(x, scroll))
         if got != want:
             raise ArithmeticError(
                 f"embedding invariants broke for {x}: (m, eps, g, scroll_class)"

@@ -41,6 +41,23 @@ pair beyond it, and nothing beyond it has moved.  The walks make the
 same tightenings as full passes, in the same order, so a crossing names
 the same index and tags.
 
+Each walk is one run, found by one bisection and written by one slice.
+On a closed base lo - r and hi - r never decrease, and a fact moves
+only its own index.  So lo - r never decreases between two raised
+indices, and hi - r never decreases into an index whose hi no fact
+lowered.  A lower walk from i sets lo[r] = lo[i] + (r - i) up to the
+first r with lo[r] - r >= lo[i] - i, and bisection finds that r before
+the next raised index j.  A walk that reaches j raises lo[j] and hands
+over to j's own walk, as the one-index walk does there.  The walk
+crosses where hi[r] - r < lo[i] - i, and the first such r is i + 1 or
+an index whose hi a fact lowered: at any other r, hi[r-1] - (r-1) <=
+hi[r] - r, so r - 1 crosses as well.  The walk checks those places in
+ascending order and raises at the first, with the index, bounds and
+tags of the one-index walk.  The chain pass mirrors the lower pass
+downward, between lowered indices, and never crosses: after the lower
+pass lo <= hi everywhere and lo is strictly increasing, so a walk from
+i sets hi[r] = hi[i] - (i - r) >= lo[i] - (i - r) >= lo[r].
+
 A split hi[s] + hi[t-s] can beat hi[t] only if one of its sides fell:
 a split of two unmoved sides sums to at least the closed base's hi[t],
 and hi[t] has only fallen since.  Both sides are at least 1, so both
@@ -51,7 +68,13 @@ above the lowest index it lowers up to m is a slope-one step, and every
 t below has only unmoved sides.  The subadditivity pass therefore
 starts at m + 1, and a closure with no such fact ends after the lower
 pass.  Every t the pass reaches that is not a slope-one step gets one
-scan, over the splits that can win (below).
+scan, over the splits that can win (below).  Where t and t+1 are both
+slope-one steps the pass jumps to the end of their run: nothing at or
+above t has moved since the chain pass left hi strictly increasing, so
+hi[r] - r never decreases there, and bisection finds the first r with
+hi[r] - r > hi[t] - t.  A lone slope-one step is stepped over, because
+the foursecant sweep alternates steps of 3 and 1, and a bisection at
+each of them costs more than it skips.
 
 The gonal-line lemma bounds that scan from below.  Write
 
@@ -91,7 +114,7 @@ untouched.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from itertools import chain
 from operator import add
@@ -187,25 +210,46 @@ class GonalityLedger:
         lo, hi = self._lo, self._hi
         lo_tag, hi_tag = self._lo_tag, self._hi_tag
         top = self.max_index
-        for i in sorted(raised):  # lo[r+1] >= lo[r] + 1, up from each raise
-            for r in range(i, top):
-                v = lo[r] + 1
-                if v <= lo[r + 1]:
-                    break
-                self._raise_lo(r + 1, v, lo_tag[r])
-        if not moved:
+        rises, falls = sorted(raised), sorted(moved)
+        for n, i in enumerate(rises, 1):  # lo[r+1] >= lo[r] + 1, up from each raise
+            nxt = rises[n] if n < len(rises) else top + 1
+            c = lo[i] - i  # the walk sets lo[r] = c + r
+            end = i + 1
+            if end < nxt and lo[end] - end < c:
+                end = _first_past(lo, i + 2, nxt - 1, 1, c - 1)
+                # hi - r never falls into an unlowered index, so the first
+                # crossing is at i + 1 or at a lowered index
+                lowered = falls[bisect_right(falls, i + 1):bisect_left(falls, end)]
+                for r in chain((i + 1,), lowered):
+                    if hi[r] - r < c:
+                        raise ContradictionError(r, c + r, hi[r], lo_tag[i], hi_tag[r])
+                lo[i + 1:end] = range(c + i + 1, c + end)
+                lo_tag[i + 1:end] = [lo_tag[i]] * (end - i - 1)
+            if end == nxt <= top and lo[nxt] - nxt < c:  # hand the walk over
+                self._raise_lo(nxt, c + nxt, lo_tag[i])
+        if not falls:
             return self
-        for i in sorted(moved, reverse=True):  # hi[r] <= hi[r+1] - 1, down
-            for r in range(i - 1, 0, -1):
-                v = hi[r + 1] - 1
-                if v >= hi[r]:
-                    break
-                self._lower_hi(r, v, hi_tag[r + 1])
+        for n in range(len(falls) - 1, -1, -1):  # hi[r] <= hi[r+1] - 1, down
+            i = falls[n]
+            prev = falls[n - 1] if n else 0
+            c = hi[i] - i  # the walk sets hi[r] = c + r, never below lo[r]
+            start = i
+            if prev < i - 1 and hi[i - 1] - i + 1 > c:
+                start = _first_past(hi, prev + 1, i - 2, 1, c)
+                hi[start:i] = range(c + start, c + i)
+                hi_tag[start:i] = [hi_tag[i]] * (i - start)
+            if start == prev + 1 and prev and hi[prev] - prev > c:  # hand the walk over
+                self._lower_hi(prev, c + prev, hi_tag[i])
         h1 = hi[1]
         z = 1  # the first x with hi[x] < x*hi[1] once found, else a lower bound
-        for t in range(min(moved) + 1, top + 1):  # hi[t] <= hi[s] + hi[t-s]
-            if hi[t] == hi[t - 1] + 1:
-                continue  # a slope-one step no split can beat
+        t = falls[0] + 1
+        while t <= top:  # hi[t] <= hi[s] + hi[t-s]
+            if hi[t] == hi[t - 1] + 1:  # a slope-one step no split can beat
+                if t < top and hi[t + 1] == hi[t] + 1:  # a run of them: jump it
+                    t = _first_past(hi, t + 2, top, 1, hi[t] - t)
+                else:
+                    t += 1
+                continue
             best = hi[t]
             split = 0
             if h1 + hi[t - 1] < best:  # the split s = 1 goes first
@@ -213,7 +257,7 @@ class GonalityLedger:
                 split = 1
             half = t // 2
             if z <= half and hi[z] >= z * h1:  # z0 not found yet
-                z = _below_gonal_line(hi, z, half)
+                z = _first_past(hi, z, half, h1, 0, -1)  # D(z) > 0
             if z <= half:  # only a split s >= z0 can beat s = 1
                 sums = list(_split_sums(hi, t, z))
                 low = min(sums)
@@ -222,6 +266,7 @@ class GonalityLedger:
                     split = sums.index(low) + z
             if split:
                 self._lower_hi(t, best, _join_tags(hi_tag[split], hi_tag[t - split]))
+            t += 1
         return self
 
     # -- queries -------------------------------------------------------
@@ -251,13 +296,12 @@ def _split_sums(hi: list[int], t: int, start: int):
     return map(add, hi[start : t // 2 + 1], hi[t - start : (t - 1) // 2 : -1])
 
 
-def _below_gonal_line(hi: list[int], start: int, stop: int) -> int:
-    """The first x in start..stop with hi[x] < x*hi[1], else stop + 1.  Where
-    hi is closed, that condition is monotone in x, so bisection finds it.
-    (Out of ``propagate`` because a lambda there would make its hot locals
-    closure cells.)"""
-    h1 = hi[1]
-    return bisect_left(range(start, stop + 1), True, key=lambda x: x * h1 > hi[x]) + start
+def _first_past(a: list[int], start: int, stop: int, slope: int, c: int, sign: int = 1) -> int:
+    """The first x in start..stop with sign*(a[x] - slope*x) > c, else
+    stop + 1.  The left side must not decrease on start..stop, so bisection
+    finds x.  (Out of ``propagate`` because a lambda there would make its
+    hot locals closure cells.)"""
+    return bisect_right(range(start, stop + 1), c, key=lambda x: sign * (a[x] - slope * x)) + start
 
 
 def _join_tags(t1: str, t2: str) -> str:

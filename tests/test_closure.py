@@ -24,7 +24,7 @@ from extremalcurves import (
 )
 from extremalcurves import gonality
 from child_env import child_env
-from reference_closure import reference_propagate
+from reference_closure import reference_propagate, stepwise_propagate
 
 
 def test_closure_terminates_when_bounds_cross():
@@ -65,28 +65,41 @@ def test_facts_split_across_closes_match_one_close():
 # -- differential test against the full-rescan reference --------------------
 
 
+def _crossing(exc):
+    return exc.index, exc.lo, exc.hi, exc.lo_tag, exc.hi_tag
+
+
 @pytest.fixture
 def against_reference(monkeypatch):
-    """Make every propagate call also run the reference on a copy of the
-    arrays and require the same outcome; count the outcomes."""
+    """Make every propagate call also run both references on copies of the
+    arrays and require the same outcome: the arrays of each, or the
+    stepwise closure's crossing exactly; count the outcomes."""
     closure = GonalityLedger.propagate
     tally = {"identical": 0, "contradicted": 0}
 
     def propagate(led, *logs):
         want = [list(a) for a in (led._lo, led._hi, led._lo_tag, led._hi_tag)]
+        steps = [list(a) for a in want]
         try:
             reference_propagate(*want, led.max_index)
             expected = None
         except ContradictionError as exc:
             expected = exc
         try:
+            stepwise_propagate(*steps, led.max_index, *logs)
+            crossing = None
+        except ContradictionError as exc:
+            crossing = _crossing(exc)
+        assert (crossing is None) == (expected is None), (crossing, expected)
+        try:
             closure(led, *logs)
-        except ContradictionError:
+        except ContradictionError as exc:
             assert expected is not None, "only the new closure found a crossing"
+            assert _crossing(exc) == crossing
             tally["contradicted"] += 1
             raise
         assert expected is None, f"the new closure missed {expected}"
-        assert [led._lo, led._hi, led._lo_tag, led._hi_tag] == want
+        assert [led._lo, led._hi, led._lo_tag, led._hi_tag] == want == steps
         tally["identical"] += 1
         return led
 
@@ -177,17 +190,52 @@ def test_random_refinements_match_full_rescan(against_reference):
     assert against_reference["contradicted"] > 700
 
 
+# each case: facts closed on a bare (8, 20) ledger, and the entry at the
+# first index named, or the crossing (index, lo, hi, lo_tag, hi_tag), it gives
+MULTI_FACT = {
+    "lower walk crosses a lowered hi mid-walk":
+        ([(2, 12, 16, "a"), (6, 1, 14, "b")], (6, 16, 14, "a", "b")),
+    "lower walk crosses at its first step":
+        ([(2, 12, 16, "a"), (3, 1, 12, "b")], (3, 13, 12, "a", "b")),
+    "lower walk hands over at the next raise":
+        ([(2, 12, 16, "a"), (4, 13, 32, "b")], (4, 14, 32, False, ("a", "gonal-ceiling"))),
+    "hand-over crosses at the next raise":
+        ([(2, 12, 16, "a"), (4, 13, 13, "b")], (4, 14, 13, "a", "b")),
+    "chain walk lowers hi onto lo":
+        ([(5, 12, 40, "a"), (6, 1, 13, "b")], (5, 12, 12, True, ("a", "b"))),
+    "chain walk hands over at the next fall":
+        ([(6, 1, 40, "a"), (10, 1, 30, "b")], (6, 6, 26, False, ("trivial", "b"))),
+    "duplicate indices":
+        ([(3, 10, 24, "a"), (3, 11, 24, "b"), (3, 1, 20, "c"), (3, 1, 18, "d")],
+         (3, 11, 18, False, ("b", "d"))),
+}
+
+
+@pytest.mark.parametrize("facts, want", MULTI_FACT.values(), ids=list(MULTI_FACT))
+def test_multi_fact_walks_match_stepwise(against_reference, facts, want):
+    # a chain walk has no crossing case: after the lower pass lo <= hi at
+    # every index and lo is strictly increasing, so hi[i] - (i - r) >= lo[r]
+    try:
+        got = tuple(close(8, 20, facts).entry(want[0]))
+    except ContradictionError as exc:
+        got = _crossing(exc)
+    assert got == want
+
+
 # -- the closure is closed after every call, and scans no split it need not --
 
 
 @pytest.fixture
 def closure_guard(monkeypatch):
-    """After every propagate call, require lo and hi strictly increasing,
-    hi[u] - hi[u-1] <= hi[1] (the premise of the gonal-line lemma that
-    bounds each scan from below) and, for g <= 70, hi[s+t] <= hi[s] + hi[t]
-    by brute force.  During the call, require that no index is scanned
-    twice and none at a slope-one step hi[t] = hi[t-1] + 1; count the
-    split sums the scans evaluate."""
+    """On entry to every propagate call, require the premise of the walks'
+    bisections: lo - r and hi - r nondecreasing between logged indices, that
+    is lo[r] < lo[r+1] unless lo[r] rose and hi[r] < hi[r+1] unless hi[r+1]
+    fell.  After it, require lo and hi strictly increasing, hi[u] - hi[u-1]
+    <= hi[1] (the premise of the gonal-line lemma that bounds each scan
+    from below) and, for g <= 70, hi[s+t] <= hi[s] + hi[t] by brute force.
+    During the call, require that no index is scanned twice and none at a
+    slope-one step hi[t] = hi[t-1] + 1; count the split sums the scans
+    evaluate."""
     closure = GonalityLedger.propagate
     split_sums = gonality._split_sums
     scanned = set()
@@ -201,10 +249,13 @@ def closure_guard(monkeypatch):
         tally["sums"] += len(sums)
         return sums
 
-    def propagate(led, *logs):
-        scanned.clear()
-        closure(led, *logs)
+    def propagate(led, raised, moved):
         lo, hi, top = led._lo, led._hi, led.max_index
+        rose, fell = set(raised), set(moved)
+        assert all(lo[r] < lo[r + 1] for r in range(1, top) if r not in rose)
+        assert all(hi[r] < hi[r + 1] for r in range(1, top) if r + 1 not in fell)
+        scanned.clear()
+        closure(led, raised, moved)
         assert all(lo[r] < lo[r + 1] and hi[r] < hi[r + 1] for r in range(1, top))
         assert all(hi[u] - hi[u - 1] <= hi[1] for u in range(2, top + 1))
         if led.g <= 70:
@@ -244,6 +295,43 @@ def test_foursecant_closure_scans_from_the_gonal_line(closure_guard, n, sums):
     # evaluated 1,081 and 11,090 sums here
     verylast_sequence(n)
     assert closure_guard["sums"] == sums
+
+
+@pytest.fixture
+def tightenings(monkeypatch):
+    """Count the closure's one-index tightenings, ``_raise_lo`` plus
+    ``_lower_hi`` calls; a walk's slice writes are not counted."""
+    tally = [0]
+    for name in ("_raise_lo", "_lower_hi"):
+        method = getattr(GonalityLedger, name)
+
+        def counted(led, *args, method=method):
+            tally[0] += 1
+            return method(led, *args)
+
+        monkeypatch.setattr(GonalityLedger, name, counted)
+    return tally
+
+
+def test_tightenings_do_not_grow_with_genus(tightenings):
+    # the work ladder: walks over runs leave 9 one-index tightenings at
+    # every g, the seeds' own; one index per step made 338, 671, 1,338 and
+    # 2,671 here
+    counts = []
+    for g in (200, 400, 800, 1600):
+        tightenings[0] = 0
+        baseline_ledger(4, g)
+        counts.append(tightenings[0])
+    assert counts == [9, 9, 9, 9]
+
+
+def test_plane_refine_tightens_few_indices(tightenings):
+    # k = 58 (g = 1,596) with three true values asserted: one index per
+    # step made 2,888 tightenings here, nearly all in the chain pass
+    base = baseline_ledger(57, 1596)
+    tightenings[0] = 0
+    with_assumptions(base, [(r, plane_curve_gonality(58, r)) for r in (100, 700, 1300)])
+    assert tightenings[0] == 110
 
 
 # -- the closure's output is pinned -------------------------------------------
