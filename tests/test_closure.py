@@ -62,7 +62,7 @@ def test_facts_split_across_closes_match_one_close():
                 assert _intervals(gamma, g, seeds[:cut], seeds[cut:]) == whole, (gamma, g, cut)
 
 
-# -- differential test against the full-rescan reference --------------------
+# -- differential tests against the reference closures ----------------------
 
 
 def _crossing(exc):
