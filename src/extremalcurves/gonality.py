@@ -67,8 +67,9 @@ it leaves each index r it lowers at hi[r+1] - 1.  So every t from just
 above the lowest index it lowers up to m is a slope-one step, and every
 t below has only unmoved sides.  The subadditivity pass therefore
 starts at m + 1, and a closure with no such fact ends after the lower
-pass.  Every t the pass reaches that is not a slope-one step gets one
-scan, over the splits that can win (below).  Where t and t+1 are both
+pass.  Every t the pass reaches that is not a slope-one step gets at
+most one scan, over the splits that can win, and none where the last
+scan's floor rules them all out (both below).  Where t and t+1 are both
 slope-one steps the pass jumps to the end of their run: nothing at or
 above t has moved since the chain pass left hi strictly increasing, so
 hi[r] - r never decreases there, and bisection finds the first r with
@@ -99,6 +100,26 @@ found by bisection, once per pass; in the foursecant sweep z0 = n.
 Upper bounds only fall, and a crossing stops the closure, so every
 hi[r] stays at or above lo[r].  A crossing raises a
 ``ContradictionError`` naming the provenance tags on both sides.
+
+A scan also bounds every later one from below.  Let a scan at t0 start
+at z1 and find the least sum floor.  For t > t0 hi is final and
+strictly increasing below t, so at each step u -> u+1 every split s in
+[z1, (u+1)/2] sums to more than a split in [z1, u/2]:
+
+    hi[s] + hi[u+1-s] >= hi[s] + hi[u-s] + 1      (s <= u/2)
+    hi[s] + hi[s]     >= hi[s-1] + hi[s] + 1      (u+1 = 2s)
+
+where the second is the split s-1 = u//2 at u, and u//2 >= t0//2 >= z1.
+Hence every split in [z1, t/2] sums to at least floor + (t - t0), and
+the splits in [z0, t/2] the pass would scan at t are among them, since
+the bound z on z0 only rises.  Where floor + (t - t0) reaches the best of
+hi[t] and the s = 1 sum, no split can beat it and the pass skips the
+scan.  Before the first scan floor = t0 = 0 serves, as hi[r] >= lo[r] >= r.
+A skipped scan would have set no bound, so every tightening, tag, split
+and contradiction is the one a scan gives.  In the foursecant sweep the
+one scan is of the split s = n at t = 2n, and its floor rules out every
+later t, so ``verylast_sequence`` is linear in n (an observed fact, not
+a proved one: the tests pin it at n = 30 to 2,000).
 
 A ledger is its seed facts closed once.  Seeds are facts (index, lo, hi,
 tag): the classical values, the entries an extremal model pins, or
@@ -242,6 +263,7 @@ class GonalityLedger:
                 self._lower_hi(prev, c + prev, hi_tag[i])
         h1 = hi[1]
         z = 1  # the first x with hi[x] < x*hi[1] once found, else a lower bound
+        floor = t0 = 0  # the last scan's least sum and its t; hi[r] >= r at first
         t = falls[0] + 1
         while t <= top:  # hi[t] <= hi[s] + hi[t-s]
             if hi[t] == hi[t - 1] + 1:  # a slope-one step no split can beat
@@ -255,15 +277,16 @@ class GonalityLedger:
             if h1 + hi[t - 1] < best:  # the split s = 1 goes first
                 best = h1 + hi[t - 1]
                 split = 1
-            half = t // 2
-            if z <= half and hi[z] >= z * h1:  # z0 not found yet
-                z = _first_past(hi, z, half, h1, 0, -1)  # D(z) > 0
-            if z <= half:  # only a split s >= z0 can beat s = 1
-                sums = list(_split_sums(hi, t, z))
-                low = min(sums)
-                if low < best:
-                    best = low
-                    split = sums.index(low) + z
+            if floor + t - t0 < best:  # else no split can beat best (the scan floor)
+                half = t // 2
+                if z <= half and hi[z] >= z * h1:  # z0 not found yet
+                    z = _first_past(hi, z, half, h1, 0, -1)  # D(z) > 0
+                if z <= half:  # only a split s >= z0 can beat s = 1
+                    sums = list(_split_sums(hi, t, z))
+                    floor, t0 = min(sums), t
+                    if floor < best:
+                        best = floor
+                        split = sums.index(floor) + z
             if split:
                 self._lower_hi(t, best, _join_tags(hi_tag[split], hi_tag[t - split]))
             t += 1

@@ -289,6 +289,18 @@ def test_bounds_is_linear_in_the_genus():
     assert proc.stdout.splitlines()[-1] == "200002,400002,400002,True,riemann-roch"
 
 
+def test_verylast_is_linear_in_n():
+    # with one scan per t past the sweep this ran past 40 s; the scan
+    # floor leaves one scan in all
+    proc = subprocess.run(
+        [sys.executable, "-m", "extremalcurves", "verylast", "100000"],
+        capture_output=True, text=True, env=child_env(), timeout=30,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == (
+        "| 199998 | 599993 | 599995 | False | extremal-degree gonal-residual |")
+
+
 # sha256 of the scan output as rendered before batches went through one
 # json encode and csv took raw values: every byte of it is pinned
 SCAN_SHA256 = {

@@ -234,18 +234,22 @@ def closure_guard(monkeypatch):
     <= hi[1] (the premise of the gonal-line lemma that bounds each scan
     from below) and, for g <= 70, hi[s+t] <= hi[s] + hi[t] by brute force.
     During the call, require that no index is scanned twice and none at a
-    slope-one step hi[t] = hi[t-1] + 1; count the split sums the scans
-    evaluate."""
+    slope-one step hi[t] = hi[t-1] + 1, and that each scan's least split
+    sum is at least the previous scan's plus the steps between them (the
+    premise of the scan floor); count the split sums the scans evaluate."""
     closure = GonalityLedger.propagate
     split_sums = gonality._split_sums
-    scanned = set()
+    scanned = {}  # t -> that scan's least split sum, in scan order
     tally = {"closed": 0, "scans": 0, "sums": 0}
 
     def scan(hi, t, start):
         assert hi[t] != hi[t - 1] + 1, f"scan of the slope-one step {t}"
         assert t not in scanned, f"index {t} scanned twice in one closure"
-        scanned.add(t)
         sums = list(split_sums(hi, t, start))
+        if scanned:
+            t0, floor = next(reversed(scanned.items()))
+            assert min(sums) >= floor + t - t0, f"the scan at {t} sinks below the floor of {t0}"
+        scanned[t] = min(sums)
         tally["sums"] += len(sums)
         return sums
 
@@ -272,7 +276,7 @@ def closure_guard(monkeypatch):
 
 def test_every_closure_is_closed(closure_guard):
     _closure_grid()
-    assert closure_guard == {"closed": 1276, "scans": 4911, "sums": 152766}
+    assert closure_guard == {"closed": 1276, "scans": 3021, "sums": 107291}
 
 
 @pytest.mark.parametrize("gamma", range(3, 9))
@@ -284,17 +288,42 @@ def test_baseline_closure_scans_at_most_one_index(closure_guard, gamma):
 
 
 def test_foursecant_closure_scans_few_indices(closure_guard):
+    # the first scan's floor rules out every later one; one scan per t
+    # made 67 here
     verylast_sequence(100)
-    assert closure_guard["scans"] <= 102
+    assert closure_guard["scans"] == 1
 
 
-@pytest.mark.parametrize("n, sums", [(30, 159), (100, 1321)])
+@pytest.mark.parametrize("n, sums", [(30, 1), (100, 1)])
 def test_foursecant_closure_scans_from_the_gonal_line(closure_guard, n, sums):
     # a split beats s = 1 only with both sides below the line x*hi[1], so
-    # the scans start at the sweep's n; scans over every split from s = 1
-    # evaluated 1,081 and 11,090 sums here
+    # the one scan starts at the sweep's n, and its floor rules out every
+    # later t; one scan per t made 159 and 1,321 sums here, and scans over
+    # every split from s = 1 made 1,081 and 11,090
     verylast_sequence(n)
     assert closure_guard["sums"] == sums
+
+
+def test_split_sums_do_not_grow_with_n(closure_guard):
+    # the work ladder for scans: one scan of the split s = n at t = 2n,
+    # whose floor rules out the rest; one scan per t made 167, 333, 667 and
+    # 1,333 scans of 7,471, 28,721, 113,221 and 448,221 sums here
+    counts = []
+    for n in (250, 500, 1000, 2000):
+        closure_guard.update(scans=0, sums=0)
+        verylast_sequence(n)
+        counts.append((closure_guard["scans"], closure_guard["sums"]))
+    assert counts == [(1, 1)] * 4
+
+
+def test_plane_refine_scans_few_splits(closure_guard):
+    # k = 58 (g = 1,596) with three seeded true values asserted: one scan
+    # per t made 10 scans of 2,890 sums here
+    base = baseline_ledger(57, 1596)
+    rs = sorted(random.Random(58).sample(range(2, 1598), 3))
+    closure_guard.update(scans=0, sums=0)
+    with_assumptions(base, [(r, plane_curve_gonality(58, r)) for r in rs])
+    assert (closure_guard["scans"], closure_guard["sums"]) == (1, 183)
 
 
 @pytest.fixture
