@@ -294,14 +294,14 @@ def test_foursecant_closure_scans_few_indices(closure_guard):
     assert closure_guard["scans"] == 1
 
 
-@pytest.mark.parametrize("n, sums", [(30, 1), (100, 1)])
-def test_foursecant_closure_scans_from_the_gonal_line(closure_guard, n, sums):
+@pytest.mark.parametrize("n, per_t_sums", [(30, 159), (100, 1321)])
+def test_foursecant_closure_scans_from_the_gonal_line(closure_guard, n, per_t_sums):
     # a split beats s = 1 only with both sides below the line x*hi[1], so
     # the one scan starts at the sweep's n, and its floor rules out every
-    # later t; one scan per t made 159 and 1,321 sums here, and scans over
+    # later t: one sum; one scan per t made per_t_sums here, and scans over
     # every split from s = 1 made 1,081 and 11,090
     verylast_sequence(n)
-    assert closure_guard["sums"] == sums
+    assert closure_guard["sums"] == 1 < per_t_sums
 
 
 def test_split_sums_do_not_grow_with_n(closure_guard):
