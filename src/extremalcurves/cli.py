@@ -9,13 +9,14 @@ an invariant check of the package itself failed (an ``ArithmeticError``
 other than overflow), reported on one ``internal error:`` line.
 
 Each ``_cmd_*`` handler returns its result and writes nothing to stdout:
-a dict is one record, a list of dicts a table, a ``(fieldnames,
-records)`` pair a table whose records an iterator yields as they are
-made, a str finished text, and an int the exit code of a run that has
-already reported to stderr.  ``run`` renders the result in the chosen
-format and is the one place that writes stdout; a table goes out in
-batches as it is rendered, so none of ``scan``, ``table1`` and the
-``plane`` table ever holds its rows whole.
+a dict is one record, any other iterable of dicts a table (a
+``(fieldnames, records)`` pair names its fields), a str finished text,
+and an int the exit code of a run that has already reported to stderr.
+``run`` renders the result in the chosen format and is the one place
+that writes stdout, a table in batches as its records are made.  Tables
+the input sizes come as iterators: ``scan``, ``table1`` and ``plane``
+hold no rows, ``bounds`` and csv ``verylast`` no more than their ledger,
+and only md and json ``verylast``, which nest two tables, are held whole.
 
 Each handler imports the layers it runs, and json and csv load only for
 those formats, so a call pays start-up only for what it uses.
@@ -33,8 +34,8 @@ from .errors import ContradictionError, DomainError, InvalidInput
 
 def _write(result, fmt: str, out) -> None:
     """Write a handler's result to ``out``: a dict is one record (a ``k=v``
-    line in md), a list of dicts or a ``(fieldnames, records)`` pair a
-    table, a str already text."""
+    line in md), any other iterable of dicts or a ``(fieldnames,
+    records)`` pair a table, rendered in batches, a str already text."""
     if isinstance(result, str):
         out.write(result)
         return
@@ -108,14 +109,14 @@ def _parse_assumption(text: str) -> tuple[int, int]:
         raise InvalidInput(f"assumption {text!r} needs integer R and V") from None
 
 
-def _cmd_bounds(args) -> list[dict]:
+def _cmd_bounds(args) -> map:
     from .gonality import baseline_ledger, with_assumptions
 
     led = baseline_ledger(args.gamma, args.g)
     if args.assume:
         pairs = [_parse_assumption(text) for text in args.assume]
         led = with_assumptions(led, pairs)
-    return [_entry_record(e) for e in led.entries()]
+    return map(_entry_record, map(led.entry, range(1, led.max_index + 1)))
 
 
 def _cmd_slope(args) -> dict | list[dict]:
@@ -154,17 +155,17 @@ def _cmd_scan(args) -> tuple:
     return SCAN_FIELDS, scan(args.r_lo, args.r_hi, args.d_max)
 
 
-def _cmd_verylast(args) -> str | dict | list[dict]:
+def _cmd_verylast(args) -> str | dict | map:
     from .gonality import verylast_sequence
 
     led, rows = verylast_sequence(args.n)
-    entries = [_entry_record(led.entry(r)) for r in range(rows[0].r - 1, rows[-1].r + 2)]
+    entries = map(_entry_record, map(led.entry, range(rows[0].r - 1, rows[-1].r + 2)))
     rows = [row.record() for row in rows]
     if args.format == "csv":
         return entries
     if args.format == "json":
         return {"n": args.n, "gamma": led.gamma, "genus": led.g,
-                "rows": rows, "entries": entries}
+                "rows": rows, "entries": list(entries)}
     from .tables import serialize
 
     return (f"n={args.n} gamma={led.gamma} genus={led.g}\n\n"
@@ -186,24 +187,17 @@ def _cmd_plane(args) -> dict | tuple:
 
 
 def _cmd_selfcheck(args) -> str | list[dict] | int:
-    from .selfcheck import GROUPS, run_group, run_selfcheck, tally
+    from .selfcheck import run_selfcheck
 
-    if args.format == "md":
-        count, failures = run_selfcheck()
-        result = f"ok {count} checks\n"
-    else:
-        result, count, failures = [], 0, []
-        for name, group in GROUPS.items():
-            checks, failed = tally(run_group(name, group))
-            result.append({"group": name, "checks": checks, "failed": len(failed)})
-            count += checks
-            failures += failed
+    count, failures, groups = run_selfcheck()
     if failures:
         for line in failures:
             print(line, file=sys.stderr)
         print(f"{len(failures)} of {count} checks failed", file=sys.stderr)
         return 1
-    return result
+    if args.format == "md":
+        return f"ok {count} checks\n"
+    return [dict(zip(("group", "checks", "failed"), group)) for group in groups]
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:

@@ -5,8 +5,8 @@ one ``(ok, message)`` pair per check of a closed form, a round trip or
 an invariant against the engine.  Its default cases are the grid the
 command line ``selfcheck`` runs; the test suite runs the same groups on
 its own grids.  The count is deterministic (fixed grids, fixed seed).
-``run_group`` turns an engine error raised inside a group into one
-failed check, so a broken layer is reported and the other groups run.
+``run_selfcheck`` runs the grid, tallied per group; ``run_group`` makes an
+engine error raised in a group one failed check, so the others still run.
 """
 
 from __future__ import annotations
@@ -235,6 +235,12 @@ def run_group(name: str, group):
         yield False, f"group {name} raised {type(exc).__name__}: {exc}"
 
 
-def run_selfcheck() -> tuple[int, list[str]]:
-    """(number of checks, failure messages) of every group on its default cases."""
-    return tally(check for name, group in GROUPS.items() for check in run_group(name, group))
+def run_selfcheck() -> tuple[int, list[str], list[tuple[str, int, int]]]:
+    """(number of checks, failure messages, per group (name, checks, failed))
+    of every group on its default cases, the groups in ``GROUPS`` order."""
+    groups, failures = [], []
+    for name, group in GROUPS.items():
+        checks, failed = tally(run_group(name, group))
+        groups.append((name, checks, len(failed)))
+        failures += failed
+    return sum(checks for _, checks, _ in groups), failures, groups

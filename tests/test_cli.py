@@ -236,9 +236,11 @@ def _read_then_kill(proc, size):
         proc.stderr.close()
 
 
-def test_scan_reader_that_stops_early_is_not_an_error():
+@pytest.mark.parametrize("argv", [["scan", "3", "96", "--format", "json"],
+                                  ["bounds", "4", "200000", "--format", "json"]], ids=" ".join)
+def test_scan_reader_that_stops_early_is_not_an_error(argv):
     # like ``| head``: the output is megabytes, the reader takes 100 bytes
-    proc = _cli_child("scan", "3", "96", "--format", "json")
+    proc = _cli_child(*argv)
     try:
         assert len(proc.stdout.read(100)) == 100
         proc.stdout.close()
@@ -508,6 +510,22 @@ def test_scan_memory_is_flat_in_the_window(fmt):
     assert large_chars > 15 * small_chars
     assert max(small, large) < 2 * 2**20
     assert large < 2 * small
+
+
+@pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+def test_bounds_holds_no_more_than_its_ledger(fmt):
+    # the entries stream off the closed ledger; a list of them took about 3.8x its peak
+    with contextlib.redirect_stdout(_CountingSink()):  # loads what the format uses
+        run(["bounds", "4", "12", "--format", fmt])
+    tracemalloc.start()
+    try:
+        extremalcurves.gonality.baseline_ledger(4, 40000)
+        ledger = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    peak, chars = _traced_peak(["bounds", "4", "40000", "--format", fmt])
+    assert chars > 40000 * 30
+    assert peak < 1.2 * ledger
 
 
 def test_verylast_json(capsys):

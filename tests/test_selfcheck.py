@@ -2,12 +2,13 @@
 
 Each group is run on its default cases with one engine function it calls
 replaced by a wrong one; the group must then report a failure.  A group
-that checks nothing (or stops looking at the engine) fails here.
+that checks nothing (or stops looking at the engine) fails here.  Then
+``run_selfcheck`` must tally a failing group as the one that failed.
 """
 
 import pytest
 
-from extremalcurves import SlopeVerdict, Status
+from extremalcurves import InvalidInput, SlopeVerdict, Status
 from extremalcurves import selfcheck
 from extremalcurves.selfcheck import GROUPS, tally
 
@@ -52,3 +53,29 @@ def test_group_rejects_corrupted_engine(name, monkeypatch):
     monkeypatch.setattr(selfcheck, engine, corrupt(getattr(selfcheck, engine)))
     _, failures = tally(GROUPS[name]())
     assert failures
+
+
+def _fake_groups(monkeypatch):
+    monkeypatch.setattr(selfcheck, "GROUPS",
+                        {"fake": lambda: iter([(True, "fine"), (False, "broke")])})
+
+
+def _raising_embedding(monkeypatch):
+    def broken(*args):
+        raise InvalidInput("boom")
+
+    monkeypatch.setattr(selfcheck, "embed_extremal", broken)
+
+
+@pytest.mark.parametrize("patch, failing, failures", [
+    (_fake_groups, "fake", ["broke"]),
+    (_raising_embedding, "embedding", ["group embedding raised InvalidInput: boom"]),
+], ids=["fake_groups", "raising_embedding"])
+def test_run_selfcheck_tallies_each_group(monkeypatch, patch, failing, failures):
+    patch(monkeypatch)
+    count, messages, groups = selfcheck.run_selfcheck()
+    assert messages == failures
+    assert [name for name, _, _ in groups] == list(selfcheck.GROUPS)
+    assert sum(checks for _, checks, _ in groups) == count
+    assert sum(failed for *_, failed in groups) == len(messages)
+    assert [name for name, _, failed in groups if failed] == [failing]
