@@ -15,8 +15,8 @@ and an int the exit code of a run that has already reported to stderr.
 ``run`` renders the result in the chosen format and is the one place
 that writes stdout, a table in batches as its records are made.  Tables
 the input sizes come as iterators: ``scan``, ``table1`` and ``plane``
-hold no rows, ``bounds`` and csv ``verylast`` no more than their ledger,
-and only md and json ``verylast``, which nest two tables, are held whole.
+hold no rows, ``bounds`` and csv and json ``verylast`` no more than their
+ledger, and only md ``verylast``, which nests two tables, is held whole.
 
 Each handler imports the layers it runs, and json and csv load only for
 those formats, so a call pays start-up only for what it uses.
@@ -34,8 +34,9 @@ from .errors import ContradictionError, DomainError, InvalidInput
 
 def _write(result, fmt: str, out) -> None:
     """Write a handler's result to ``out``: a dict is one record (a ``k=v``
-    line in md), any other iterable of dicts or a ``(fieldnames,
-    records)`` pair a table, rendered in batches, a str already text."""
+    line in md; in json a ``map`` value is a nested table, rendered in
+    batches), any other iterable of dicts or a ``(fieldnames, records)``
+    pair a table, rendered in batches, a str already text."""
     if isinstance(result, str):
         out.write(result)
         return
@@ -46,10 +47,26 @@ def _write(result, fmt: str, out) -> None:
         if fmt == "md":
             out.write(" ".join(f"{k}={v}" for k, v in result.items()) + "\n")
             return
-        if fmt == "json":
+        if fmt == "json":  # json.dumps(result, indent=2), a map value streamed
             import json
 
-            out.write(json.dumps(result, indent=2) + "\n")
+            sep = "{"
+            for key, value in result.items():
+                out.write(f"{sep}\n  {json.dumps(key)}: ")
+                if isinstance(value, map):  # a table one level in, in batches
+                    from types import SimpleNamespace
+
+                    from .tables import write_records
+
+                    # a raw newline in json only starts a line, and only the
+                    # last piece ends in one, the document's own
+                    nested = SimpleNamespace(write=lambda text: out.write(
+                        text.rstrip("\n").replace("\n", "\n  ")))
+                    write_records(nested, value, "json")
+                else:
+                    out.write(json.dumps(value, indent=2).replace("\n", "\n  "))
+                sep = ","
+            out.write("\n}\n")
             return
         result = [result]
     from .tables import write_records
@@ -156,16 +173,16 @@ def _cmd_scan(args) -> tuple:
 
 
 def _cmd_verylast(args) -> str | dict | map:
-    from .gonality import verylast_sequence
+    from .gonality import VerylastRow, verylast_sequence
 
     led, rows = verylast_sequence(args.n)
     entries = map(_entry_record, map(led.entry, range(rows[0].r - 1, rows[-1].r + 2)))
-    rows = [row.record() for row in rows]
+    rows = map(VerylastRow.record, rows)
     if args.format == "csv":
         return entries
     if args.format == "json":
         return {"n": args.n, "gamma": led.gamma, "genus": led.g,
-                "rows": rows, "entries": list(entries)}
+                "rows": rows, "entries": entries}
     from .tables import serialize
 
     return (f"n={args.n} gamma={led.gamma} genus={led.g}\n\n"

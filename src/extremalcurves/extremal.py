@@ -22,10 +22,12 @@ runs the constructive direction: it takes a class gamma*C0 + lambda*L on
 a Hirzebruch surface and produces its unisecant embedding, an extremal
 model when gamma >= 4 (gamma = 3 lands at d = 2r-1, below the regime).
 Its private ``_unisecant_images`` is the one computation of a class's
-images under |C0 + beta*L|; the foursecant sweep re-embeds through it
-too.  These two and ``verify_extremal_class`` are the lattice layer's
-only users here.  ``_lattice`` imports it on the first such call and
-binds it once, so classifying and scanning never load it.
+images under |C0 + beta*L|: it yields each scroll and the image's
+degree, and the caller profiles the image.  The foursecant sweep
+re-embeds through it too, and its type-III model is each image's only
+profile.  These two and ``verify_extremal_class`` are the lattice
+layer's only users here.  ``_lattice`` imports it on the first such
+call and binds it once, so classifying and scanning never load it.
 """
 
 from __future__ import annotations
@@ -80,6 +82,8 @@ class ExtremalModel(namedtuple("ExtremalModel", "kind d r m eps gamma g scroll_c
                 " and plane models need r=5 and d=2k"
                 if isinstance(kind, ModelKind) else f"unknown model kind {kind!r}")
         claims = (m, eps, gamma, g, scroll_class, k)
+        if claims == _NO_CLAIMS:
+            return model
         for name, claim, value in zip(cls._fields[3:], claims, model[3:]):
             if claim is not None and claim != value:
                 raise InvalidInput(f"claimed {name}={claim!r}, but the model is {model}")
@@ -118,6 +122,7 @@ class ExtremalModel(namedtuple("ExtremalModel", "kind d r m eps gamma g scroll_c
 # __getattr__, which takes every read of a member off the class
 # (ModelKind.TYPE_II) off the fast path, at about ten times a global read.
 _TYPE_II, _TYPE_III, _PLANE_VERONESE = ModelKind
+_NO_CLAIMS = (None,) * 6
 
 
 def _model(kind: ModelKind, p: CurveProfile) -> ExtremalModel:
@@ -216,15 +221,13 @@ class EmbedResult(namedtuple(
         return self.profile.r
 
 
-def _unisecant_images(x: DivisorClass,
-                      betas) -> Iterator[tuple[ScrollEmbedding, CurveProfile]]:
+def _unisecant_images(x: DivisorClass, betas) -> Iterator[tuple[ScrollEmbedding, int]]:
     """For each beta in turn, the scroll of |C0 + beta*L| on x's surface and
-    the lenient profile of x's image on it, whose degree is X.H."""
+    the degree X.H of x's image on it, which the caller profiles once."""
     lattice = _lattice()
     for beta in betas:
         scroll = lattice.ScrollEmbedding.from_unisecant(x.n, beta)
-        yield scroll, profile(lattice.intersect(x, scroll.hyperplane_class), scroll.r,
-                              strict=False)
+        yield scroll, lattice.intersect(x, scroll.hyperplane_class)
 
 
 def embed_extremal(gamma: int, lam: int, n: int) -> EmbedResult:
@@ -267,7 +270,8 @@ def embed_extremal(gamma: int, lam: int, n: int) -> EmbedResult:
             f"beta={beta} = n: the unisecant model is a cone and the curve"
             f" meets the contracted section (intersection {lam - gamma * n})"
         )
-    [(scroll, prof)] = _unisecant_images(x, [beta])
+    [(scroll, d)] = _unisecant_images(x, [beta])
+    prof = profile(d, scroll.r, strict=False)
     hypothesis = 2 * lam >= gamma * (gamma + n - 2)
     model = None
     if hypothesis:

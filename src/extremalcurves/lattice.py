@@ -178,7 +178,7 @@ class ScrollEmbedding(namedtuple("ScrollEmbedding", "n beta r")):
 
     @classmethod
     def from_unisecant(cls, n: int, beta: int) -> "ScrollEmbedding":
-        return cls(n=n, beta=beta, r=2 * beta + 1 - n)
+        return cls(n, beta, 2 * beta + 1 - n)
 
     @property
     def degree(self) -> int:

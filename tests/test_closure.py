@@ -316,6 +316,48 @@ def test_split_sums_do_not_grow_with_n(closure_guard):
     assert counts == [(1, 1)] * 4
 
 
+def test_bisections_and_profiles_do_not_grow_with_n(monkeypatch):
+    # the work ladder for the sweep's overheads: the closure bisects 6 times
+    # at every n, and each sweep row goes through ``profile`` once; a z0
+    # bisection wherever t//2 grew made 129, 254, 504 and 1,004 bisections
+    # here, and profiling each image twice made 2 calls per row
+    from extremalcurves import extremal
+
+    tally = {"bisections": 0, "profiles": 0}
+
+    def counted(name, module, func):
+        def wrapper(*args, **kwargs):
+            tally[name] += 1
+            return func(*args, **kwargs)
+        monkeypatch.setattr(module, func.__name__, wrapper)
+
+    counted("bisections", gonality, gonality._first_past)
+    counted("profiles", extremal, extremal.profile)
+    counts = []
+    for n in (250, 500, 1000, 2000):
+        tally.update(bisections=0, profiles=0)
+        _, rows = verylast_sequence(n)
+        counts.append((tally["bisections"], tally["profiles"] - len(rows)))
+    assert counts == [(6, 0)] * 4
+
+
+def test_tag_memo_stays_bounded():
+    # every fact at N + 2i lowers hi there by i+1 under its own caller tag,
+    # and the s = 1 split joins that tag with hi[1]'s at N + 2i + 1: one new
+    # join per fact, K of them, while the memo keeps at most its bound.
+    # Below 2N no split has two lowered sides, so every join is of two tags.
+    k = 10_000
+    n = 2 * k + 1
+    facts = [(n + 2 * i, 1, 4 * (n + 2 * i) - (i + 1), f"caller-{i}") for i in range(k)]
+    info = gonality._join_tags.cache_info()
+    assert info.maxsize is not None
+    led = close(4, 2 * n - 3, facts)
+    assert led.entry(n + 1).provenance == ("trivial", "caller-0+gonal-ceiling")
+    after = gonality._join_tags.cache_info()
+    assert after.misses - info.misses > k > info.maxsize
+    assert after.currsize <= info.maxsize
+
+
 def test_plane_refine_scans_few_splits(closure_guard):
     # k = 58 (g = 1,596) with three seeded true values asserted: one scan
     # per t made 10 scans of 2,890 sums here
