@@ -1,32 +1,31 @@
 """Command line front end.
 
-Subcommands mirror the library: profile, classify, embed, bounds, slope,
-table1, scan, verylast, plane, selfcheck.  Results go to stdout in
-markdown (default), csv, or json; diagnostics go to stderr.  Exit codes:
-0 success, 1 selfcheck failure, 2 invalid input or usage (an input too
-large to hold included), 3 a bound contradiction, 4 an internal fault:
-an invariant check of the package itself failed (an ``ArithmeticError``
-other than overflow), reported on one ``internal error:`` line.
+Subcommands mirror the library, and ``COMMANDS`` is their grammar.  Results go
+to stdout in markdown (default), csv, or json; diagnostics go to stderr.  Exit
+codes: 0 success, 1 selfcheck failure, 2 invalid input or usage (an input too
+large to hold or output that cannot be written included), 3 a bound
+contradiction, 4 an internal fault: an invariant check of the package itself
+failed (an ``ArithmeticError`` other than overflow), reported on one
+``internal error:`` line.
 
-Each ``_cmd_*`` handler returns its result and writes nothing to stdout:
-a dict is one record, any other iterable of dicts a table (a
-``(fieldnames, records)`` pair names its fields), a str finished text,
-and an int the exit code of a run that has already reported to stderr.
-``run`` renders the result in the chosen format and is the one place
-that writes stdout, a table in batches as its records are made.  Tables
-the input sizes come as iterators: ``scan``, ``table1`` and ``plane``
-hold no rows, ``bounds`` and csv and json ``verylast`` no more than their
-ledger, and only md ``verylast``, which nests two tables, is held whole.
-
-Each handler imports the layers it runs, and json and csv load only for
-those formats, so a call pays start-up only for what it uses.
+``run`` reads a plain argv off ``COMMANDS`` and hands any other to argparse
+(``usage``), the one source of help, usage and error text.  A ``_cmd_*``
+handler imports the layers it runs and returns its result: a dict is one
+record, any other iterable of dicts a table (a ``(fieldnames, records)`` pair
+names its fields), a str finished text, and an int the exit code of a run that
+has already reported to stderr.  ``run`` writes it in the chosen format, the
+one place that writes stdout, a table in batches as its records are made:
+``scan``, ``table1`` and ``plane`` hold no rows, ``bounds`` and csv and json
+``verylast`` no more than their ledger, and only md ``verylast``, which nests
+two tables, is held whole.  json and csv load only for those formats.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from importlib import import_module
+from types import SimpleNamespace
 
 from . import __version__
 from .errors import ContradictionError, DomainError, InvalidInput
@@ -217,89 +216,98 @@ def _cmd_selfcheck(args) -> str | list[dict] | int:
     return [dict(zip(("group", "checks", "failed"), group)) for group in groups]
 
 
+def _late(value):
+    return value() if callable(value) and not isinstance(value, type) else value
+
+
+# The grammar: per subcommand its summary and, after FORMAT, each argument as the
+# (name, kwargs) add_argument takes, where a function gives a value when it is used
+# (_late).  The handler is _cmd_<name>, looked up when the call runs.
+INT = {"type": int}
+FORMAT = ("--format", {"choices": ("md", "csv", "json"), "default": "md",
+                       "help": "output format (default md)"})
+COMMANDS = {
+    "profile": ("ratio, remainder and maximal genus for (d, r)", ("d", INT), ("r", INT), (
+        "--lenient", {"action": "store_true", "default": False,
+                      "help": "accept any d >= r+1 instead of d >= 2r+1"})),
+    "classify": ("candidate models for an extremal curve", ("d", INT), ("r", INT)),
+    "embed": ("re-embed a surface class as an extremal curve",
+              ("gamma", INT), ("lam", {"type": int, "metavar": "lambda"}), ("n", INT)),
+    "bounds": ("gonality-sequence intervals for (gamma, g)", ("gamma", INT), ("g", INT), (
+        "--assume", {"action": "append", "metavar": "R=V",
+                     "help": "assert d_R = V before propagating (repeatable)"})),
+    "slope": ("slope-inequality verdicts for extremal models",
+              ("d", {"type": int, "nargs": "?"}), ("r", {"type": int, "nargs": "?"}),
+              ("--gamma", {"type": int, "help": "only models with this gonality"}),
+              ("--family", {"choices": lambda: import_module(".verdicts", __package__).FAMILIES,
+                            "help": "verdict for a named curve family instead"})),
+    "table1": ("summary table of extremal families per gonality",
+               ("--gamma-max", {"type": int, "default": 6, "dest": "gamma_max"}),
+               ("--mode", {"choices": lambda: import_module(".tables", __package__).MODES,
+                           "default": lambda: import_module(".tables", __package__).MODES[0]})),
+    "scan": ("flat per-model records over an (r, d) window", ("r_lo", INT), ("r_hi", INT),
+             ("--d-max", {"type": int, "default": None, "dest": "d_max"})),
+    "verylast": ("foursecant sweep on the surface of invariant n", ("n", INT)),
+    "plane": ("gonality sequence of a smooth plane curve", ("k", INT), (
+        "--r", {"type": int, "default": None, "help": "single index instead of the whole table"})),
+    "selfcheck": ("recompute core facts two ways and compare",),
+}
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The command line parser.  Given a ``command``, only that subparser
-    gets its arguments; the other subcommands are registered by name and
-    help alone, which keeps every help text, usage line and invalid-choice
-    message the same at a fraction of the cost.  None builds them all."""
-    parser = argparse.ArgumentParser(
-        prog="extremalcurves",
-        description="Numerical invariants of extremal curves and their"
-        " gonality sequences.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    """The argparse parser over ``COMMANDS``: see ``usage.build_parser``."""
+    return import_module(".usage", __package__).build_parser(command)
 
-    def add(name, func, summary):
-        if command not in (None, name):
-            sub.add_parser(name, help=summary, add_help=False)
-            return None
-        p = sub.add_parser(name, help=summary)
-        p.add_argument("--format", choices=("md", "csv", "json"), default="md",
-                       help="output format (default md)")
-        p.set_defaults(func=func)
-        return p
 
-    if p := add("profile", _cmd_profile, "ratio, remainder and maximal genus for (d, r)"):
-        p.add_argument("d", type=int)
-        p.add_argument("r", type=int)
-        p.add_argument("--lenient", action="store_true",
-                       help="accept any d >= r+1 instead of d >= 2r+1")
+def _value(kwargs: dict, token: str):
+    """``token`` as an argument's value; ValueError where argparse must judge it."""
+    if (token.startswith("-") or token not in _late(kwargs.get("choices", (token,)))
+            or kwargs.get("type") is int and not (token.isascii() and token.isdigit())):
+        raise ValueError(token)
+    return kwargs.get("type", str)(token)  # int() raises too past its limit on digits
 
-    if p := add("classify", _cmd_classify, "candidate models for an extremal curve"):
-        p.add_argument("d", type=int)
-        p.add_argument("r", type=int)
 
-    if p := add("embed", _cmd_embed, "re-embed a surface class as an extremal curve"):
-        p.add_argument("gamma", type=int)
-        p.add_argument("lam", type=int, metavar="lambda")
-        p.add_argument("n", type=int)
-
-    if p := add("bounds", _cmd_bounds, "gonality-sequence intervals for (gamma, g)"):
-        p.add_argument("gamma", type=int)
-        p.add_argument("g", type=int)
-        p.add_argument("--assume", action="append", metavar="R=V",
-                       help="assert d_R = V before propagating (repeatable)")
-
-    if p := add("slope", _cmd_slope, "slope-inequality verdicts for extremal models"):
-        from .verdicts import FAMILIES
-        p.add_argument("d", type=int, nargs="?")
-        p.add_argument("r", type=int, nargs="?")
-        p.add_argument("--gamma", type=int, help="only models with this gonality")
-        p.add_argument("--family", choices=FAMILIES,
-                       help="verdict for a named curve family instead")
-
-    if p := add("table1", _cmd_table1, "summary table of extremal families per gonality"):
-        from .tables import MODES
-        p.add_argument("--gamma-max", type=int, default=6, dest="gamma_max")
-        p.add_argument("--mode", choices=MODES, default=MODES[0])
-
-    if p := add("scan", _cmd_scan, "flat per-model records over an (r, d) window"):
-        p.add_argument("r_lo", type=int)
-        p.add_argument("r_hi", type=int)
-        p.add_argument("--d-max", type=int, default=None, dest="d_max")
-
-    if p := add("verylast", _cmd_verylast, "foursecant sweep on the surface of invariant n"):
-        p.add_argument("n", type=int)
-
-    if p := add("plane", _cmd_plane, "gonality sequence of a smooth plane curve"):
-        p.add_argument("k", type=int)
-        p.add_argument("--r", type=int, default=None,
-                       help="single index instead of the whole table")
-
-    add("selfcheck", _cmd_selfcheck, "recompute core facts two ways and compare")
-    return parser
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """What the whole parser makes of a plain ``argv``, or None for any other.
+    Plain is the subcommand, all its positionals (none if all are optional),
+    then options in full, each but a flag with a value token of its own, and
+    no option but an ``append`` one repeated."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, *spec = COMMANDS[argv[0]]
+    positionals = [(arg, kw) for arg, kw in spec if arg[0] != "-"]
+    options = {arg: (kw.get("dest", arg[2:]), kw) for arg, kw in (FORMAT, *spec) if arg[0] == "-"}
+    tokens = argv[1:]
+    count = next((i for i, token in enumerate(tokens) if token.startswith("-")), len(tokens))
+    if count != len(positionals) and (count or any("nargs" not in kw for _, kw in positionals)):
+        return None
+    try:
+        values = {dest: _value(kw, text) for (dest, kw), text in zip(positionals, tokens[:count])}
+        rest = iter(tokens[count:])
+        for token in rest:
+            dest, kw = options[token]
+            action = kw.get("action")
+            if dest in values and action != "append":
+                return None
+            value = action == "store_true" or _value(kw, next(rest, "-"))
+            values[dest] = values.get(dest, []) + [value] if action == "append" else value
+    except (KeyError, ValueError):
+        return None
+    for dest, kw in (*positionals, *options.values()):
+        values.setdefault(dest, _late(kw.get("default")))
+    return SimpleNamespace(command=argv[0], func=globals()[f"_cmd_{argv[0]}"], **values)
 
 
 def run(argv: list[str]) -> int:
-    # The top-level options take no value, so argparse hands the rest of
-    # argv to the subparser named by the first token that is not an
-    # option; no such token ("" names none) means no subparser runs.
-    parser = build_parser(next((arg for arg in argv if not arg.startswith("-")), ""))
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = _read(argv)
+    if args is None:
+        # No top-level option takes a value: argparse hands argv to the subparser
+        # the first non-option token names, and to none if there is none ("").
+        parser = build_parser(next((arg for arg in argv if not arg.startswith("-")), ""))
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         result = args.func(args)
         if isinstance(result, int):
@@ -328,10 +336,11 @@ def main() -> None:
     try:
         code = run(sys.argv[1:])
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader stopped early (``| head``): output nobody reads is not
-        # a failure.  stdout goes to devnull so that the flush at shutdown
-        # does not raise again.
+    except OSError as exc:  # a reader gone early (``| head``) is no failure; devnull
+        # takes the flush at shutdown
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            code = 2
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)
 

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import re
+import shlex
 import subprocess
 import sys
 import threading
@@ -853,6 +854,93 @@ PARSER_SHA256 = "53aede4fcae0c00c604a69a18933e5edaa5038f6a34972fc3cd25864aeb0510
 def test_parser_text_is_pinned(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     assert _pinned_run(capsys, PARSER_ARGV)[1] == PARSER_SHA256
+
+
+README_ARGV = [shlex.split(re.split(r" \| |; ", command)[0]) for command in re.findall(
+    r"^    \$ extremalcurves (.*)$",
+    (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8"), re.MULTILINE)]
+
+
+def _plain_argv() -> list[list[str]]:
+    """Plain argv for every subcommand and format, from the grammar: the
+    positionals (and none where all are optional), then no option, each
+    value of each option, or every option, with --format first or last."""
+    argvs = []
+    for command, (_, *spec) in extremalcurves.cli.COMMANDS.items():
+        positionals = [str(7 + i) for i, (arg, _) in enumerate(spec) if arg[0] != "-"]
+        options = {}
+        for arg, kw in spec:
+            if arg[0] != "-":
+                continue
+            if kw.get("action") == "store_true":
+                options[arg] = [[arg]]
+            elif "choices" in kw:
+                options[arg] = [[arg, value] for value in extremalcurves.cli._late(kw["choices"])]
+            elif kw.get("type") is int:
+                options[arg] = [[arg, "0"], [arg, "12"]]
+            else:
+                options[arg] = [[arg, "2=5"], [arg, "2=5", arg, "3:7"]]
+        tails = [[], [token for variants in options.values() for token in variants[-1]]]
+        tails += [variant for variants in options.values() for variant in variants]
+        heads = [positionals] + ([[]] if all("nargs" in kw for arg, kw in spec if arg[0] != "-")
+                                 else [])
+        for head in heads:
+            for tail in tails:
+                for fmt in ("md", "csv", "json"):
+                    argvs += [[command, *head, *tail, "--format", fmt],
+                              [command, *head, "--format", fmt, *tail]]
+    return argvs
+
+
+# argv the reader leaves to argparse: help, version, abbreviations, an
+# attached value, "--", a sign, non-ASCII digits, an int past the
+# interpreter's digit limit, a repeated option, a positional after an option
+DECLINED = [
+    ["scan", "3", "4", "-h"], ["scan", "3", "4", "--help"], ["--version"], ["profile", "--version"],
+    ["scan", "3", "4", "--form", "csv"], ["scan", "3", "4", "--format=csv"],
+    ["--", "scan", "3", "4"], ["scan", "3", "--", "4"], ["scan", "3", "4", "--"],
+    ["profile", "-5", "4"], ["profile", "10", "+4"], ["profile", "\u0663", "4"], ["profile", " 10", "4"],
+    ["profile", "1_0", "4"], ["profile", "5" * 5000, "4"], ["plane", "7", "--r", "-1"],
+    ["profile", "10", "4", "--lenient", "--lenient"], ["scan", "3", "4", "--d-max", "9", "--d-max", "9"],
+    ["scan", "3", "4", "--format", "csv", "--format", "json"], ["slope", "13", "--gamma", "4", "5"],
+    ["slope", "13"], ["slope", "--family", "trigonal", "13", "5"], ["profile", "10"],
+    ["profile", "10", "4", "5"], ["table1", "--mode", "fast"], ["plane", "7", "--r"],
+    ["bounds", "4", "12", "--assume", "-2=5"], ["bounds", "4", "12", "--assume"], ["Profile", "10", "4"],
+    ["profile", "10", "4", "lenient"], ["profile", "", "4"], ["table1", "--gamma-max", "x"],
+]
+
+
+def test_the_reader_agrees_with_the_whole_parser():
+    # the reader must give argparse's namespace wherever it answers, and
+    # answer every plain argv: one that declined everything would fail here
+    whole = extremalcurves.cli.build_parser()
+    plain = _plain_argv()
+    assert len(plain) > 300
+    assert all(extremalcurves.cli._read(argv) is not None for argv in plain)
+    assert all(extremalcurves.cli._read(argv) is None for argv in DECLINED)
+    read = 0
+    for argv in PARSER_ARGV + README_ARGV + plain + DECLINED:
+        args = extremalcurves.cli._read(argv)
+        if args is not None:
+            assert vars(args) == vars(whole.parse_args(argv)), argv
+            read += 1
+    assert read > len(plain)
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full to write to")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["profile", "10", "4"], ["scan", "3", "40"], ["--help"],
+                                  ["--version"], ["scan", "3", "4", "-h"]], ids=" ".join)
+def test_unwritable_stdout_exits_two(argv, unbuffered):
+    # a full disk is an error of the call, reported on one line: no
+    # traceback, and not the selfcheck-failure exit 1
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "extremalcurves", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, timeout=60,
+                              env=dict(child_env(), PYTHONUNBUFFERED=unbuffered))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_module_invocation_contradiction():

@@ -93,29 +93,55 @@ def test_scan_child_source_does_not_grow():
     assert lines["tables"] <= 320
 
 
-ARGUMENTS = """
+ARGPARSE = {"argparse", "gettext", "locale"}
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("profile 10 4", 0), ("scan 3 4 --format csv", 0), ("bounds 4 12 --assume 2=4", 3),
+    ("slope --family trigonal --format json", 0), ("table1 --mode resolved", 0),
+])
+def test_a_plain_call_loads_no_argparse(argv, code):
+    result, on_import, on_run = _child(CHILD.format(argv=argv.split()))
+    assert result.startswith(f"{code} ")
+    assert not ARGPARSE & set(f"{on_import} {on_run}".split())
+
+
+@pytest.mark.parametrize("argv", ["scan 3 4 -h", "profile x 4"])
+def test_help_and_errors_load_argparse(argv):
+    _, on_import, on_run = _child(CHILD.format(argv=argv.split()))
+    assert ARGPARSE <= set(f"{on_import} {on_run}".split())
+
+
+PARSERS = """
 import argparse, io, sys
 import extremalcurves.cli
-progs = []
-add_argument = argparse.ArgumentParser.add_argument
+made, given = [], set()
+init, add_argument = argparse.ArgumentParser.__init__, argparse.ArgumentParser.add_argument
+def making(self, *args, **kwargs):
+    made.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
 def counting(self, *args, **kwargs):
-    progs.append(self.prog)
+    given.add(self.prog)
     return add_argument(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = making
 argparse.ArgumentParser.add_argument = counting
 stdout, sys.stdout = sys.stdout, io.StringIO()
 code = extremalcurves.cli.run({argv!r})
 sys.stdout = stdout
-print(code, " ".join(sorted({{p for p in progs if p.startswith("extremalcurves ")}})))
+print(code, len(made), " ".join(sorted(p for p in given if p.startswith("extremalcurves "))))
 """
 
 
-@pytest.mark.parametrize("argv", [
-    ["scan", "3", "4"], ["plane", "7", "--format", "csv"], ["selfcheck", "--help"], ["--version"],
-], ids=" ".join)
+# per argv: the exit code, the parsers made and the subparsers given arguments
+BUILT = {"scan 3 4": "0 0 ", "plane 7 --format csv": "0 0 ",
+         "selfcheck --help": "0 11 extremalcurves selfcheck", "--version": "0 11 "}
+
+
+@pytest.mark.parametrize("argv", BUILT)
 def test_run_builds_only_the_named_subparser(argv):
-    # only the parsers that get arguments count: the others cost a name and a help line
-    built = "" if argv[0].startswith("-") else f"extremalcurves {argv[0]}"
-    assert _child(ARGUMENTS.format(argv=argv)) == [f"0 {built}"]
+    # a plain argv builds no parser; otherwise only the parser argv names
+    # gets arguments, the others cost a name and a help line
+    assert _child(PARSERS.format(argv=argv.split())) == [BUILT[argv]]
 
 
 def test_no_module_uses_dataclasses():
