@@ -53,8 +53,6 @@ def _write(result, fmt: str, out) -> None:
             for key, value in result.items():
                 out.write(f"{sep}\n  {json.dumps(key)}: ")
                 if isinstance(value, map):  # a table one level in, in batches
-                    from types import SimpleNamespace
-
                     from .tables import write_records
 
                     # a raw newline in json only starts a line, and only the
@@ -329,6 +327,9 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
+    if sys.stdout is None:  # started with fd 1 closed: no call can write its output
+        print("error: cannot write output: stdout is closed", file=sys.stderr)
+        sys.exit(2)
     if hasattr(sys.stdout, "reconfigure"):
         sys.stdout.reconfigure(encoding="utf-8")
         sys.stderr.reconfigure(encoding="utf-8")
@@ -336,12 +337,11 @@ def main() -> None:
     try:
         code = run(sys.argv[1:])
         sys.stdout.flush()
-    except OSError as exc:  # a reader gone early (``| head``) is no failure; devnull
-        # takes the flush at shutdown
+    except OSError as exc:  # a reader gone early (``| head``) is no failure
         if not isinstance(exc, BrokenPipeError):
             print(f"error: cannot write output: {exc}", file=sys.stderr)
             code = 2
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the last flush
     sys.exit(code)
 
 

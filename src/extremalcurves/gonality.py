@@ -133,12 +133,16 @@ result with ``propagate`` and freezes it.  ``baseline_ledger`` and
 ``verylast_sequence`` close the classical seeds (plus the sweep's facts)
 on a new ledger; ``apply_extremal_facts`` and ``with_assumptions`` close
 their facts onto a base.  Frozen ledgers are immutable and safe to
-share, and every helper below returns a new one and leaves its base
+share.  So ``verylast_sequence`` holds its recent sweeps, under a memory
+ceiling of 6 MiB, and a repeated n returns the value it built the first
+time; every other helper below returns a new ledger and leaves its base
 untouched.
 """
 
 from __future__ import annotations
 
+# ``_thread``, as ``functools`` has it: ``threading`` may not be loaded yet
+from _thread import RLock
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import lru_cache
@@ -440,7 +444,18 @@ class VerylastRow(namedtuple("VerylastRow", "a r degree eps")):
         return {"a": self.a, "r": self.r, "degree": self.degree, "eps": self.eps}
 
 
-def verylast_sequence(n: int) -> tuple[GonalityLedger, list[VerylastRow]]:
+# The held sweeps cost at most _HELD_BYTES together.  A held sweep costs at
+# most _INDEX_BYTES per ledger index: four list slots, the lo and hi ints and
+# its share of the rows (tracemalloc reads 93-108 bytes at n = 100 to 9,000).
+# So the memo holds at most _HELD_INDICES indices; a ledger has 6n of them.
+_HELD_BYTES = 6 << 20
+_INDEX_BYTES = 120
+_HELD_INDICES = _HELD_BYTES // _INDEX_BYTES
+_held_indices = 0  # the indices the held sweeps have now
+_held_lock = RLock()  # over _held_indices and the emptying of the memo
+
+
+def verylast_sequence(n: int) -> tuple[GonalityLedger, tuple[VerylastRow, ...]]:
     """Ledger and sweep report for the class 4*C0 + 4n*L on the surface n >= 3.
 
     The curve has genus 6n-3 and gonality 4.  Each a in 0..floor((n-3)/2)
@@ -450,7 +465,41 @@ def verylast_sequence(n: int) -> tuple[GonalityLedger, list[VerylastRow]]:
     exact facts into one ledger pins d_{n+2a} = 4(n+a)-1 and
     d_{n+2a+1} = 4(n+a) across the sweep and bounds the first entry after
     it by 4(n+abar)+3.
+
+    The ledger is frozen and the rows a tuple, so the value is safe to
+    share, and a repeated n returns the very value built the first time.
+    The held sweeps stay under a ceiling of 6 MiB, at 120 bytes per ledger
+    index (6n indices): a sweep over the ceiling on its own (n > 8,738) is
+    built anew on every call, and one that would take the held total past
+    it first empties the memo.
     """
+    return (_held_sweep if 6 * n <= _HELD_INDICES else _sweep)(n)
+
+
+@lru_cache(maxsize=None, typed=True)  # typed: 7.0 is not 7, and still fails
+def _held_sweep(n: int) -> tuple[GonalityLedger, tuple[VerylastRow, ...]]:
+    """``_sweep(n)``, held: the memo is emptied first if holding it would
+    pass the ceiling.  (The memo stores the sweep once this returns, so a
+    thread that empties it in between leaves that sweep held uncounted.)"""
+    global _held_indices
+    sweep = _sweep(n)
+    with _held_lock:
+        if _held_indices + 6 * n > _HELD_INDICES:
+            _forget_sweeps()
+        _held_indices += 6 * n
+    return sweep
+
+
+def _forget_sweeps() -> None:
+    """Empty the memo of held sweeps."""
+    global _held_indices
+    with _held_lock:
+        _held_sweep.cache_clear()
+        _held_indices = 0
+
+
+def _sweep(n: int) -> tuple[GonalityLedger, tuple[VerylastRow, ...]]:
+    """``verylast_sequence(n)``, built anew."""
     from .extremal import _TYPE_III, ExtremalModel, _unisecant_images
     from .lattice import DivisorClass, adjunction_genus, class_in_HL, gonality_from_class
 
@@ -477,4 +526,5 @@ def verylast_sequence(n: int) -> tuple[GonalityLedger, list[VerylastRow]]:
             yield from _extremal_facts(model)
 
     # ``close`` builds the ledger first: an n too large fails before the sweep
-    return close(gamma, g, chain(_baseline_facts(gamma, g), sweep_facts())), rows
+    led = close(gamma, g, chain(_baseline_facts(gamma, g), sweep_facts()))
+    return led, tuple(rows)

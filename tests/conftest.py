@@ -1,6 +1,18 @@
-"""Shared pytest wiring: print the acceptance report after the run."""
+"""Shared pytest wiring: an empty sweep memo for every test, and the
+acceptance report after the run."""
 
 import sys
+
+import pytest
+
+
+@pytest.fixture(autouse=True)
+def no_held_sweeps():
+    """Empty the memo of held foursecant sweeps, so that each test counts
+    the work of the sweeps it builds and sees its own monkeypatches."""
+    from extremalcurves import gonality
+
+    gonality._forget_sweeps()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -6,6 +6,7 @@ import functools
 import hashlib
 import io
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -941,6 +942,20 @@ def test_unwritable_stdout_exits_two(argv, unbuffered):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 1 in the child before exec")
+@pytest.mark.parametrize("argv", [["profile", "10", "4"], ["--help"], ["--version"],
+                                  ["scan", "3", "4", "-h"], ["profile", "x", "4"],
+                                  ["bounds", "4", "12", "--assume", "2=9"]], ids=" ".join)
+def test_closed_stdout_exits_two(argv):
+    # started with fd 1 closed, Python has no sys.stdout at all: every call,
+    # a usage error and a contradiction included, exits 2 on one line
+    proc = subprocess.run([sys.executable, "-m", "extremalcurves", *argv],
+                          preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE,
+                          text=True, timeout=60, env=child_env())
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write output: stdout is closed\n"
 
 
 def test_module_invocation_contradiction():

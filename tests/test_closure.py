@@ -2,10 +2,13 @@
 reference, closure after every call, pinned output, and soundness
 against every sequence the rules allow."""
 
+import gc
 import hashlib
 import random
 import subprocess
 import sys
+import threading
+import tracemalloc
 
 import pytest
 
@@ -14,6 +17,7 @@ from extremalcurves import (
     ExtremalModel,
     GonalityLedger,
     ModelKind,
+    UnsupportedInput,
     apply_extremal_facts,
     baseline_ledger,
     classify_extremal,
@@ -316,11 +320,9 @@ def test_split_sums_do_not_grow_with_n(closure_guard):
     assert counts == [(1, 1)] * 4
 
 
-def test_bisections_and_profiles_do_not_grow_with_n(monkeypatch):
-    # the work ladder for the sweep's overheads: the closure bisects 6 times
-    # at every n, and each sweep row goes through ``profile`` once; a z0
-    # bisection wherever t//2 grew made 129, 254, 504 and 1,004 bisections
-    # here, and profiling each image twice made 2 calls per row
+@pytest.fixture
+def sweep_work(monkeypatch):
+    """Count the closure's bisections and the sweep's ``profile`` calls."""
     from extremalcurves import extremal
 
     tally = {"bisections": 0, "profiles": 0}
@@ -333,12 +335,118 @@ def test_bisections_and_profiles_do_not_grow_with_n(monkeypatch):
 
     counted("bisections", gonality, gonality._first_past)
     counted("profiles", extremal, extremal.profile)
+    return tally
+
+
+def test_bisections_and_profiles_do_not_grow_with_n(sweep_work):
+    # the work ladder for the sweep's overheads: the closure bisects 6 times
+    # at every n, and each sweep row goes through ``profile`` once; a z0
+    # bisection wherever t//2 grew made 129, 254, 504 and 1,004 bisections
+    # here, and profiling each image twice made 2 calls per row
+    tally = sweep_work
     counts = []
     for n in (250, 500, 1000, 2000):
         tally.update(bisections=0, profiles=0)
         _, rows = verylast_sequence(n)
         counts.append((tally["bisections"], tally["profiles"] - len(rows)))
     assert counts == [(6, 0)] * 4
+
+
+def test_a_repeated_sweep_does_no_work(closure_guard, sweep_work):
+    # the work ladder for the held sweeps: a repeated n makes no split sum,
+    # no bisection and no ``profile`` call, where its first call made 1, 6
+    # and one per row (the ladders above); building it again repeated them
+    counts = []
+    for n in (250, 500, 1000, 2000):
+        verylast_sequence(n)
+        closure_guard.update(sums=0)
+        sweep_work.update(bisections=0, profiles=0)
+        verylast_sequence(n)
+        counts.append((closure_guard["sums"], sweep_work["bisections"], sweep_work["profiles"]))
+    assert counts == [(0, 0, 0)] * 4
+
+
+def test_a_repeated_sweep_is_the_value_it_built():
+    led, rows = verylast_sequence(30)
+    again = verylast_sequence(30)
+    assert again[0] is led and again[1] is rows
+    assert led.frozen and isinstance(rows, tuple)
+
+
+def _sweep_value(sweep):
+    led, rows = sweep
+    return led.entries(), rows
+
+
+def test_a_sweep_over_the_ceiling_is_built_anew():
+    # the largest held n fills the memo to within 6 indices of its ceiling;
+    # one more and the sweep alone is over it, so it is never held
+    n = gonality._HELD_INDICES // 6
+    held = verylast_sequence(n)
+    assert verylast_sequence(n) is held
+    first, again = verylast_sequence(n + 1), verylast_sequence(n + 1)
+    assert again[0] is not first[0] and again[1] is not first[1]
+    assert _sweep_value(again) == _sweep_value(first)
+    assert verylast_sequence(n) is held
+
+
+def test_failed_sweeps_are_not_held():
+    for _ in range(3):
+        with pytest.raises(UnsupportedInput, match="n >= 3"):
+            verylast_sequence(2)
+    verylast_sequence(7)
+    with pytest.raises(TypeError):
+        verylast_sequence(7.0)
+    assert gonality._held_sweep.cache_info().currsize == 1
+
+
+def test_threads_count_every_sweep_they_hold():
+    # seven threads build disjoint sets of n, together under the ceiling, so
+    # each n is built and counted once; with a short switch interval a lost
+    # update to the held count would leave it below the indices held
+    want = 6 * sum(range(3, 101))
+    assert want <= gonality._HELD_INDICES
+    readings = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            gonality._forget_sweeps()
+            threads = [threading.Thread(target=lambda ns=range(3 + i, 101, 7):
+                                        [verylast_sequence(n) for n in ns]) for i in range(7)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            readings.append((gonality._held_sweep.cache_info().currsize, gonality._held_indices))
+    finally:
+        sys.setswitchinterval(interval)
+    assert readings == [(98, want)] * 5
+
+
+def test_held_sweeps_stay_under_the_ceiling():
+    # two sweeps of half the memo's indices each fill it to within 6 of its
+    # ceiling; a third empties it first.  tracemalloc reads what the memo
+    # keeps after every call, each below its estimate of 120 bytes per index
+    n = gonality._HELD_INDICES // 12
+    verylast_sequence(3)  # the package's imports out of the reading
+    gonality._forget_sweeps()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        readings = []
+        for m in (n, n - 1, n - 2):
+            verylast_sequence(m)
+            gc.collect()
+            readings.append((tracemalloc.get_traced_memory()[0] - before,
+                             gonality._held_indices))
+    finally:
+        tracemalloc.stop()
+    assert [indices for _, indices in readings] == [6 * n, 12 * n - 6, 6 * n - 12]
+    assert all(held <= gonality._INDEX_BYTES * indices for held, indices in readings)
+    assert max(held for held, _ in readings) <= gonality._HELD_BYTES == 6 << 20
 
 
 def test_tag_memo_stays_bounded():
