@@ -133,16 +133,14 @@ result with ``propagate`` and freezes it.  ``baseline_ledger`` and
 ``verylast_sequence`` close the classical seeds (plus the sweep's facts)
 on a new ledger; ``apply_extremal_facts`` and ``with_assumptions`` close
 their facts onto a base.  Frozen ledgers are immutable and safe to
-share.  So ``verylast_sequence`` holds its recent sweeps, under a memory
-ceiling of 6 MiB, and a repeated n returns the value it built the first
-time; every other helper below returns a new ledger and leaves its base
-untouched.
+share.  So ``verylast_sequence`` holds its 16 most recent sweeps of
+n <= 512, under a memory ceiling of 6 MiB, and a repeated n returns the
+value it built the first time; every other helper below returns a new
+ledger and leaves its base untouched.
 """
 
 from __future__ import annotations
 
-# ``_thread``, as ``functools`` has it: ``threading`` may not be loaded yet
-from _thread import RLock
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import lru_cache
@@ -444,15 +442,15 @@ class VerylastRow(namedtuple("VerylastRow", "a r degree eps")):
         return {"a": self.a, "r": self.r, "degree": self.degree, "eps": self.eps}
 
 
-# The held sweeps cost at most _HELD_BYTES together.  A held sweep costs at
-# most _INDEX_BYTES per ledger index: four list slots, the lo and hi ints and
-# its share of the rows (tracemalloc reads 93-108 bytes at n = 100 to 9,000).
-# So the memo holds at most _HELD_INDICES indices; a ledger has 6n of them.
+# The memo holds _HELD_SWEEPS sweeps, each of at most _HELD_INDICES // _HELD_SWEEPS
+# ledger indices (6n), so together they cost at most _HELD_BYTES.  A held sweep
+# costs under _INDEX_BYTES per index: four list slots, the lo and hi ints and
+# its share of the rows.  tracemalloc on Python 3.11 reads 45-105 bytes at
+# n = 3 to 1,000; 128 leaves room for versions that size lists and ints anew.
 _HELD_BYTES = 6 << 20
-_INDEX_BYTES = 120
+_INDEX_BYTES = 128
 _HELD_INDICES = _HELD_BYTES // _INDEX_BYTES
-_held_indices = 0  # the indices the held sweeps have now
-_held_lock = RLock()  # over _held_indices and the emptying of the memo
+_HELD_SWEEPS = 16  # 16 sweeps of n <= 512 each; more would shrink the largest n
 
 
 def verylast_sequence(n: int) -> tuple[GonalityLedger, tuple[VerylastRow, ...]]:
@@ -468,34 +466,11 @@ def verylast_sequence(n: int) -> tuple[GonalityLedger, tuple[VerylastRow, ...]]:
 
     The ledger is frozen and the rows a tuple, so the value is safe to
     share, and a repeated n returns the very value built the first time.
-    The held sweeps stay under a ceiling of 6 MiB, at 120 bytes per ledger
-    index (6n indices): a sweep over the ceiling on its own (n > 8,738) is
-    built anew on every call, and one that would take the held total past
-    it first empties the memo.
+    The 16 most recently used sweeps with n <= 512 are held: 6n ledger
+    indices at most 128 bytes each, so together under a ceiling of 6 MiB.
+    A larger n is built anew on every call.
     """
-    return (_held_sweep if 6 * n <= _HELD_INDICES else _sweep)(n)
-
-
-@lru_cache(maxsize=None, typed=True)  # typed: 7.0 is not 7, and still fails
-def _held_sweep(n: int) -> tuple[GonalityLedger, tuple[VerylastRow, ...]]:
-    """``_sweep(n)``, held: the memo is emptied first if holding it would
-    pass the ceiling.  (The memo stores the sweep once this returns, so a
-    thread that empties it in between leaves that sweep held uncounted.)"""
-    global _held_indices
-    sweep = _sweep(n)
-    with _held_lock:
-        if _held_indices + 6 * n > _HELD_INDICES:
-            _forget_sweeps()
-        _held_indices += 6 * n
-    return sweep
-
-
-def _forget_sweeps() -> None:
-    """Empty the memo of held sweeps."""
-    global _held_indices
-    with _held_lock:
-        _held_sweep.cache_clear()
-        _held_indices = 0
+    return (_held_sweep if 6 * n <= _HELD_INDICES // _HELD_SWEEPS else _sweep)(n)
 
 
 def _sweep(n: int) -> tuple[GonalityLedger, tuple[VerylastRow, ...]]:
@@ -528,3 +503,7 @@ def _sweep(n: int) -> tuple[GonalityLedger, tuple[VerylastRow, ...]]:
     # ``close`` builds the ledger first: an n too large fails before the sweep
     led = close(gamma, g, chain(_baseline_facts(gamma, g), sweep_facts()))
     return led, tuple(rows)
+
+
+# typed: 7.0 is not 7, and still fails
+_held_sweep = lru_cache(maxsize=_HELD_SWEEPS, typed=True)(_sweep)

@@ -12,7 +12,7 @@ def no_held_sweeps():
     the work of the sweeps it builds and sees its own monkeypatches."""
     from extremalcurves import gonality
 
-    gonality._forget_sweeps()
+    gonality._held_sweep.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

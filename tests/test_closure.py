@@ -7,7 +7,6 @@ import hashlib
 import random
 import subprocess
 import sys
-import threading
 import tracemalloc
 
 import pytest
@@ -355,9 +354,10 @@ def test_bisections_and_profiles_do_not_grow_with_n(sweep_work):
 def test_a_repeated_sweep_does_no_work(closure_guard, sweep_work):
     # the work ladder for the held sweeps: a repeated n makes no split sum,
     # no bisection and no ``profile`` call, where its first call made 1, 6
-    # and one per row (the ladders above); building it again repeated them
+    # and one per row (the ladders above); building it again repeated them.
+    # 512 is the largest held n
     counts = []
-    for n in (250, 500, 1000, 2000):
+    for n in (64, 128, 256, 512):
         verylast_sequence(n)
         closure_guard.update(sums=0)
         sweep_work.update(bisections=0, profiles=0)
@@ -379,9 +379,9 @@ def _sweep_value(sweep):
 
 
 def test_a_sweep_over_the_ceiling_is_built_anew():
-    # the largest held n fills the memo to within 6 indices of its ceiling;
-    # one more and the sweep alone is over it, so it is never held
-    n = gonality._HELD_INDICES // 6
+    # the largest held n has its share of the memo's indices; one more and
+    # the sweep is over it, so it is never held
+    n = gonality._HELD_INDICES // gonality._HELD_SWEEPS // 6
     held = verylast_sequence(n)
     assert verylast_sequence(n) is held
     first, again = verylast_sequence(n + 1), verylast_sequence(n + 1)
@@ -400,51 +400,28 @@ def test_failed_sweeps_are_not_held():
     assert gonality._held_sweep.cache_info().currsize == 1
 
 
-def test_threads_count_every_sweep_they_hold():
-    # seven threads build disjoint sets of n, together under the ceiling, so
-    # each n is built and counted once; with a short switch interval a lost
-    # update to the held count would leave it below the indices held
-    want = 6 * sum(range(3, 101))
-    assert want <= gonality._HELD_INDICES
-    readings = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            gonality._forget_sweeps()
-            threads = [threading.Thread(target=lambda ns=range(3 + i, 101, 7):
-                                        [verylast_sequence(n) for n in ns]) for i in range(7)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-            assert not any(thread.is_alive() for thread in threads)
-            readings.append((gonality._held_sweep.cache_info().currsize, gonality._held_indices))
-    finally:
-        sys.setswitchinterval(interval)
-    assert readings == [(98, want)] * 5
-
-
 def test_held_sweeps_stay_under_the_ceiling():
-    # two sweeps of half the memo's indices each fill it to within 6 of its
-    # ceiling; a third empties it first.  tracemalloc reads what the memo
-    # keeps after every call, each below its estimate of 120 bytes per index
-    n = gonality._HELD_INDICES // 12
+    # the largest held sweeps, one more than the memo holds: the last call
+    # drops the least recently used.  tracemalloc reads what the memo keeps
+    # after every call, each below its estimate of 128 bytes per index
+    k = gonality._HELD_SWEEPS
+    top = gonality._HELD_INDICES // k // 6
+    ns = range(top, top - k - 1, -1)
     verylast_sequence(3)  # the package's imports out of the reading
-    gonality._forget_sweeps()
+    gonality._held_sweep.cache_clear()
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         readings = []
-        for m in (n, n - 1, n - 2):
-            verylast_sequence(m)
+        for i, n in enumerate(ns):
+            verylast_sequence(n)
             gc.collect()
             readings.append((tracemalloc.get_traced_memory()[0] - before,
-                             gonality._held_indices))
+                             6 * sum(ns[max(0, i + 1 - k):i + 1])))
     finally:
         tracemalloc.stop()
-    assert [indices for _, indices in readings] == [6 * n, 12 * n - 6, 6 * n - 12]
+    assert gonality._held_sweep.cache_info().currsize == k
     assert all(held <= gonality._INDEX_BYTES * indices for held, indices in readings)
     assert max(held for held, _ in readings) <= gonality._HELD_BYTES == 6 << 20
 
