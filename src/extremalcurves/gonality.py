@@ -133,10 +133,11 @@ result with ``propagate`` and freezes it.  ``baseline_ledger`` and
 ``verylast_sequence`` close the classical seeds (plus the sweep's facts)
 on a new ledger; ``apply_extremal_facts`` and ``with_assumptions`` close
 their facts onto a base.  Frozen ledgers are immutable and safe to
-share.  So ``verylast_sequence`` holds its 16 most recent sweeps of
-n <= 512, under a memory ceiling of 6 MiB, and a repeated n returns the
-value it built the first time; every other helper below returns a new
-ledger and leaves its base untouched.
+share.  So ``baseline_ledger`` holds its 32 most recent baselines of
+g <= 3,069, under a memory ceiling of 12 MiB, and ``verylast_sequence``
+its 16 most recent sweeps of n <= 512, under 6 MiB; a repeated call
+returns the value it built the first time.  Every other helper below
+returns a new ledger and leaves its base untouched.
 """
 
 from __future__ import annotations
@@ -386,9 +387,45 @@ def _baseline_facts(gamma: int, g: int) -> list[tuple[int, int, int, str]]:
     return seeds
 
 
+# A memo of K entries (K = _HELD_SWEEPS or _HELD_BASELINES) gives each a share
+# of _HELD_INDICES // K ledger indices.  A held sweep takes at most one share,
+# so the sweeps cost at most _HELD_BYTES together; a held baseline at most two,
+# so the baselines cost at most twice that.  A held ledger costs under
+# _INDEX_BYTES per index: four list slots, the lo and hi ints and, for a
+# sweep, its share of the rows.  tracemalloc on Python 3.11 reads 45-105 bytes
+# for sweeps at n = 3 to 1,000 and 38-117 for baselines at g = 3 to 3,069;
+# 128 leaves room for versions that size lists and ints anew.
+_HELD_BYTES = 6 << 20
+_INDEX_BYTES = 128
+_HELD_INDICES = _HELD_BYTES // _INDEX_BYTES
+_HELD_SWEEPS = 16  # 16 sweeps of n <= 512 each; more would shrink the largest n
+# 32 baselines of g <= 3,069 each.  An LRU memo never hits on a cycle of calls
+# longer than it holds, and a ledger-whatif pass cycles through 30 baselines.
+# One share (g <= 1,533) would miss the pass's two largest, g = 1,596 and 1,600:
+# 2 of its 30 builds, but about a fifth of their time
+_HELD_BASELINES = 32
+
+
 def baseline_ledger(gamma: int, g: int) -> GonalityLedger:
-    """The frozen ledger seeded with the classical facts alone."""
+    """The frozen ledger seeded with the classical facts alone.
+
+    The ledger is frozen, so it is safe to share, and a repeated (gamma, g)
+    returns the very ledger built the first time.  The 32 most recently
+    used baselines with g <= 3,069 are held: g + 3 ledger indices at most
+    128 bytes each, so together under a ceiling of 12 MiB.  A larger g is
+    built anew on every call, and a build that fails is never held.
+    """
+    held = g + 3 <= 2 * _HELD_INDICES // _HELD_BASELINES
+    return (_held_baseline if held else _baseline)(gamma, g)
+
+
+def _baseline(gamma: int, g: int) -> GonalityLedger:
+    """``baseline_ledger(gamma, g)``, built anew."""
     return close(gamma, g, _baseline_facts(gamma, g))
+
+
+# typed: 4.0 is not 4, and still fails
+_held_baseline = lru_cache(maxsize=_HELD_BASELINES, typed=True)(_baseline)
 
 
 def _extremal_facts(model: ExtremalModel) -> list[tuple[int, int, int, str]]:
@@ -440,17 +477,6 @@ class VerylastRow(namedtuple("VerylastRow", "a r degree eps")):
 
     def record(self) -> dict:
         return {"a": self.a, "r": self.r, "degree": self.degree, "eps": self.eps}
-
-
-# The memo holds _HELD_SWEEPS sweeps, each of at most _HELD_INDICES // _HELD_SWEEPS
-# ledger indices (6n), so together they cost at most _HELD_BYTES.  A held sweep
-# costs under _INDEX_BYTES per index: four list slots, the lo and hi ints and
-# its share of the rows.  tracemalloc on Python 3.11 reads 45-105 bytes at
-# n = 3 to 1,000; 128 leaves room for versions that size lists and ints anew.
-_HELD_BYTES = 6 << 20
-_INDEX_BYTES = 128
-_HELD_INDICES = _HELD_BYTES // _INDEX_BYTES
-_HELD_SWEEPS = 16  # 16 sweeps of n <= 512 each; more would shrink the largest n
 
 
 def verylast_sequence(n: int) -> tuple[GonalityLedger, tuple[VerylastRow, ...]]:

@@ -1,4 +1,4 @@
-"""Shared pytest wiring: an empty sweep memo for every test, and the
+"""Shared pytest wiring: empty ledger memos for every test, and the
 acceptance report after the run."""
 
 import sys
@@ -7,11 +7,13 @@ import pytest
 
 
 @pytest.fixture(autouse=True)
-def no_held_sweeps():
-    """Empty the memo of held foursecant sweeps, so that each test counts
-    the work of the sweeps it builds and sees its own monkeypatches."""
+def no_held_ledgers():
+    """Empty the memos of held baselines and foursecant sweeps, so that each
+    test counts the work of the ledgers it builds and sees its own
+    monkeypatches."""
     from extremalcurves import gonality
 
+    gonality._held_baseline.cache_clear()
     gonality._held_sweep.cache_clear()
 
 

@@ -4,7 +4,9 @@ against every sequence the rules allow."""
 
 import gc
 import hashlib
+import math
 import random
+import statistics
 import subprocess
 import sys
 import tracemalloc
@@ -15,6 +17,7 @@ from extremalcurves import (
     ContradictionError,
     ExtremalModel,
     GonalityLedger,
+    InvalidInput,
     ModelKind,
     UnsupportedInput,
     apply_extremal_facts,
@@ -278,8 +281,11 @@ def closure_guard(monkeypatch):
 
 
 def test_every_closure_is_closed(closure_guard):
+    # 24 of the grid's 572 baseline calls repeat a held (gamma, g) and close
+    # nothing; building each anew made 1,276 closures, 3,021 scans and
+    # 107,291 sums
     _closure_grid()
-    assert closure_guard == {"closed": 1276, "scans": 3021, "sums": 107291}
+    assert closure_guard == {"closed": 1252, "scans": 2997, "sums": 105655}
 
 
 @pytest.mark.parametrize("gamma", range(3, 9))
@@ -426,6 +432,80 @@ def test_held_sweeps_stay_under_the_ceiling():
     assert max(held for held, _ in readings) <= gonality._HELD_BYTES == 6 << 20
 
 
+def test_a_repeated_baseline_does_no_work(closure_guard):
+    # the work ladder for the held baselines: a repeated (gamma, g) closes
+    # nothing, where its first call made one closure of 34, 67, 134, 267 and
+    # 512 sums; building it again repeated them.  3,069 is the largest held g
+    counts = []
+    for g in (200, 400, 800, 1600, 3069):
+        baseline_ledger(4, g)
+        closure_guard.update(closed=0, sums=0)
+        baseline_ledger(4, g)
+        counts.append((closure_guard["closed"], closure_guard["sums"]))
+    assert counts == [(0, 0)] * 5
+
+
+def test_a_baseline_over_the_ceiling_is_built_anew():
+    # the largest held g fills two shares of the memo's indices (g + 3);
+    # one more and the baseline is over them, so it is never held
+    g = 2 * gonality._HELD_INDICES // gonality._HELD_BASELINES - 3
+    held = baseline_ledger(4, g)
+    assert baseline_ledger(4, g) is held and held.frozen
+    first, again = baseline_ledger(4, g + 1), baseline_ledger(4, g + 1)
+    assert again is not first
+    assert again.entries() == first.entries()
+    assert baseline_ledger(4, g) is held
+
+
+def test_failed_baselines_are_not_held():
+    for _ in range(3):
+        with pytest.raises(InvalidInput, match="Brill-Noether maximum"):
+            baseline_ledger(4, 4)
+    baseline_ledger(4, 12)
+    with pytest.raises(TypeError):
+        baseline_ledger(4.0, 12)
+    assert gonality._held_baseline.cache_info().currsize == 1
+
+
+def test_held_baselines_stay_under_the_ceiling():
+    # the largest held baselines, one more than the memo holds: the last
+    # call drops the least recently used.  tracemalloc reads what the memo
+    # keeps after every call, each below its estimate of 128 bytes per index
+    k = gonality._HELD_BASELINES
+    g = 2 * gonality._HELD_INDICES // k - 3
+    gammas = range(2, k + 3)
+    baseline_ledger(2, 3)  # the tag memo's first entries out of the reading
+    gonality._held_baseline.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        readings = []
+        for i, gamma in enumerate(gammas):
+            baseline_ledger(gamma, g)
+            gc.collect()
+            readings.append((tracemalloc.get_traced_memory()[0] - before,
+                             (g + 3) * min(i + 1, k)))
+    finally:
+        tracemalloc.stop()
+    assert gonality._held_baseline.cache_info().currsize == k
+    assert all(held <= gonality._INDEX_BYTES * indices for held, indices in readings)
+    assert max(held for held, _ in readings) <= 2 * gonality._HELD_BYTES == 12 << 20
+
+
+def test_a_held_baseline_outlives_what_is_built_on_it():
+    # a refine, the plane fold and a contradiction each close onto a copy
+    model = ExtremalModel(ModelKind.PLANE_VERONESE, 58, 5)
+    gamma, g = model.gamma, model.g
+    base = baseline_ledger(gamma, g)
+    with_assumptions(base, [(r, plane_curve_gonality(29, r)) for r in (5, 100, 300)])
+    apply_extremal_facts(base, model)
+    with pytest.raises(ContradictionError):
+        with_assumptions(base, [(10, 10 * gamma + 1)])
+    assert baseline_ledger(gamma, g) is base
+    assert base.entries() == gonality._baseline(gamma, g).entries()
+
+
 def test_tag_memo_stays_bounded():
     # every fact at N + 2i lowers hi there by i+1 under its own caller tag,
     # and the s = 1 split joins that tag with hi[1]'s at N + 2i + 1: one new
@@ -488,6 +568,35 @@ def test_plane_refine_tightens_few_indices(tightenings):
     tightenings[0] = 0
     with_assumptions(base, [(r, plane_curve_gonality(58, r)) for r in (100, 700, 1300)])
     assert tightenings[0] == 110
+
+
+def test_what_if_bisections_do_not_grow_with_genus(closure_guard, sweep_work):
+    # the work ladder for what-if refines: two true values asserted on a
+    # hyperelliptic baseline make 2 bisections and no scan at every g
+    counts = []
+    for g in (200, 400, 800, 1600):
+        base = baseline_ledger(2, g)
+        closure_guard.update(scans=0)
+        sweep_work.update(bisections=0)
+        with_assumptions(base, [(g // 4, g // 2), (g // 2, g)])
+        counts.append((sweep_work["bisections"], closure_guard["scans"]))
+    assert counts == [(2, 0)] * 4
+
+
+def test_plane_fold_sums_grow_at_most_linearly(closure_guard):
+    # the work ladder for the plane fold: its split sums grow with g at a
+    # log-log slope of 1.07, fitted over k = 15 to 58 (g = 91 to 1,596)
+    gs, sums = [], []
+    for k in (15, 21, 29, 41, 58):
+        model = ExtremalModel(ModelKind.PLANE_VERONESE, 2 * k, 5)
+        base = baseline_ledger(model.gamma, model.g)
+        closure_guard.update(sums=0)
+        apply_extremal_facts(base, model)
+        gs.append(model.g)
+        sums.append(closure_guard["sums"])
+    assert sums == [54, 142, 287, 598, 1188]
+    fit = statistics.linear_regression([math.log(g) for g in gs], [math.log(s) for s in sums])
+    assert fit.slope <= 1.1
 
 
 # -- the closure's output is pinned -------------------------------------------
