@@ -11,13 +11,13 @@ failed (an ``ArithmeticError`` other than overflow), reported on one
 ``run`` reads a plain argv off ``COMMANDS`` and hands any other to argparse
 (``usage``), the one source of help, usage and error text.  A ``_cmd_*``
 handler imports the layers it runs and returns its result: a dict is one
-record, any other iterable of dicts a table (a ``(fieldnames, records)`` pair
-names its fields), a str finished text, and an int the exit code of a run that
-has already reported to stderr.  ``run`` writes it in the chosen format, the
-one place that writes stdout, a table in batches as its records are made:
-``scan``, ``table1`` and ``plane`` hold no rows, ``bounds`` and csv and json
-``verylast`` no more than their ledger, and only md ``verylast``, which nests
-two tables, is held whole.  json and csv load only for those formats.
+record (its ``map`` values nested tables), any other iterable of dicts a table
+(a ``(fieldnames, records)`` pair names its fields), a str finished text, and
+an int the exit code of a run that has already reported to stderr.  ``run``
+writes it in the chosen format, the one place that writes stdout, a table in
+batches as its records are made: ``scan``, ``table1`` and ``plane`` hold no
+rows, ``bounds`` and ``verylast`` no more than their ledger.  json and csv load
+only for those formats.
 """
 
 from __future__ import annotations
@@ -27,15 +27,14 @@ import sys
 from importlib import import_module
 from types import SimpleNamespace
 
-from . import __version__
 from .errors import ContradictionError, DomainError, InvalidInput
 
 
 def _write(result, fmt: str, out) -> None:
     """Write a handler's result to ``out``: a dict is one record (a ``k=v``
-    line in md; in json a ``map`` value is a nested table, rendered in
-    batches), any other iterable of dicts or a ``(fieldnames, records)``
-    pair a table, rendered in batches, a str already text."""
+    line in md, each ``map`` value a table after it, nested in json), any
+    other iterable of dicts or a ``(fieldnames, records)`` pair a table, a
+    str already text.  Every table is rendered in batches."""
     if isinstance(result, str):
         out.write(result)
         return
@@ -43,8 +42,15 @@ def _write(result, fmt: str, out) -> None:
     if isinstance(result, tuple):
         fieldnames, result = result
     elif isinstance(result, dict):
-        if fmt == "md":
-            out.write(" ".join(f"{k}={v}" for k, v in result.items()) + "\n")
+        if fmt == "md":  # the plain fields, then each map value a table after a blank line
+            out.write(" ".join(f"{k}={v}" for k, v in result.items()
+                               if not isinstance(v, map)) + "\n")
+            for value in result.values():
+                if isinstance(value, map):
+                    from .tables import write_records
+
+                    out.write("\n")
+                    write_records(out, value, "md")
             return
         if fmt == "json":  # json.dumps(result, indent=2), a map value streamed
             import json
@@ -157,10 +163,10 @@ def _cmd_slope(args) -> dict | list[dict]:
     return records
 
 
-def _cmd_table1(args) -> tuple:
-    from .tables import TABLE_FIELDS, TableRow, table1_rows
+def _cmd_table1(args) -> map:
+    from .tables import TableRow, table1_rows
 
-    return TABLE_FIELDS, map(TableRow.record, table1_rows(args.gamma_max, args.mode))
+    return map(TableRow.record, table1_rows(args.gamma_max, args.mode))
 
 
 def _cmd_scan(args) -> tuple:
@@ -169,24 +175,18 @@ def _cmd_scan(args) -> tuple:
     return SCAN_FIELDS, scan(args.r_lo, args.r_hi, args.d_max)
 
 
-def _cmd_verylast(args) -> str | dict | map:
+def _cmd_verylast(args) -> dict | map:
     from .gonality import VerylastRow, verylast_sequence
 
     led, rows = verylast_sequence(args.n)
     entries = map(_entry_record, map(led.entry, range(rows[0].r - 1, rows[-1].r + 2)))
-    rows = map(VerylastRow.record, rows)
     if args.format == "csv":
         return entries
-    if args.format == "json":
-        return {"n": args.n, "gamma": led.gamma, "genus": led.g,
-                "rows": rows, "entries": entries}
-    from .tables import serialize
-
-    return (f"n={args.n} gamma={led.gamma} genus={led.g}\n\n"
-            + serialize(rows, "md") + "\n" + serialize(entries, "md"))
+    return {"n": args.n, "gamma": led.gamma, "genus": led.g,
+            "rows": map(VerylastRow.record, rows), "entries": entries}
 
 
-def _cmd_plane(args) -> dict | tuple:
+def _cmd_plane(args) -> dict | map:
     from .castelnuovo import plane_genus
     from .verdicts import plane_curve_gonality, plane_slope_verdict
 
@@ -197,7 +197,7 @@ def _cmd_plane(args) -> dict | tuple:
 
     if args.r is not None:
         return record(args.r)
-    return ("r", "d_r", "status", "tag"), map(record, range(1, plane_genus(args.k) + 3))
+    return map(record, range(1, plane_genus(args.k) + 3))
 
 
 def _cmd_selfcheck(args) -> str | list[dict] | int:
@@ -206,8 +206,8 @@ def _cmd_selfcheck(args) -> str | list[dict] | int:
     count, failures, groups = run_selfcheck()
     if failures:
         for line in failures:
-            print(line, file=sys.stderr)
-        print(f"{len(failures)} of {count} checks failed", file=sys.stderr)
+            _say(line)
+        _say(f"{len(failures)} of {count} checks failed")
         return 1
     if args.format == "md":
         return f"ok {count} checks\n"
@@ -252,11 +252,6 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argparse parser over ``COMMANDS``: see ``usage.build_parser``."""
-    return import_module(".usage", __package__).build_parser(command)
-
-
 def _value(kwargs: dict, token: str):
     """``token`` as an argument's value; ValueError where argparse must judge it."""
     if (token.startswith("-") or token not in _late(kwargs.get("choices", (token,)))
@@ -296,12 +291,22 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(command=argv[0], func=globals()[f"_cmd_{argv[0]}"], **values)
 
 
+def _say(line: str) -> None:
+    """Write one diagnostic line to stderr, the one place that does.  A line
+    stderr cannot take is dropped: the exit code still says what happened."""
+    try:
+        sys.stderr.write(line + "\n")
+    except OSError:
+        pass
+
+
 def run(argv: list[str]) -> int:
     args = _read(argv)
     if args is None:
         # No top-level option takes a value: argparse hands argv to the subparser
         # the first non-option token names, and to none if there is none ("").
-        parser = build_parser(next((arg for arg in argv if not arg.startswith("-")), ""))
+        parser = import_module(".usage", __package__).build_parser(
+            next((arg for arg in argv if not arg.startswith("-")), ""))
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:
@@ -312,23 +317,25 @@ def run(argv: list[str]) -> int:
             return result
         _write(result, args.format, sys.stdout)
     except ContradictionError as exc:
-        print(f"contradiction: {exc}", file=sys.stderr)
+        _say(f"contradiction: {exc}")
         return 3
     except (InvalidInput, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return 2
     except (OverflowError, MemoryError) as exc:
-        print(f"error: input too large to hold ({type(exc).__name__})", file=sys.stderr)
+        _say(f"error: input too large to hold ({type(exc).__name__})")
         return 2
     except ArithmeticError as exc:  # a broken invariant: a fault here, not in the input
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _say(f"internal error: {type(exc).__name__}: {exc}")
         return 4
     return 0
 
 
 def main() -> None:
+    if sys.stderr is None:  # started with fd 2 closed: diagnostics go nowhere
+        sys.stderr = open(os.devnull, "w")
     if sys.stdout is None:  # started with fd 1 closed: no call can write its output
-        print("error: cannot write output: stdout is closed", file=sys.stderr)
+        _say("error: cannot write output: stdout is closed")
         sys.exit(2)
     if hasattr(sys.stdout, "reconfigure"):
         sys.stdout.reconfigure(encoding="utf-8")
@@ -339,7 +346,7 @@ def main() -> None:
         sys.stdout.flush()
     except OSError as exc:  # a reader gone early (``| head``) is no failure
         if not isinstance(exc, BrokenPipeError):
-            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            _say(f"error: cannot write output: {exc}")
             code = 2
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the last flush
     sys.exit(code)

@@ -26,15 +26,14 @@ images under |C0 + beta*L|: it yields each scroll and the image's
 degree, and the caller profiles the image.  The foursecant sweep
 re-embeds through it too, and its type-III model is each image's only
 profile.  These two and ``verify_extremal_class`` are the lattice
-layer's only users here.  ``_lattice`` imports it on the first such
-call and binds it once, so classifying and scanning never load it.
+layer's only users here, and each imports it inside the function, so
+classifying and scanning never load it.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
-from functools import cache
 
 from .castelnuovo import CurveProfile, profile
 from .errors import (
@@ -82,8 +81,6 @@ class ExtremalModel(namedtuple("ExtremalModel", "kind d r m eps gamma g scroll_c
                 " and plane models need r=5 and d=2k"
                 if isinstance(kind, ModelKind) else f"unknown model kind {kind!r}")
         claims = (m, eps, gamma, g, scroll_class, k)
-        if claims == _NO_CLAIMS:
-            return model
         for name, claim, value in zip(cls._fields[3:], claims, model[3:]):
             if claim is not None and claim != value:
                 raise InvalidInput(f"claimed {name}={claim!r}, but the model is {model}")
@@ -122,7 +119,6 @@ class ExtremalModel(namedtuple("ExtremalModel", "kind d r m eps gamma g scroll_c
 # __getattr__, which takes every read of a member off the class
 # (ModelKind.TYPE_II) off the fast path, at about ten times a global read.
 _TYPE_II, _TYPE_III, _PLANE_VERONESE = ModelKind
-_NO_CLAIMS = (None,) * 6
 
 
 def _model(kind: ModelKind, p: CurveProfile) -> ExtremalModel:
@@ -167,16 +163,6 @@ def classify_run(d: int, r: int) -> tuple[list[ExtremalModel], int]:
     return models, d + 1 if eps == 0 or r == 5 else d + r - 1 - eps
 
 
-@cache
-def _lattice():
-    """The lattice module, imported on the first call that needs it.  Its
-    names are read off the module at each use, so a patched or traced
-    lattice function is the one called."""
-    from . import lattice
-
-    return lattice
-
-
 def verify_extremal_class(h: int, l: int, scroll: ScrollEmbedding) -> bool:
     """Whether the class h*H + l*L on the scroll is an extremal-curve class.
 
@@ -185,7 +171,8 @@ def verify_extremal_class(h: int, l: int, scroll: ScrollEmbedding) -> bool:
     maximal genus.  Classes with d < 2r+1 are outside the extremal regime
     and verify False; d <= 0 is a domain error.
     """
-    lattice = _lattice()
+    from . import lattice
+
     r = scroll.r
     d = h * (r - 1) + l
     if d <= 0:
@@ -224,7 +211,8 @@ class EmbedResult(namedtuple(
 def _unisecant_images(x: DivisorClass, betas) -> Iterator[tuple[ScrollEmbedding, int]]:
     """For each beta in turn, the scroll of |C0 + beta*L| on x's surface and
     the degree X.H of x's image on it, which the caller profiles once."""
-    lattice = _lattice()
+    from . import lattice
+
     for beta in betas:
         scroll = lattice.ScrollEmbedding.from_unisecant(x.n, beta)
         yield scroll, lattice.intersect(x, scroll.hyperplane_class)
@@ -248,7 +236,8 @@ def embed_extremal(gamma: int, lam: int, n: int) -> EmbedResult:
     beta >= n; beta = n is allowed exactly when lambda = gamma*n: the
     unisecant model is then a cone, but the curve misses its vertex.
     """
-    lattice = _lattice()
+    from . import lattice
+
     x = lattice.DivisorClass(n, gamma, lam).normalized_ruling()
     gamma, lam, n = x.a, x.b, x.n
     genus = lattice.adjunction_genus(x)

@@ -14,6 +14,7 @@ import sys
 import threading
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,8 +28,9 @@ from extremalcurves import (
 import extremalcurves.cli
 import extremalcurves.gonality
 import extremalcurves.lattice
-from extremalcurves.cli import run
-from extremalcurves.tables import _cell
+import extremalcurves.usage
+from extremalcurves.cli import _entry_record, run
+from extremalcurves.tables import _cell, serialize
 from child_env import child_env
 
 GOLDEN = Path(__file__).parent / "golden" / "table1_gamma6_paper.md"
@@ -565,6 +567,21 @@ def test_verylast_markdown(capsys):
     )
 
 
+def test_markdown_verylast_streams():
+    # the k=v line, then each table after a blank line, in batches as its
+    # records are made: no write holds the whole document
+    writes = []
+    with contextlib.redirect_stdout(SimpleNamespace(write=writes.append)):
+        assert run(["verylast", "2000"]) == 0
+    document = "".join(writes)
+    led, rows = extremalcurves.gonality.verylast_sequence(2000)
+    entries = [_entry_record(led.entry(r)) for r in range(rows[0].r - 1, rows[-1].r + 2)]
+    assert document == (f"n=2000 gamma=4 genus={led.g}\n\n"
+                        + serialize([row.record() for row in rows], "md") + "\n"
+                        + serialize(entries, "md"))
+    assert max(map(len, writes)) < len(document)
+
+
 def test_verylast_csv_is_entries_only(capsys):
     code, out, _ = run_cli(capsys, "verylast", "3", "--format", "csv")
     assert code == 0
@@ -779,8 +796,8 @@ def test_formats_give_the_same_records(capsys, argv):
 
 def test_embed_is_extremal_exactly_in_the_regime(capsys, monkeypatch):
     # parsing leaves the parser as it was, so one serves all 5,372 calls
-    monkeypatch.setattr(extremalcurves.cli, "build_parser",
-                        functools.cache(extremalcurves.cli.build_parser))
+    monkeypatch.setattr(extremalcurves.usage, "build_parser",
+                        functools.cache(extremalcurves.usage.build_parser))
     parsers = {"md": _md_records, "csv": _csv_records,
                "json": lambda text: _json_records(json.loads(text))}
     valid = below = 0
@@ -840,8 +857,8 @@ def test_the_named_subparser_parses_as_the_whole_parser(capsys, monkeypatch):
     # run builds only the subparser argv names; help, usage, version and
     # every error must read as they do from the parser with all ten built
     got = [run_cli(capsys, *argv) for argv in PARSER_ARGV]
-    whole = extremalcurves.cli.build_parser
-    monkeypatch.setattr(extremalcurves.cli, "build_parser", lambda command: whole())
+    whole = extremalcurves.usage.build_parser
+    monkeypatch.setattr(extremalcurves.usage, "build_parser", lambda command: whole())
     assert got == [run_cli(capsys, *argv) for argv in PARSER_ARGV]
     assert {code for code, _, _ in got} == {0, 2}
 
@@ -914,7 +931,7 @@ DECLINED = [
 def test_the_reader_agrees_with_the_whole_parser():
     # the reader must give argparse's namespace wherever it answers, and
     # answer every plain argv: one that declined everything would fail here
-    whole = extremalcurves.cli.build_parser()
+    whole = extremalcurves.usage.build_parser()
     plain = _plain_argv()
     assert len(plain) > 300
     assert all(extremalcurves.cli._read(argv) is not None for argv in plain)
@@ -942,6 +959,32 @@ def test_unwritable_stdout_exits_two(argv, unbuffered):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+# per call: the child's arguments and the exit code it earns
+STDERR_CALLS = {
+    "profile 10 4": (["-m", "extremalcurves", "profile", "10", "4"], 0),
+    "profile 2 4": (["-m", "extremalcurves", "profile", "2", "4"], 2),
+    "profile x 4": (["-m", "extremalcurves", "profile", "x", "4"], 2),
+    "bounds 4 12 --assume 2=9": (["-m", "extremalcurves", "bounds", "4", "12", "--assume", "2=9"], 3),
+    "broken lattice": (["-c", BROKEN_LATTICE], 4),
+}
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists() or os.name != "posix",
+                    reason="writes stderr to /dev/full and closes fd 2 in the child")
+@pytest.mark.parametrize("stderr", ["full", "closed"])
+@pytest.mark.parametrize("call", STDERR_CALLS)
+def test_unwritable_stderr_keeps_the_exit_code(call, stderr):
+    # a diagnostic that cannot be written is dropped, and the call exits
+    # with the code it earned, not the selfcheck-failure exit 1
+    args, code = STDERR_CALLS[call]
+    with open("/dev/full", "wb") as full:
+        redirect = {"full": {"stderr": full}, "closed": {"preexec_fn": lambda: os.close(2)}}
+        proc = subprocess.run([sys.executable, *args], stdout=subprocess.PIPE, text=True,
+                              timeout=60, env=child_env(), **redirect[stderr])
+    assert proc.returncode == code
+    assert proc.stdout == ("m=3 eps=0 pi=9\n" if code == 0 else "")
 
 
 @pytest.mark.skipif(os.name != "posix", reason="closes fd 1 in the child before exec")
