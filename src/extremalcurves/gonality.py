@@ -13,117 +13,131 @@ entries, and two rules close the system to a fixed point:
     strict increase   lo[r+1] >= lo[r] + 1,   hi[r] <= hi[r+1] - 1
     subadditivity     hi[r+s] <= hi[r] + hi[s]      (r+s <= g+2)
 
+The ledger keeps each bound as its offset from the index,
+
+    L[r] = lo[r] - r,   H[r] = hi[r] - r,
+
+and the closure reads and writes offsets alone.  In them the rules are
+
+    strict increase   L[r+1] >= L[r],   H[r] <= H[r+1]
+    subadditivity     H[t] <= H[s] + H[t-s]         (the index t cancels)
+
+so strict increase says the offsets never decrease, a slope-one step
+hi[t] = hi[t-1] + 1 is two equal offsets, and a new ledger starts at
+L = 0 and H[r] = r*(gamma-1).  ``entry`` adds r back, and a
+``ContradictionError`` carries the bounds themselves.
+
 No rule derives an upper bound from a lower one, so the lower fixed point
 is one ascending pass.  The upper one is one descending chain pass, which
-leaves hi strictly increasing, then one ascending subadditivity pass.
-That pass keeps hi strictly increasing and closes each t for good: with
-t-1 closed and hi strictly increasing below t, every split has
+leaves H nondecreasing, then one ascending subadditivity pass.  That pass
+keeps H nondecreasing and closes each t for good: with t-1 closed and H
+nondecreasing below t, every split has
 
-    hi[s] + hi[t-s] >= hi[s] + hi[t-1-s] + 1 >= hi[t-1] + 1
+    H[s] + H[t-s] >= H[s] + H[t-1-s] >= H[t-1]
 
-(for s = t-1 because hi[1] >= lo[1] >= 1), so a tightening at t keeps
-hi[t] above hi[t-1], and a slope-one step hi[t] = hi[t-1] + 1 cannot be
-beaten and is skipped without a scan.  A second round would tighten
-nothing.
+(for s = t-1 because H[1] >= L[1] >= 0), so a tightening at t keeps H[t]
+at or above H[t-1], and a slope-one step H[t] = H[t-1] cannot be beaten
+and is skipped without a scan.  A second round would tighten nothing.
 
 The closure costs what changed.  ``close`` applies the facts to a
 closed base, checks each new bound against the other side at once, and
 logs every index whose lo it raises and every index whose hi it lowers.
-A new ledger is a closed base: lo = r is strictly increasing, and the
-ceiling is additive and strictly increasing.  ``propagate`` closes from
-those two logs, which live only in that one ``close`` call, so every
-ledger outside it is closed.  Above a closed base a strict-increase
-pair (r, r+1) can fail only where lo[r] rose or hi[r+1] fell.  So the
-lower pass walks up from each raised index in ascending order, and the
-chain pass down from each lowered index in descending order, and each
-walk stops at the first pair that already holds: the base held every
-pair beyond it, and nothing beyond it has moved.  The walks make the
-same tightenings as full passes, in the same order, so a crossing names
-the same index and tags.
+A new ledger is a closed base: L = 0 never decreases, and the ceiling is
+additive with H nondecreasing.  ``propagate`` closes from those two
+logs, which live only in that one ``close`` call, so every ledger outside
+it is closed.  Above a closed base a strict-increase pair (r, r+1) can
+fail only where lo[r] rose or hi[r+1] fell.  So the lower pass walks up
+from each raised index in ascending order, and the chain pass down from
+each lowered index in descending order, and each walk stops at the first
+pair that already holds: the base held every pair beyond it, and nothing
+beyond it has moved.  The walks make the same tightenings as full
+passes, in the same order, so a crossing names the same index and tags.
 
-Each walk is one run, found by one bisection and written by one slice.
-On a closed base lo - r and hi - r never decrease, and a fact moves
-only its own index.  So lo - r never decreases between two raised
-indices, and hi - r never decreases into an index whose hi no fact
-lowered.  A lower walk from i sets lo[r] = lo[i] + (r - i) up to the
-first r with lo[r] - r >= lo[i] - i, and bisection finds that r before
-the next raised index j.  A walk that reaches j raises lo[j] and hands
-over to j's own walk, as the one-index walk does there.  The walk
-crosses where hi[r] - r < lo[i] - i, and the first such r is i + 1 or
-an index whose hi a fact lowered: at any other r, hi[r-1] - (r-1) <=
-hi[r] - r, so r - 1 crosses as well.  The walk checks those places in
-ascending order and raises at the first, with the index, bounds and
-tags of the one-index walk.  The chain pass mirrors the lower pass
-downward, between lowered indices, and never crosses: after the lower
-pass lo <= hi everywhere and lo is strictly increasing, so a walk from
-i sets hi[r] = hi[i] - (i - r) >= lo[i] - (i - r) >= lo[r].
+Each walk is one run, found by one ``bisect`` call with no key and
+written by one slice of one repeated offset.  On a closed base L and H
+never decrease, and a fact moves only its own index.  So L never
+decreases between two raised indices, and H never decreases into an
+index whose hi no fact lowered.  A lower walk from i sets L[r] = L[i] up
+to the first r with L[r] >= L[i], and ``bisect_left`` finds that r before
+the next raised index j.  A walk that reaches j raises L[j] and hands
+over to j's own walk, as the one-index walk does there.  The walk crosses
+where H[r] < L[i], and the first such r is i + 1 or an index whose hi a
+fact lowered: at any other r, H[r-1] <= H[r], so r - 1 crosses as well.
+The walk checks those places in ascending order and raises at the first,
+with the index, bounds and tags of the one-index walk.  The chain pass
+mirrors the lower pass downward, between lowered indices, with
+``bisect_right``, and never crosses: after the lower pass L <= H
+everywhere and L never decreases, so a walk from i sets
+H[r] = H[i] >= L[i] >= L[r].
 
-A split hi[s] + hi[t-s] can beat hi[t] only if one of its sides fell:
-a split of two unmoved sides sums to at least the closed base's hi[t],
-and hi[t] has only fallen since.  Both sides are at least 1, so both
-lie below t.  Let m be the lowest index whose hi a fact lowered.  Below
-m only the chain pass lowers hi, in one unbroken run down from m, and
-it leaves each index r it lowers at hi[r+1] - 1.  So every t from just
-above the lowest index it lowers up to m is a slope-one step, and every
-t below has only unmoved sides.  The subadditivity pass therefore
-starts at m + 1, and a closure with no such fact ends after the lower
-pass.  Every t the pass reaches that is not a slope-one step gets at
-most one scan, over the splits that can win, and none where the last
-scan's floor rules them all out (both below).  Where t and t+1 are both
-slope-one steps the pass jumps to the end of their run: nothing at or
-above t has moved since the chain pass left hi strictly increasing, so
-hi[r] - r never decreases there, and bisection finds the first r with
-hi[r] - r > hi[t] - t.  A lone slope-one step is stepped over, because
-the foursecant sweep alternates steps of 3 and 1, and a bisection at
-each of them costs more than it skips.
+A split H[s] + H[t-s] can beat H[t] only if one of its sides fell: a
+split of two unmoved sides sums to at least the closed base's H[t], and
+H[t] has only fallen since.  Both sides have index at least 1, so
+both lie below t.  Let m be the lowest index whose hi a fact lowered.  Below
+m only the chain pass lowers hi, in one unbroken run down from m, and it
+leaves each index r it lowers at H[r] = H[r+1].  So every t from just
+above the lowest index it lowers up to m is a slope-one step, and every t
+below has only unmoved sides.  The subadditivity pass therefore starts
+at m + 1, and a closure with no such fact ends after the lower pass.
+Every t the pass reaches that is not a slope-one step gets at most one
+scan, over the splits that can win, and none where the last scan's floor
+rules them all out (both below).  Where t and t+1 are both slope-one
+steps the pass jumps to the end of their run: nothing at or above t has
+moved since the chain pass left H nondecreasing, so ``bisect_right``
+finds the first r with H[r] > H[t].  A lone slope-one step is stepped
+over, because the foursecant sweep alternates steps of 3 and 1, and a
+bisection at each of them costs more than it skips.
 
 The gonal-line lemma bounds that scan from below.  Write
 
-    Delta(u) = hi[u] - hi[u-1],   D(x) = x*hi[1] - hi[x],
+    Delta(u) = hi[u] - hi[u-1],   D(x) = x*hi[1] - hi[x] = x*H[1] - H[x],
 
-the drop of hi below the line through hi[1].  When the pass reaches t,
-hi is closed below t, so subadditivity at (1, u-1) gives
-Delta(u) <= hi[1] for u < t: D(1) = 0 and D never decreases on 1..t-1.
-For 1 <= s <= t/2,
+the drop of hi below the line through hi[1], which is the drop of H
+below the line of slope H[1] = hi[1] - 1.  When the pass reaches t, hi is
+closed below t, so subadditivity at (1, u-1) gives Delta(u) <= hi[1] for
+u < t: D(1) = 0 and D never decreases on 1..t-1.  For 1 <= s <= t/2,
 
-    hi[s] + hi[t-s] = t*hi[1] - D(s) - D(t-s),
-    hi[1] + hi[t-1] = t*hi[1] - D(t-1),
+    H[s] + H[t-s] = t*H[1] - D(s) - D(t-s),
+    H[1] + H[t-1] = t*H[1] - D(t-1),
 
 and D(t-s) <= D(t-1), so the split s sums to less than the split 1 only
-if D(s) > 0, that is only if s >= z0, the first x with hi[x] < x*hi[1].
+if D(s) > 0, that is only if s >= z0, the first x with H[x] < x*H[1].
 The pass tries s = 1 first and then the splits in [z0, t/2] in ascending
 s, each with a strict ``<``.  A split it skips sums to at least the
-s = 1 sum, so the first split to attain the least sum below hi[t] is
+s = 1 sum, so the first split to attain the least sum below H[t] is
 never one it skips: the pass finds the split a scan over every split
 finds, and with it the bound and its tag.  The pass keeps z <= z0 and
 searches only where a scan needs z0 below t/2 and D(z) = 0 says z0 is
 past z.  t/2 grows by one index every other t, so the search most often
-tests that one new index; else D is monotone and bisection finds z0 in
-z+1..t/2.  In the foursecant sweep z0 = n, and the whole closure makes
-6 bisections at every n the tests pin (250 to 2,000).
+tests that one new index; else D is monotone and ``_first_past`` finds
+z0 in z+1..t/2, the one bisection with a key.  In the foursecant sweep
+z0 = n, and the whole closure makes that one search and five ``bisect``
+calls at every n the tests pin (250 to 2,000).
 Upper bounds only fall, and a crossing stops the closure, so every
 hi[r] stays at or above lo[r].  A crossing raises a
 ``ContradictionError`` naming the provenance tags on both sides.
 
-A scan also bounds every later one from below.  Let a scan at t0 start
-at z1 and find the least sum floor.  For t > t0 hi is final and
-strictly increasing below t, so at each step u -> u+1 every split s in
-[z1, (u+1)/2] sums to more than a split in [z1, u/2]:
+A scan also bounds every later one from below.  Let a scan start at z1
+and find the least offset sum floor.  For each later t, H is final and
+nondecreasing below t, so at each step u -> u+1 every split s in
+[z1, (u+1)/2] sums to at least a split in [z1, u/2]:
 
-    hi[s] + hi[u+1-s] >= hi[s] + hi[u-s] + 1      (s <= u/2)
-    hi[s] + hi[s]     >= hi[s-1] + hi[s] + 1      (u+1 = 2s)
+    H[s] + H[u+1-s] >= H[s] + H[u-s]        (s <= u/2)
+    H[s] + H[s]     >= H[s-1] + H[s]        (u+1 = 2s)
 
-where the second is the split s-1 = u//2 at u, and u//2 >= t0//2 >= z1.
-Hence every split in [z1, t/2] sums to at least floor + (t - t0), and
-the splits in [z0, t/2] the pass would scan at t are among them, since
-the bound z on z0 only rises.  Where floor + (t - t0) reaches the best of
-hi[t] and the s = 1 sum, no split can beat it and the pass skips the
-scan.  Before the first scan floor = t0 = 0 serves, as hi[r] >= lo[r] >= r.
-A skipped scan would have set no bound, so every tightening, tag, split
-and contradiction is the one a scan gives.  In the foursecant sweep the
-one scan is of the split s = n at t = 2n, and its floor rules out every
-later t, so ``verylast_sequence`` is linear in n (an observed fact, not
-a proved one: the tests pin it at n = 30 to 2,000).
+where the second is the split s-1 = u//2 at u, and u//2 is at least half
+the scanned index, so at least z1.  Hence every split in [z1, t/2] sums
+to at least floor: in offsets the least split sum never falls, and the
+pass need not keep the index it was found at.  The splits in [z0, t/2]
+the pass would scan at t are among them, since the bound z on z0 only
+rises.  Where floor reaches the best of H[t] and the s = 1 sum, no split
+can beat it and the pass skips the scan.  Before the first scan
+floor = 0 serves, as H[r] >= L[r] >= 0.  A skipped scan would have set
+no bound, so every tightening, tag, split and contradiction is the one a
+scan gives.  In the foursecant sweep the one scan is of the split s = n
+at t = 2n, and its floor rules out every later t, so
+``verylast_sequence`` is linear in n (an observed fact, not a proved
+one: the tests pin it at n = 30 to 2,000).
 
 A ledger is its seed facts closed once.  Seeds are facts (index, lo, hi,
 tag): the classical values, the entries an extremal model pins, or
@@ -184,8 +198,9 @@ class GonalityLedger:
         self.g = g
         self.max_index = g + 2
         size = self.max_index + 1  # index 0 unused
-        self._lo = list(range(size))  # d_r >= r: closed, as is the ceiling
-        self._hi = list(range(0, size * gamma, gamma))
+        # each bound is kept as its offset from the index: lo[r] - r, hi[r] - r
+        self._lo = [0] * size  # d_r >= r: closed, as is the ceiling
+        self._hi = list(range(0, size * (gamma - 1), gamma - 1))
         self._lo_tag = ["trivial"] * size
         self._hi_tag = ["gonal-ceiling"] * size
         self._frozen = False
@@ -217,66 +232,66 @@ class GonalityLedger:
         if self._frozen:
             raise RuntimeError("ledger is frozen; thaw() a copy to refine it")
 
-    def _raise_lo(self, r: int, value: int, tag: str) -> None:
-        """Tighten lo[r] to value, checking it against hi[r]."""
-        self._lo[r] = value
+    def _raise_lo(self, r: int, c: int, tag: str) -> None:
+        """Tighten lo[r] to the offset c, checking it against hi[r]."""
+        self._lo[r] = c
         self._lo_tag[r] = tag
-        if value > self._hi[r]:
-            raise ContradictionError(r, value, self._hi[r], tag, self._hi_tag[r])
+        if c > self._hi[r]:
+            raise ContradictionError(r, c + r, self._hi[r] + r, tag, self._hi_tag[r])
 
-    def _lower_hi(self, r: int, value: int, tag: str) -> None:
-        """Tighten hi[r] to value, checking it against lo[r]."""
-        self._hi[r] = value
+    def _lower_hi(self, r: int, c: int, tag: str) -> None:
+        """Tighten hi[r] to the offset c, checking it against lo[r]."""
+        self._hi[r] = c
         self._hi_tag[r] = tag
-        if value < self._lo[r]:
-            raise ContradictionError(r, self._lo[r], value, self._lo_tag[r], tag)
+        if c < self._lo[r]:
+            raise ContradictionError(r, self._lo[r] + r, c + r, self._lo_tag[r], tag)
 
     def propagate(self, raised: list[int], moved: list[int]) -> "GonalityLedger":
         """Close the intervals under strict increase and subadditivity, given
         the indices whose lo rose (raised) and whose hi fell (moved) since
         the ledger was closed, as the module docstring proves sufficient."""
         self._check_mutable()
-        lo, hi = self._lo, self._hi
+        lo, hi = self._lo, self._hi  # offsets: strict increase is lo[r] <= lo[r+1]
         lo_tag, hi_tag = self._lo_tag, self._hi_tag
         top = self.max_index
         rises, falls = sorted(raised), sorted(moved)
-        for n, i in enumerate(rises, 1):  # lo[r+1] >= lo[r] + 1, up from each raise
+        for n, i in enumerate(rises, 1):  # lo[r+1] >= lo[r], up from each raise
             nxt = rises[n] if n < len(rises) else top + 1
-            c = lo[i] - i  # the walk sets lo[r] = c + r
+            c = lo[i]  # the walk sets lo[r] = c
             end = i + 1
-            if end < nxt and lo[end] - end < c:
-                end = _first_past(lo, i + 2, nxt - 1, 1, c - 1)
-                # hi - r never falls into an unlowered index, so the first
+            if end < nxt and lo[end] < c:
+                end = bisect_left(lo, c, i + 2, nxt)
+                # hi never falls into an unlowered index, so the first
                 # crossing is at i + 1 or at a lowered index
                 lowered = falls[bisect_right(falls, i + 1):bisect_left(falls, end)]
                 for r in chain((i + 1,), lowered):
-                    if hi[r] - r < c:
-                        raise ContradictionError(r, c + r, hi[r], lo_tag[i], hi_tag[r])
-                lo[i + 1:end] = range(c + i + 1, c + end)
+                    if hi[r] < c:
+                        raise ContradictionError(r, c + r, hi[r] + r, lo_tag[i], hi_tag[r])
+                lo[i + 1:end] = [c] * (end - i - 1)
                 lo_tag[i + 1:end] = [lo_tag[i]] * (end - i - 1)
-            if end == nxt <= top and lo[nxt] - nxt < c:  # hand the walk over
-                self._raise_lo(nxt, c + nxt, lo_tag[i])
+            if end == nxt <= top and lo[nxt] < c:  # hand the walk over
+                self._raise_lo(nxt, c, lo_tag[i])
         if not falls:
             return self
-        for n in range(len(falls) - 1, -1, -1):  # hi[r] <= hi[r+1] - 1, down
+        for n in range(len(falls) - 1, -1, -1):  # hi[r] <= hi[r+1], down
             i = falls[n]
             prev = falls[n - 1] if n else 0
-            c = hi[i] - i  # the walk sets hi[r] = c + r, never below lo[r]
+            c = hi[i]  # the walk sets hi[r] = c, never below lo[r]
             start = i
-            if prev < i - 1 and hi[i - 1] - i + 1 > c:
-                start = _first_past(hi, prev + 1, i - 2, 1, c)
-                hi[start:i] = range(c + start, c + i)
+            if prev < i - 1 and hi[i - 1] > c:
+                start = bisect_right(hi, c, prev + 1, i - 1)
+                hi[start:i] = [c] * (i - start)
                 hi_tag[start:i] = [hi_tag[i]] * (i - start)
-            if start == prev + 1 and prev and hi[prev] - prev > c:  # hand the walk over
-                self._lower_hi(prev, c + prev, hi_tag[i])
+            if start == prev + 1 and prev and hi[prev] > c:  # hand the walk over
+                self._lower_hi(prev, c, hi_tag[i])
         h1 = hi[1]
         z = 1  # the first x with hi[x] < x*hi[1] once found, else a lower bound
-        floor = t0 = 0  # the last scan's least sum and its t; hi[r] >= r at first
+        floor = 0  # the last scan's least sum; hi[r] >= lo[r] >= 0 at first
         t = falls[0] + 1
-        while t <= top:  # hi[t] <= hi[s] + hi[t-s]
-            if hi[t] == hi[t - 1] + 1:  # a slope-one step no split can beat
-                if t < top and hi[t + 1] == hi[t] + 1:  # a run of them: jump it
-                    t = _first_past(hi, t + 2, top, 1, hi[t] - t)
+        while t <= top:  # hi[t] <= hi[s] + hi[t-s]: the index t cancels
+            if hi[t] == hi[t - 1]:  # a slope-one step no split can beat
+                if t < top and hi[t + 1] == hi[t]:  # a run of them: jump it
+                    t = bisect_right(hi, hi[t], t + 2, top + 1)
                 else:
                     t += 1
                 continue
@@ -285,15 +300,15 @@ class GonalityLedger:
             if h1 + hi[t - 1] < best:  # the split s = 1 goes first
                 best = h1 + hi[t - 1]
                 split = 1
-            if floor + t - t0 < best:  # else no split can beat best (the scan floor)
+            if floor < best:  # else no split can beat best (the scan floor)
                 half = t // 2
                 if z <= half and hi[z] >= z * h1:  # z0 is past z: D(z) = 0
                     # half grows by one every other t, so this is most often
                     # the one new index z = half, already tested above
-                    z = half + 1 if z == half else _first_past(hi, z + 1, half, h1, 0, -1)
+                    z = half + 1 if z == half else _first_past(hi, z + 1, half, h1)
                 if z <= half:  # only a split s >= z0 can beat s = 1
                     sums = list(_split_sums(hi, t, z))
-                    floor, t0 = min(sums), t
+                    floor = min(sums)
                     if floor < best:
                         best = floor
                         split = sums.index(floor) + z
@@ -310,7 +325,7 @@ class GonalityLedger:
         if r > self.max_index:
             # beyond the materialized window the sequence is the known tail
             return GonalityEntry(r, r + self.g, r + self.g, True, ("riemann-roch",))
-        lo, hi = self._lo[r], self._hi[r]
+        lo, hi = self._lo[r] + r, self._hi[r] + r
         tags = (self._lo_tag[r],)
         if self._hi_tag[r] != self._lo_tag[r]:
             tags = (self._lo_tag[r], self._hi_tag[r])
@@ -329,12 +344,12 @@ def _split_sums(hi: list[int], t: int, start: int):
     return map(add, hi[start : t // 2 + 1], hi[t - start : (t - 1) // 2 : -1])
 
 
-def _first_past(a: list[int], start: int, stop: int, slope: int, c: int, sign: int = 1) -> int:
-    """The first x in start..stop with sign*(a[x] - slope*x) > c, else
-    stop + 1.  The left side must not decrease on start..stop, so bisection
-    finds x.  (Out of ``propagate`` because a lambda there would make its
-    hot locals closure cells.)"""
-    return bisect_right(range(start, stop + 1), c, key=lambda x: sign * (a[x] - slope * x)) + start
+def _first_past(a: list[int], start: int, stop: int, slope: int) -> int:
+    """The first x in start..stop with a[x] < slope*x, else stop + 1.
+    slope*x - a[x] must not decrease on start..stop, so bisection finds x.
+    (Out of ``propagate`` because a lambda there would make its hot locals
+    closure cells.)"""
+    return bisect_right(range(start, stop + 1), 0, key=lambda x: slope * x - a[x]) + start
 
 
 @lru_cache(maxsize=256)  # bounded: tags are any strings a caller passes
@@ -370,12 +385,12 @@ def close(gamma: int, g: int, facts, base: GonalityLedger | None = None) -> Gona
             if hi < known:
                 raise ContradictionError(r, known, hi, "riemann-roch", tag)
             continue
-        if lo > led_lo[r]:
+        if lo - r > led_lo[r]:
             raised.append(r)
-            led._raise_lo(r, lo, tag)
-        if hi < led_hi[r]:
+            led._raise_lo(r, lo - r, tag)
+        if hi - r < led_hi[r]:
             moved.append(r)
-            led._lower_hi(r, hi, tag)
+            led._lower_hi(r, hi - r, tag)
     return led.propagate(raised, moved).freeze()
 
 
@@ -391,10 +406,12 @@ def _baseline_facts(gamma: int, g: int) -> list[tuple[int, int, int, str]]:
 # of _HELD_INDICES // K ledger indices.  A held sweep takes at most one share,
 # so the sweeps cost at most _HELD_BYTES together; a held baseline at most two,
 # so the baselines cost at most twice that.  A held ledger costs under
-# _INDEX_BYTES per index: four list slots, the lo and hi ints and, for a
-# sweep, its share of the rows.  tracemalloc on Python 3.11 reads 45-105 bytes
-# for sweeps at n = 3 to 1,000 and 38-117 for baselines at g = 3 to 3,069;
-# 128 leaves room for versions that size lists and ints anew.
+# _INDEX_BYTES per index: four list slots, the lo and hi offsets no walk
+# shares out of one repeated int and, for a sweep, its share of the rows.
+# tracemalloc on Python 3.11 reads 42-67 bytes for sweeps at n = 3 to 1,000
+# and 33-107 for baselines at g = 3 to 3,069, over 70 only at g < 10, where
+# the lists' own headers weigh most; 128 leaves room for versions that size
+# lists and ints anew.
 _HELD_BYTES = 6 << 20
 _INDEX_BYTES = 128
 _HELD_INDICES = _HELD_BYTES // _INDEX_BYTES

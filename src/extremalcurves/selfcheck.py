@@ -2,9 +2,9 @@
 
 Each group states one fact: a plain function of its cases that yields
 one ``(ok, message)`` pair per check of a closed form, a round trip or
-an invariant against the engine.  Its default cases are the grid the
-command line ``selfcheck`` runs; the test suite runs the same groups on
-its own grids.  The count is deterministic (fixed grids, fixed seed).
+an invariant against the engine; only a failed check's message is read.
+Its default cases are the grid the command line ``selfcheck`` runs; the
+test suite runs the same groups on its own grids.  The count is deterministic (fixed grids, fixed seed).
 ``run_selfcheck`` runs the grid, tallied per group; ``run_group`` makes an
 engine error raised in a group one failed check, so the others still run.
 """
@@ -61,13 +61,13 @@ def adjunction_parity(classes=tuple(product(range(7), range(-15, 16), range(-15,
     plus one is an integer, and ``formal_genus`` may assert the parity.
     """
     canonical = functools.cache(canonical_class)  # one canonical class per surface
-    for n, a, b in classes:
+    for n, a, b in classes:  # a message only for a failed check: 6,727 classes
         x = DivisorClass(n, a, b)
         half, twist = a * b - a - b, n * a * (a - 1)
-        yield (intersect(canonical(n) + x, x) == 2 * half - twist,
-               f"adjunction pairing off its closed form at {x}")
-        yield (formal_genus(x) == half + 1 - twist // 2,
-               f"formal genus off its closed form at {x}")
+        ok = intersect(canonical(n) + x, x) == 2 * half - twist
+        yield ok, "" if ok else f"adjunction pairing off its closed form at {x}"
+        ok = formal_genus(x) == half + 1 - twist // 2
+        yield ok, "" if ok else f"formal genus off its closed form at {x}"
 
 
 def genus_closed_form(classes=tuple((n, a, b) for n in range(7) for a in range(2, 9)

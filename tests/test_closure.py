@@ -75,6 +75,11 @@ def _crossing(exc):
     return exc.index, exc.lo, exc.hi, exc.lo_tag, exc.hi_tag
 
 
+def _absolute(offsets):
+    """The bounds a ledger keeps as offsets from their index, r + v."""
+    return [r + v for r, v in enumerate(offsets)]
+
+
 @pytest.fixture
 def against_reference(monkeypatch):
     """Make every propagate call also run both references on copies of the
@@ -84,7 +89,7 @@ def against_reference(monkeypatch):
     tally = {"identical": 0, "contradicted": 0}
 
     def propagate(led, *logs):
-        want = [list(a) for a in (led._lo, led._hi, led._lo_tag, led._hi_tag)]
+        want = [_absolute(led._lo), _absolute(led._hi), list(led._lo_tag), list(led._hi_tag)]
         steps = [list(a) for a in want]
         try:
             reference_propagate(*want, led.max_index)
@@ -105,7 +110,8 @@ def against_reference(monkeypatch):
             tally["contradicted"] += 1
             raise
         assert expected is None, f"the new closure missed {expected}"
-        assert [led._lo, led._hi, led._lo_tag, led._hi_tag] == want == steps
+        got = [_absolute(led._lo), _absolute(led._hi), led._lo_tag, led._hi_tag]
+        assert got == want == steps
         tally["identical"] += 1
         return led
 
@@ -242,30 +248,34 @@ def closure_guard(monkeypatch):
     During the call, require that no index is scanned twice and none at a
     slope-one step hi[t] = hi[t-1] + 1, and that each scan's least split
     sum is at least the previous scan's plus the steps between them (the
-    premise of the scan floor); count the split sums the scans evaluate."""
+    premise of the scan floor); count the split sums the scans evaluate.
+    The ledger keeps its bounds as offsets from their index, and a split
+    sum at t as the offset from t; each is read here as r + v (sums: t + v)."""
     closure = GonalityLedger.propagate
     split_sums = gonality._split_sums
     scanned = {}  # t -> that scan's least split sum, in scan order
     tally = {"closed": 0, "scans": 0, "sums": 0}
 
     def scan(hi, t, start):
-        assert hi[t] != hi[t - 1] + 1, f"scan of the slope-one step {t}"
+        assert hi[t] + t != hi[t - 1] + (t - 1) + 1, f"scan of the slope-one step {t}"
         assert t not in scanned, f"index {t} scanned twice in one closure"
-        sums = list(split_sums(hi, t, start))
+        offsets = list(split_sums(hi, t, start))
+        sums = [t + v for v in offsets]
         if scanned:
             t0, floor = next(reversed(scanned.items()))
             assert min(sums) >= floor + t - t0, f"the scan at {t} sinks below the floor of {t0}"
         scanned[t] = min(sums)
         tally["sums"] += len(sums)
-        return sums
+        return offsets
 
     def propagate(led, raised, moved):
-        lo, hi, top = led._lo, led._hi, led.max_index
+        lo, hi, top = _absolute(led._lo), _absolute(led._hi), led.max_index
         rose, fell = set(raised), set(moved)
         assert all(lo[r] < lo[r + 1] for r in range(1, top) if r not in rose)
         assert all(hi[r] < hi[r + 1] for r in range(1, top) if r + 1 not in fell)
         scanned.clear()
         closure(led, raised, moved)
+        lo, hi = _absolute(led._lo), _absolute(led._hi)
         assert all(lo[r] < lo[r + 1] and hi[r] < hi[r + 1] for r in range(1, top))
         assert all(hi[u] - hi[u - 1] <= hi[1] for u in range(2, top + 1))
         if led.g <= 70:
@@ -327,27 +337,40 @@ def test_split_sums_do_not_grow_with_n(closure_guard):
 
 @pytest.fixture
 def sweep_work(monkeypatch):
-    """Count the closure's bisections and the sweep's ``profile`` calls."""
+    """Count the closure's bisections over the ledger's lo and hi (the z0
+    search and every ``bisect_left``/``bisect_right`` on them, not those on
+    the log of lowered indices) and the sweep's ``profile`` calls."""
     from extremalcurves import extremal
 
     tally = {"bisections": 0, "profiles": 0}
+    closure = GonalityLedger.propagate
+    bounds = []  # the lo and hi of the ledger being closed
 
-    def counted(name, module, func):
-        def wrapper(*args, **kwargs):
-            tally[name] += 1
-            return func(*args, **kwargs)
+    def propagate(led, *logs):
+        bounds[:] = led._lo, led._hi
+        return closure(led, *logs)
+
+    def counted(name, module, func, over_bounds=False):
+        def wrapper(a, *args, **kwargs):
+            tally[name] += not over_bounds or any(a is b for b in bounds)
+            return func(a, *args, **kwargs)
         monkeypatch.setattr(module, func.__name__, wrapper)
 
+    monkeypatch.setattr(GonalityLedger, "propagate", propagate)
     counted("bisections", gonality, gonality._first_past)
+    counted("bisections", gonality, gonality.bisect_left, over_bounds=True)
+    counted("bisections", gonality, gonality.bisect_right, over_bounds=True)
     counted("profiles", extremal, extremal.profile)
     return tally
 
 
 def test_bisections_and_profiles_do_not_grow_with_n(sweep_work):
     # the work ladder for the sweep's overheads: the closure bisects 6 times
-    # at every n, and each sweep row goes through ``profile`` once; a z0
-    # bisection wherever t//2 grew made 129, 254, 504 and 1,004 bisections
-    # here, and profiling each image twice made 2 calls per row
+    # at every n (one z0 search, two lower walks' ends by ``bisect_left``,
+    # one chain walk's start and two run jumps by ``bisect_right``), and each
+    # sweep row goes through ``profile`` once; a z0 bisection wherever t//2
+    # grew made 129, 254, 504 and 1,004 bisections here, and profiling each
+    # image twice made 2 calls per row
     tally = sweep_work
     counts = []
     for n in (250, 500, 1000, 2000):
@@ -493,6 +516,25 @@ def test_held_baselines_stay_under_the_ceiling():
     assert max(held for held, _ in readings) <= 2 * gonality._HELD_BYTES == 12 << 20
 
 
+def test_a_baseline_holds_few_bytes_per_index():
+    # a walk writes one repeated offset, so most of lo and hi share a few
+    # ints: tracemalloc reads about 43 bytes per index here, where one int
+    # per bound read 96.  g = 100,000 is past the memo, so nothing else holds it
+    g = 100_000
+    baseline_ledger(4, 12)  # the tag memo's first entries out of the reading
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        led = baseline_ledger(4, g)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert led.max_index + 1 == g + 3
+    assert held <= 56 * (g + 3)
+
+
 def test_a_held_baseline_outlives_what_is_built_on_it():
     # a refine, the plane fold and a contradiction each close onto a copy
     model = ExtremalModel(ModelKind.PLANE_VERONESE, 58, 5)
@@ -572,7 +614,8 @@ def test_plane_refine_tightens_few_indices(tightenings):
 
 def test_what_if_bisections_do_not_grow_with_genus(closure_guard, sweep_work):
     # the work ladder for what-if refines: two true values asserted on a
-    # hyperelliptic baseline make 2 bisections and no scan at every g
+    # hyperelliptic baseline make 2 bisections (the two lower walks' ends)
+    # and no scan at every g
     counts = []
     for g in (200, 400, 800, 1600):
         base = baseline_ledger(2, g)
