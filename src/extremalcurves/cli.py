@@ -288,7 +288,7 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
         return None
     for dest, kw in (*positionals, *options.values()):
         values.setdefault(dest, _late(kw.get("default")))
-    return SimpleNamespace(command=argv[0], func=globals()[f"_cmd_{argv[0]}"], **values)
+    return SimpleNamespace(command=argv[0], **values)
 
 
 def _say(line: str) -> None:
@@ -312,7 +312,7 @@ def run(argv: list[str]) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
     try:
-        result = args.func(args)
+        result = globals()[f"_cmd_{args.command}"](args)
         if isinstance(result, int):
             return result
         _write(result, args.format, sys.stdout)

@@ -147,9 +147,9 @@ result with ``propagate`` and freezes it.  ``baseline_ledger`` and
 ``verylast_sequence`` close the classical seeds (plus the sweep's facts)
 on a new ledger; ``apply_extremal_facts`` and ``with_assumptions`` close
 their facts onto a base.  Frozen ledgers are immutable and safe to
-share.  So ``baseline_ledger`` holds its 32 most recent baselines of
-g <= 3,069, under a memory ceiling of 12 MiB, and ``verylast_sequence``
-its 16 most recent sweeps of n <= 512, under 6 MiB; a repeated call
+share.  So ``baseline_ledger`` and ``verylast_sequence`` share one memo
+of their 48 most recent values whose ledgers have at most 3,072 indices
+(g <= 3,069, n <= 512), under a memory ceiling of 18 MiB; a repeated call
 returns the value it built the first time.  Every other helper below
 returns a new ledger and leaves its base untouched.
 """
@@ -402,47 +402,43 @@ def _baseline_facts(gamma: int, g: int) -> list[tuple[int, int, int, str]]:
     return seeds
 
 
-# A memo of K entries (K = _HELD_SWEEPS or _HELD_BASELINES) gives each a share
-# of _HELD_INDICES // K ledger indices.  A held sweep takes at most one share,
-# so the sweeps cost at most _HELD_BYTES together; a held baseline at most two,
-# so the baselines cost at most twice that.  A held ledger costs under
-# _INDEX_BYTES per index: four list slots, the lo and hi offsets no walk
-# shares out of one repeated int and, for a sweep, its share of the rows.
-# tracemalloc on Python 3.11 reads 42-67 bytes for sweeps at n = 3 to 1,000
-# and 33-107 for baselines at g = 3 to 3,069, over 70 only at g < 10, where
+# One memo holds the 48 most recently used baselines and sweeps whose ledgers
+# have at most _HELD_INDICES indices: g + 3 for a baseline, 6n for a sweep.  A
+# held ledger costs under _INDEX_BYTES per index: four list slots, the lo and hi
+# offsets no walk shares out of one repeated int and, for a sweep, its share of
+# the rows.  tracemalloc on Python 3.11 reads 42-67 bytes for sweeps at n = 3 to
+# 1,000 and 33-107 for baselines at g = 3 to 3,069, over 70 only at g < 10, where
 # the lists' own headers weigh most; 128 leaves room for versions that size
-# lists and ints anew.
-_HELD_BYTES = 6 << 20
+# lists and ints anew.  So the memo holds under 48 * 3,072 * 128 B = 18 MiB.
+# An LRU memo never hits on a cycle of calls longer than it holds: a cycle of at
+# most 48 ledgers of any mix is held in full (a ledger-whatif pass cycles through
+# 45), but a longer one hits nothing, though its ledgers of one kind might fit.
 _INDEX_BYTES = 128
-_HELD_INDICES = _HELD_BYTES // _INDEX_BYTES
-_HELD_SWEEPS = 16  # 16 sweeps of n <= 512 each; more would shrink the largest n
-# 32 baselines of g <= 3,069 each.  An LRU memo never hits on a cycle of calls
-# longer than it holds, and a ledger-whatif pass cycles through 30 baselines.
-# One share (g <= 1,533) would miss the pass's two largest, g = 1,596 and 1,600:
-# 2 of its 30 builds, but about a fifth of their time
-_HELD_BASELINES = 32
+_HELD_INDICES = 3072
+
+
+@lru_cache(maxsize=48, typed=True)  # typed: 4.0 is not 4, and still fails
+def _held(build, *args):
+    """``build(*args)``, held; a build that raises is never held."""
+    return build(*args)
 
 
 def baseline_ledger(gamma: int, g: int) -> GonalityLedger:
     """The frozen ledger seeded with the classical facts alone.
 
     The ledger is frozen, so it is safe to share, and a repeated (gamma, g)
-    returns the very ledger built the first time.  The 32 most recently
-    used baselines with g <= 3,069 are held: g + 3 ledger indices at most
-    128 bytes each, so together under a ceiling of 12 MiB.  A larger g is
-    built anew on every call, and a build that fails is never held.
+    returns the very ledger built the first time.  A baseline with
+    g <= 3,069 (g + 3 ledger indices) joins the memo it shares with
+    ``verylast_sequence``, which holds the 48 most recently used under a
+    ceiling of 18 MiB.  A larger g is built anew on every call, and a build
+    that fails is never held.
     """
-    held = g + 3 <= 2 * _HELD_INDICES // _HELD_BASELINES
-    return (_held_baseline if held else _baseline)(gamma, g)
+    return _held(_baseline, gamma, g) if g + 3 <= _HELD_INDICES else _baseline(gamma, g)
 
 
 def _baseline(gamma: int, g: int) -> GonalityLedger:
     """``baseline_ledger(gamma, g)``, built anew."""
     return close(gamma, g, _baseline_facts(gamma, g))
-
-
-# typed: 4.0 is not 4, and still fails
-_held_baseline = lru_cache(maxsize=_HELD_BASELINES, typed=True)(_baseline)
 
 
 def _extremal_facts(model: ExtremalModel) -> list[tuple[int, int, int, str]]:
@@ -509,11 +505,11 @@ def verylast_sequence(n: int) -> tuple[GonalityLedger, tuple[VerylastRow, ...]]:
 
     The ledger is frozen and the rows a tuple, so the value is safe to
     share, and a repeated n returns the very value built the first time.
-    The 16 most recently used sweeps with n <= 512 are held: 6n ledger
-    indices at most 128 bytes each, so together under a ceiling of 6 MiB.
-    A larger n is built anew on every call.
+    A sweep with n <= 512 (6n ledger indices) joins the memo it shares with
+    ``baseline_ledger``, which holds the 48 most recently used under a
+    ceiling of 18 MiB.  A larger n is built anew on every call.
     """
-    return (_held_sweep if 6 * n <= _HELD_INDICES // _HELD_SWEEPS else _sweep)(n)
+    return _held(_sweep, n) if 6 * n <= _HELD_INDICES else _sweep(n)
 
 
 def _sweep(n: int) -> tuple[GonalityLedger, tuple[VerylastRow, ...]]:
@@ -546,7 +542,3 @@ def _sweep(n: int) -> tuple[GonalityLedger, tuple[VerylastRow, ...]]:
     # ``close`` builds the ledger first: an n too large fails before the sweep
     led = close(gamma, g, chain(_baseline_facts(gamma, g), sweep_facts()))
     return led, tuple(rows)
-
-
-# typed: 7.0 is not 7, and still fails
-_held_sweep = lru_cache(maxsize=_HELD_SWEEPS, typed=True)(_sweep)

@@ -38,5 +38,4 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         if command in (None, name):
             for arg, kwargs in (cli.FORMAT, *arguments):
                 p.add_argument(arg, **{key: cli._late(value) for key, value in kwargs.items()})
-            p.set_defaults(func=getattr(cli, f"_cmd_{name}"))
     return parser

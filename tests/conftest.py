@@ -8,13 +8,12 @@ import pytest
 
 @pytest.fixture(autouse=True)
 def no_held_ledgers():
-    """Empty the memos of held baselines and foursecant sweeps, so that each
-    test counts the work of the ledgers it builds and sees its own
+    """Empty the one memo of held baselines and foursecant sweeps, so that
+    each test counts the work of the ledgers it builds and sees its own
     monkeypatches."""
     from extremalcurves import gonality
 
-    gonality._held_baseline.cache_clear()
-    gonality._held_sweep.cache_clear()
+    gonality._held.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -407,18 +407,6 @@ def _sweep_value(sweep):
     return led.entries(), rows
 
 
-def test_a_sweep_over_the_ceiling_is_built_anew():
-    # the largest held n has its share of the memo's indices; one more and
-    # the sweep is over it, so it is never held
-    n = gonality._HELD_INDICES // gonality._HELD_SWEEPS // 6
-    held = verylast_sequence(n)
-    assert verylast_sequence(n) is held
-    first, again = verylast_sequence(n + 1), verylast_sequence(n + 1)
-    assert again[0] is not first[0] and again[1] is not first[1]
-    assert _sweep_value(again) == _sweep_value(first)
-    assert verylast_sequence(n) is held
-
-
 def test_failed_sweeps_are_not_held():
     for _ in range(3):
         with pytest.raises(UnsupportedInput, match="n >= 3"):
@@ -426,33 +414,7 @@ def test_failed_sweeps_are_not_held():
     verylast_sequence(7)
     with pytest.raises(TypeError):
         verylast_sequence(7.0)
-    assert gonality._held_sweep.cache_info().currsize == 1
-
-
-def test_held_sweeps_stay_under_the_ceiling():
-    # the largest held sweeps, one more than the memo holds: the last call
-    # drops the least recently used.  tracemalloc reads what the memo keeps
-    # after every call, each below its estimate of 128 bytes per index
-    k = gonality._HELD_SWEEPS
-    top = gonality._HELD_INDICES // k // 6
-    ns = range(top, top - k - 1, -1)
-    verylast_sequence(3)  # the package's imports out of the reading
-    gonality._held_sweep.cache_clear()
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        readings = []
-        for i, n in enumerate(ns):
-            verylast_sequence(n)
-            gc.collect()
-            readings.append((tracemalloc.get_traced_memory()[0] - before,
-                             6 * sum(ns[max(0, i + 1 - k):i + 1])))
-    finally:
-        tracemalloc.stop()
-    assert gonality._held_sweep.cache_info().currsize == k
-    assert all(held <= gonality._INDEX_BYTES * indices for held, indices in readings)
-    assert max(held for held, _ in readings) <= gonality._HELD_BYTES == 6 << 20
+    assert gonality._held.cache_info().currsize == 1
 
 
 def test_a_repeated_baseline_does_no_work(closure_guard):
@@ -468,16 +430,20 @@ def test_a_repeated_baseline_does_no_work(closure_guard):
     assert counts == [(0, 0)] * 5
 
 
-def test_a_baseline_over_the_ceiling_is_built_anew():
-    # the largest held g fills two shares of the memo's indices (g + 3);
-    # one more and the baseline is over them, so it is never held
-    g = 2 * gonality._HELD_INDICES // gonality._HELD_BASELINES - 3
-    held = baseline_ledger(4, g)
-    assert baseline_ledger(4, g) is held and held.frozen
-    first, again = baseline_ledger(4, g + 1), baseline_ledger(4, g + 1)
+def test_a_ledger_over_the_ceiling_is_built_anew():
+    # a ledger of at most _HELD_INDICES indices is held: g + 3 for a
+    # baseline, 6n for a sweep.  One index more and it is never held
+    assert (gonality._HELD_INDICES - 3, gonality._HELD_INDICES // 6) == (3069, 512)
+    base, sweep = baseline_ledger(4, 3069), verylast_sequence(512)
+    assert baseline_ledger(4, 3069) is base and base.frozen
+    assert verylast_sequence(512) is sweep
+    first, again = baseline_ledger(4, 3070), baseline_ledger(4, 3070)
     assert again is not first
     assert again.entries() == first.entries()
-    assert baseline_ledger(4, g) is held
+    first, again = verylast_sequence(513), verylast_sequence(513)
+    assert again[0] is not first[0] and again[1] is not first[1]
+    assert _sweep_value(again) == _sweep_value(first)
+    assert baseline_ledger(4, 3069) is base and verylast_sequence(512) is sweep
 
 
 def test_failed_baselines_are_not_held():
@@ -487,33 +453,54 @@ def test_failed_baselines_are_not_held():
     baseline_ledger(4, 12)
     with pytest.raises(TypeError):
         baseline_ledger(4.0, 12)
-    assert gonality._held_baseline.cache_info().currsize == 1
+    assert gonality._held.cache_info().currsize == 1
 
 
-def test_held_baselines_stay_under_the_ceiling():
-    # the largest held baselines, one more than the memo holds: the last
-    # call drops the least recently used.  tracemalloc reads what the memo
-    # keeps after every call, each below its estimate of 128 bytes per index
-    k = gonality._HELD_BASELINES
-    g = 2 * gonality._HELD_INDICES // k - 3
-    gammas = range(2, k + 3)
-    baseline_ledger(2, 3)  # the tag memo's first entries out of the reading
-    gonality._held_baseline.cache_clear()
+def test_held_ledgers_stay_under_the_ceiling():
+    # the largest held ledgers, one more than the memo holds: 33 baselines
+    # at g = 3,069, then 16 sweeps from n = 512 down, so the last call drops
+    # the least recently used.  tracemalloc reads what the memo keeps after
+    # every call, each below its estimate of 128 bytes per index
+    k = gonality._held.cache_info().maxsize
+    top = gonality._HELD_INDICES
+    calls = [(baseline_ledger, (gamma, top - 3), top) for gamma in range(2, 35)]
+    calls += [(verylast_sequence, (n,), 6 * n) for n in range(top // 6, top // 6 - 16, -1)]
+    assert (k, len(calls)) == (48, 49)
+    verylast_sequence(3)  # the package's imports and the tag memo's first
+    baseline_ledger(2, 3)  # entries out of the reading
+    gonality._held.cache_clear()
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         readings = []
-        for i, gamma in enumerate(gammas):
-            baseline_ledger(gamma, g)
+        for i, (build, args, _) in enumerate(calls):
+            build(*args)
             gc.collect()
             readings.append((tracemalloc.get_traced_memory()[0] - before,
-                             (g + 3) * min(i + 1, k)))
+                             sum(size for *_, size in calls[max(0, i + 1 - k):i + 1])))
     finally:
         tracemalloc.stop()
-    assert gonality._held_baseline.cache_info().currsize == k
+    assert gonality._held.cache_info().currsize == k
     assert all(held <= gonality._INDEX_BYTES * indices for held, indices in readings)
-    assert max(held for held, _ in readings) <= 2 * gonality._HELD_BYTES == 12 << 20
+    assert max(held for held, _ in readings) <= k * top * gonality._INDEX_BYTES == 18 << 20
+
+
+def test_a_mixed_cycle_within_the_memo_closes_nothing_again(closure_guard):
+    # baselines and sweeps share one memo of 48: a round of 40 sweeps and 8
+    # baselines is held in full, whatever its mix, so its repeat closes no
+    # ledger
+    def one_round():
+        for n in range(3, 43):
+            verylast_sequence(n)
+        for g in range(50, 450, 50):
+            baseline_ledger(4, g)
+
+    one_round()
+    assert closure_guard["closed"] == 48
+    closure_guard.update(closed=0)
+    one_round()
+    assert closure_guard["closed"] == 0
 
 
 def test_a_baseline_holds_few_bytes_per_index():

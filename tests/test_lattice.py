@@ -150,6 +150,8 @@ def test_unisecant_dimension():
     assert h0_unisecant(2, 2) == 4
     with pytest.raises(InvalidInput):
         h0_unisecant(1, 3)
+    with pytest.raises(InvalidInput, match=r"surface invariant must be >= 0, got n=-1$"):
+        h0_unisecant(2, -1)
 
 
 def test_scroll_round_trips():
@@ -179,6 +181,8 @@ def test_scroll_validation():
         scroll_from_rn(5, 6)  # beta=5 < n=6
     with pytest.raises(InvalidInput):
         ScrollEmbedding(n=3, beta=2, r=2)  # beta < n
+    with pytest.raises(InvalidInput, match=r"surface invariant must be >= 0, got n=-1$"):
+        ScrollEmbedding(n=-1, beta=0, r=2)
 
 
 def test_class_in_HL():
@@ -196,6 +200,8 @@ def test_scroll_canonical_and_pairing():
     assert intersect_on_scroll(6, (1, 0), (1, 0)) == 5
     assert intersect_on_scroll(6, (1, 0), (0, 1)) == 1
     assert intersect_on_scroll(6, (0, 1), (0, 1)) == 0
+    with pytest.raises(InvalidInput, match=r"scrolls need r >= 3, got r=2$"):
+        intersect_on_scroll(2, (1, 0), (1, 0))
     # adjunction in the scroll basis reproduces the genus of a known model
     x = (4, -3)
     kx = (-2 + 4, 2 - 3)
