@@ -430,20 +430,30 @@ def test_a_repeated_baseline_does_no_work(closure_guard):
     assert counts == [(0, 0)] * 5
 
 
-def test_a_ledger_over_the_ceiling_is_built_anew():
-    # a ledger of at most _HELD_INDICES indices is held: g + 3 for a
-    # baseline, 6n for a sweep.  One index more and it is never held
-    assert (gonality._HELD_INDICES - 3, gonality._HELD_INDICES // 6) == (3069, 512)
-    base, sweep = baseline_ledger(4, 3069), verylast_sequence(512)
-    assert baseline_ledger(4, 3069) is base and base.frozen
-    assert verylast_sequence(512) is sweep
-    first, again = baseline_ledger(4, 3070), baseline_ledger(4, 3070)
+def test_a_baseline_over_the_ceiling_is_built_anew():
+    # a baseline of at most _HELD_INDICES indices (g + 3) is held; one index
+    # more and it is never held
+    g = gonality._HELD_INDICES - 3
+    assert g == 3069
+    held = baseline_ledger(4, g)
+    assert baseline_ledger(4, g) is held and held.frozen
+    first, again = baseline_ledger(4, g + 1), baseline_ledger(4, g + 1)
     assert again is not first
     assert again.entries() == first.entries()
-    first, again = verylast_sequence(513), verylast_sequence(513)
+    assert baseline_ledger(4, g) is held
+
+
+def test_a_sweep_over_the_ceiling_is_built_anew():
+    # a sweep of at most _HELD_INDICES indices (6n) is held; one n more and
+    # it is never held
+    n = gonality._HELD_INDICES // 6
+    assert n == 512
+    held = verylast_sequence(n)
+    assert verylast_sequence(n) is held
+    first, again = verylast_sequence(n + 1), verylast_sequence(n + 1)
     assert again[0] is not first[0] and again[1] is not first[1]
     assert _sweep_value(again) == _sweep_value(first)
-    assert baseline_ledger(4, 3069) is base and verylast_sequence(512) is sweep
+    assert verylast_sequence(n) is held
 
 
 def test_failed_baselines_are_not_held():
@@ -456,15 +466,11 @@ def test_failed_baselines_are_not_held():
     assert gonality._held.cache_info().currsize == 1
 
 
-def test_held_ledgers_stay_under_the_ceiling():
-    # the largest held ledgers, one more than the memo holds: 33 baselines
-    # at g = 3,069, then 16 sweeps from n = 512 down, so the last call drops
-    # the least recently used.  tracemalloc reads what the memo keeps after
-    # every call, each below its estimate of 128 bytes per index
+def _fill_the_memo(calls):
+    # makes the calls, one more than the memo holds, so the last drops the
+    # least recently used.  tracemalloc reads what the memo keeps after every
+    # call; each reading must stay below its estimate of 128 bytes per index
     k = gonality._held.cache_info().maxsize
-    top = gonality._HELD_INDICES
-    calls = [(baseline_ledger, (gamma, top - 3), top) for gamma in range(2, 35)]
-    calls += [(verylast_sequence, (n,), 6 * n) for n in range(top // 6, top // 6 - 16, -1)]
     assert (k, len(calls)) == (48, 49)
     verylast_sequence(3)  # the package's imports and the tag memo's first
     baseline_ledger(2, 3)  # entries out of the reading
@@ -483,7 +489,20 @@ def test_held_ledgers_stay_under_the_ceiling():
         tracemalloc.stop()
     assert gonality._held.cache_info().currsize == k
     assert all(held <= gonality._INDEX_BYTES * indices for held, indices in readings)
+    top = gonality._HELD_INDICES
     assert max(held for held, _ in readings) <= k * top * gonality._INDEX_BYTES == 18 << 20
+
+
+def test_held_baselines_stay_under_the_ceiling():
+    # the largest held baselines, g = 3,069, one for each gamma
+    top = gonality._HELD_INDICES
+    _fill_the_memo([(baseline_ledger, (gamma, top - 3), top) for gamma in range(2, 51)])
+
+
+def test_held_sweeps_stay_under_the_ceiling():
+    # the largest held sweeps, from n = 512 down
+    top = gonality._HELD_INDICES // 6
+    _fill_the_memo([(verylast_sequence, (n,), 6 * n) for n in range(top, top - 49, -1)])
 
 
 def test_a_mixed_cycle_within_the_memo_closes_nothing_again(closure_guard):
