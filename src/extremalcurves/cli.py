@@ -1,23 +1,17 @@
-"""Command line front end.
-
-Subcommands mirror the library, and ``COMMANDS`` is their grammar.  Results go
-to stdout in markdown (default), csv, or json; diagnostics go to stderr.  Exit
-codes: 0 success, 1 selfcheck failure, 2 invalid input or usage (an input too
-large to hold or output that cannot be written included), 3 a bound
-contradiction, 4 an internal fault: an invariant check of the package itself
-failed (an ``ArithmeticError`` other than overflow), reported on one
-``internal error:`` line.
+"""Command line front end: read argv, run a handler, write its result, and
+map errors to exit codes.  Subcommands mirror the library, and ``COMMANDS`` is
+their grammar.  Results go to stdout in markdown (default), csv, or json;
+diagnostics go to stderr.  Exit codes: 0 success, 1 selfcheck failure, 2
+invalid input or usage (an input too large to hold or output that cannot be
+written included), 3 a bound contradiction, 4 an internal fault: an invariant
+check of the package itself failed (an ``ArithmeticError`` other than
+overflow), reported on one ``internal error:`` line.
 
 ``run`` reads a plain argv off ``COMMANDS`` and hands any other to argparse
-(``usage``), the one source of help, usage and error text.  A ``_cmd_*``
-handler imports the layers it runs and returns its result: a dict is one
-record (its ``map`` values nested tables), any other iterable of dicts a table
-(a ``(fieldnames, records)`` pair names its fields), a str finished text, and
-an int the exit code of a run that has already reported to stderr.  ``run``
-writes it in the chosen format, the one place that writes stdout, a table in
-batches as its records are made: ``scan``, ``table1`` and ``plane`` hold no
-rows, ``bounds`` and ``verylast`` no more than their ledger.  json and csv load
-only for those formats.
+(``usage``), the one source of help, usage and error text.  The handler
+``_cmd_<name>`` is scan's here and any other's in ``commands``, which a scan
+child never loads.  It imports the layers it runs and returns an int, the exit
+code of a run that has already reported to stderr, or a result for ``_write``.
 """
 
 from __future__ import annotations
@@ -31,10 +25,13 @@ from .errors import ContradictionError, DomainError, InvalidInput
 
 
 def _write(result, fmt: str, out) -> None:
-    """Write a handler's result to ``out``: a dict is one record (a ``k=v``
-    line in md, each ``map`` value a table after it, nested in json), any
-    other iterable of dicts or a ``(fieldnames, records)`` pair a table, a
-    str already text.  Every table is rendered in batches."""
+    """Write a handler's result to ``out``, the one place that writes
+    stdout: a dict is one record (a ``k=v`` line in md, each ``map`` value a
+    table after it, nested in json), any other iterable of dicts or a
+    ``(fieldnames, records)`` pair a table, a str already text.  A table is
+    written in batches as its records are made: ``scan``, ``table1`` and
+    ``plane`` hold no rows, ``bounds`` and ``verylast`` no more than their
+    ledger.  json and csv load only for those formats."""
     if isinstance(result, str):
         out.write(result)
         return
@@ -77,141 +74,10 @@ def _write(result, fmt: str, out) -> None:
     write_records(out, result, fmt, fieldnames)
 
 
-def _entry_record(entry) -> dict:
-    return {
-        "r": entry.index,
-        "lo": entry.lo,
-        "hi": entry.hi,
-        "exact": entry.exact,
-        "tags": " ".join(entry.provenance),
-    }
-
-
-def _cmd_profile(args) -> dict:
-    from .castelnuovo import profile
-
-    p = profile(args.d, args.r, strict=not args.lenient)
-    return {"m": p.m, "eps": p.eps, "pi": p.pi}
-
-
-def _cmd_classify(args) -> list[dict]:
-    from .extremal import classify_extremal
-
-    return [m.record() for m in classify_extremal(args.d, args.r)]
-
-
-def _cmd_embed(args) -> dict:
-    from .extremal import embed_extremal
-
-    res = embed_extremal(args.gamma, args.lam, args.n)
-    return {
-        "gamma": res.gamma,
-        "lambda": res.lam,
-        "n": res.n,
-        "beta": res.scroll.beta,
-        "r": res.r,
-        "d": res.d,
-        "eps": res.eps,
-        "genus": res.genus,
-        "pi": res.profile.pi,
-        "extremal": res.model is not None,
-        "class": res.model.class_label if res.model else "",
-    }
-
-
-def _parse_assumption(text: str) -> tuple[int, int]:
-    head, sep, tail = text.partition("=")
-    if not sep:
-        raise InvalidInput(f"assumption {text!r} is not of the form R=V")
-    try:
-        return int(head), int(tail)
-    except ValueError:
-        raise InvalidInput(f"assumption {text!r} needs integer R and V") from None
-
-
-def _cmd_bounds(args) -> map:
-    from .gonality import baseline_ledger, with_assumptions
-
-    led = baseline_ledger(args.gamma, args.g)
-    if args.assume:
-        pairs = [_parse_assumption(text) for text in args.assume]
-        led = with_assumptions(led, pairs)
-    return map(_entry_record, map(led.entry, range(1, led.max_index + 1)))
-
-
-def _cmd_slope(args) -> dict | list[dict]:
-    from .verdicts import known_family_verdict, slope_verdict
-
-    if args.family is not None:
-        if (args.d, args.r, args.gamma) != (None, None, None):
-            raise InvalidInput("slope takes d and r (with --gamma) or --family, not both")
-        return {"family": args.family, **known_family_verdict(args.family).record()}
-    if args.d is None or args.r is None:
-        raise InvalidInput("slope needs either d and r or --family")
-    from .extremal import classify_extremal
-
-    records = [
-        {"kind": model.kind.value, "gamma": model.gamma, "d": model.d, "r": model.r,
-         **slope_verdict(model).record()}
-        for model in classify_extremal(args.d, args.r)
-        if args.gamma is None or model.gamma == args.gamma
-    ]
-    if not records:
-        raise InvalidInput(
-            f"no extremal model with gonality {args.gamma} at d={args.d} r={args.r}"
-        )
-    return records
-
-
-def _cmd_table1(args) -> map:
-    from .tables import TableRow, table1_rows
-
-    return map(TableRow.record, table1_rows(args.gamma_max, args.mode))
-
-
 def _cmd_scan(args) -> tuple:
     from .tables import SCAN_FIELDS, scan
 
     return SCAN_FIELDS, scan(args.r_lo, args.r_hi, args.d_max)
-
-
-def _cmd_verylast(args) -> dict | map:
-    from .gonality import VerylastRow, verylast_sequence
-
-    led, rows = verylast_sequence(args.n)
-    entries = map(_entry_record, map(led.entry, range(rows[0].r - 1, rows[-1].r + 2)))
-    if args.format == "csv":
-        return entries
-    return {"n": args.n, "gamma": led.gamma, "genus": led.g,
-            "rows": map(VerylastRow.record, rows), "entries": entries}
-
-
-def _cmd_plane(args) -> dict | map:
-    from .castelnuovo import plane_genus
-    from .verdicts import plane_curve_gonality, plane_slope_verdict
-
-    def record(r: int) -> dict:
-        v = plane_slope_verdict(args.k, r)
-        return {"r": r, "d_r": plane_curve_gonality(args.k, r),
-                "status": str(v.status), "tag": v.tag}
-
-    if args.r is not None:
-        return record(args.r)
-    return map(record, range(1, plane_genus(args.k) + 3))
-
-
-def _cmd_selfcheck(args) -> str | list[dict] | int:
-    from .selfcheck import run_selfcheck
-
-    count, failures, groups = run_selfcheck()
-    if failures:
-        for line in failures:
-            _say(line)
-        _say(f"{len(failures)} of {count} checks failed")
-        return 1
-    if args.format == "md":
-        return f"ok {count} checks\n"
-    return [dict(zip(("group", "checks", "failed"), group)) for group in groups]
 
 
 def _late(value):
@@ -220,7 +86,7 @@ def _late(value):
 
 # The grammar: per subcommand its summary and, after FORMAT, each argument as the
 # (name, kwargs) add_argument takes, where a function gives a value when it is used
-# (_late).  The handler is _cmd_<name>, looked up when the call runs.
+# (_late).  The handler is _cmd_<name>, here or in commands, looked up when the call runs.
 INT = {"type": int}
 FORMAT = ("--format", {"choices": ("md", "csv", "json"), "default": "md",
                        "help": "output format (default md)"})
@@ -303,16 +169,14 @@ def _say(line: str) -> None:
 def run(argv: list[str]) -> int:
     args = _read(argv)
     if args is None:
-        # No top-level option takes a value: argparse hands argv to the subparser
-        # the first non-option token names, and to none if there is none ("").
-        parser = import_module(".usage", __package__).build_parser(
-            next((arg for arg in argv if not arg.startswith("-")), ""))
         try:
-            args = parser.parse_args(argv)
+            args = import_module(".usage", __package__).build_parser().parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
+    name = f"_cmd_{args.command}"
+    handler = globals().get(name) or getattr(import_module(".commands", __package__), name)
     try:
-        result = globals()[f"_cmd_{args.command}"](args)
+        result = handler(args)
         if isinstance(result, int):
             return result
         _write(result, args.format, sys.stdout)

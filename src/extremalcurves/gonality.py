@@ -368,7 +368,9 @@ def close(gamma: int, g: int, facts, base: GonalityLedger | None = None) -> Gona
     Each fact (r, lo, hi, tag) raises lo[r] to lo, then lowers hi[r] to hi,
     each checked against the other side; a one-sided fact passes lo = 1 or
     hi = r*gamma.  Past the window d_r is the tail r + g, and a fact there
-    is checked against it under ``riemann-roch``."""
+    is checked against it under ``riemann-roch``.  A fact only equal to a
+    bound that an earlier ``close`` derived leaves that bound's tag, so the
+    tags depend on how facts are batched into calls; the intervals do not."""
     if base is not None and (base.gamma, base.g) != (gamma, g):
         raise InvalidInput(f"the base ledger is for (gamma, g) = ({base.gamma}, {base.g}),"
                            f" not ({gamma}, {g})")

@@ -1,8 +1,8 @@
 """The argparse parser over the command line grammar, ``cli.COMMANDS``.
 
 ``cli.run`` reads a plain argv off the grammar itself and builds this
-parser only for the rest: help, usage, ``--version`` and every error
-message come from here alone.
+parser, every subparser with all its arguments, only for the rest: help,
+usage, ``--version`` and every error message come from here alone.
 """
 
 from __future__ import annotations
@@ -23,19 +23,14 @@ class _Parser(argparse.ArgumentParser):
             super()._print_message(message, file)
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """Given a ``command``, only that subparser gets its arguments; the
-    others are registered by name and help alone, which keeps every help
-    text, usage line and invalid-choice message the same at a fraction of
-    the cost.  None builds them all."""
+def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="extremalcurves",
         description="Numerical invariants of extremal curves and their gonality sequences.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (summary, *arguments) in cli.COMMANDS.items():
-        p = sub.add_parser(name, help=summary, add_help=command in (None, name))
-        if command in (None, name):
-            for arg, kwargs in (cli.FORMAT, *arguments):
-                p.add_argument(arg, **{key: cli._late(value) for key, value in kwargs.items()})
+        p = sub.add_parser(name, help=summary)
+        for arg, kwargs in (cli.FORMAT, *arguments):
+            p.add_argument(arg, **{key: cli._late(value) for key, value in kwargs.items()})
     return parser

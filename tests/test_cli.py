@@ -2,7 +2,6 @@
 
 import contextlib
 import csv
-import functools
 import hashlib
 import io
 import json
@@ -26,10 +25,12 @@ from extremalcurves import (
     selfcheck,
 )
 import extremalcurves.cli
+import extremalcurves.commands
 import extremalcurves.gonality
 import extremalcurves.lattice
 import extremalcurves.usage
-from extremalcurves.cli import _entry_record, run
+from extremalcurves.cli import run
+from extremalcurves.commands import _entry_record
 from extremalcurves.tables import _cell, serialize
 from child_env import child_env
 
@@ -685,7 +686,7 @@ def test_internal_fault_exits_four(capsys, monkeypatch, error):
     def broken(args):
         raise error
 
-    monkeypatch.setattr(extremalcurves.cli, "_cmd_profile", broken)
+    monkeypatch.setattr(extremalcurves.commands, "_cmd_profile", broken)
     assert run_cli(capsys, "profile", "10", "4") == (
         4, "", f"internal error: {type(error).__name__}: {error}\n")
 
@@ -794,10 +795,7 @@ def test_formats_give_the_same_records(capsys, argv):
     assert _md_records(outs["md"]) == records
 
 
-def test_embed_is_extremal_exactly_in_the_regime(capsys, monkeypatch):
-    # parsing leaves the parser as it was, so one serves all 5,372 calls
-    monkeypatch.setattr(extremalcurves.usage, "build_parser",
-                        functools.cache(extremalcurves.usage.build_parser))
+def test_embed_is_extremal_exactly_in_the_regime(capsys):
     parsers = {"md": _md_records, "csv": _csv_records,
                "json": lambda text: _json_records(json.loads(text))}
     valid = below = 0
@@ -851,16 +849,6 @@ PARSER_ARGV = [
     ["--format", "json", "scan", "3", "4"], ["scan", "3", "4", "plane"],
 ] + [[cmd, *tail] for cmd in COMMANDS
      for tail in (["--help"], [], ["x"], ["1", "2", "3", "4"], ["--format", "toml"])]
-
-
-def test_the_named_subparser_parses_as_the_whole_parser(capsys, monkeypatch):
-    # run builds only the subparser argv names; help, usage, version and
-    # every error must read as they do from the parser with all ten built
-    got = [run_cli(capsys, *argv) for argv in PARSER_ARGV]
-    whole = extremalcurves.usage.build_parser
-    monkeypatch.setattr(extremalcurves.usage, "build_parser", lambda command: whole())
-    assert got == [run_cli(capsys, *argv) for argv in PARSER_ARGV]
-    assert {code for code, _, _ in got} == {0, 2}
 
 
 # sha256 over every PARSER_ARGV's stdout, stderr and exit code at an
@@ -943,6 +931,30 @@ def test_the_reader_agrees_with_the_whole_parser():
             assert vars(args) == vars(whole.parse_args(argv)), argv
             read += 1
     assert read > len(plain)
+
+
+# valid argv the reader leaves to argparse, each with its plain spelling
+SPELLINGS = {
+    "scan 3 4 --format=csv": "scan 3 4 --format csv",
+    "scan 3 4 --form csv": "scan 3 4 --format csv",
+    "scan 3 -- 4": "scan 3 4",
+    "profile 10 4 --lenient --lenient": "profile 10 4 --lenient",
+    "scan 3 4 --d-max 9 --d-max 9": "scan 3 4 --d-max 9",
+    "scan 3 4 --format csv --format json": "scan 3 4 --format json",
+    "profile --format json 10 4": "profile 10 4 --format json",
+    "bounds 4 12 --assume=2=5": "bounds 4 12 --assume 2=5",
+}
+
+
+@pytest.mark.parametrize("argv", SPELLINGS)
+def test_the_whole_parser_runs_as_the_plain_spelling(capsys, argv):
+    # a call through argparse must print what its plain spelling prints
+    declined, plain = argv.split(), SPELLINGS[argv].split()
+    assert extremalcurves.cli._read(declined) is None
+    assert extremalcurves.cli._read(plain) is not None
+    got = run_cli(capsys, *declined)
+    assert got[0] == 0 and got[1]
+    assert got == run_cli(capsys, *plain)
 
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full to write to")

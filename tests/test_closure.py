@@ -60,6 +60,8 @@ def _intervals(gamma, g, *batches):
 
 
 def test_facts_split_across_closes_match_one_close():
+    """Compares intervals only: a fact equal to a bound that an earlier close
+    derived leaves that bound's tag, so tags depend on the batching."""
     for gamma in range(2, 9):
         for g in range(max(3, 2 * gamma - 3), 60):
             seeds = gonality._baseline_facts(gamma, g)

@@ -47,7 +47,7 @@ def test_profile_loads_only_its_layer():
     ours = {m for m in on_import if m.startswith("extremalcurves")}
     assert ours == {"extremalcurves", "extremalcurves.cli", "extremalcurves.errors"}
     ours = {m for m in on_run if m.startswith("extremalcurves")}
-    assert ours == {"extremalcurves.castelnuovo"}
+    assert ours == {"extremalcurves.castelnuovo", "extremalcurves.commands"}
 
 
 @pytest.mark.parametrize("argv", [["bounds", "4", "12"]], ids=" ".join)
@@ -60,13 +60,14 @@ def test_ledger_commands_skip_the_model_layers(argv):
 
 
 # the package modules a subcommand loads when it runs, on top of the cli's
-# own: the ledger and the lattice only where the command uses them
+# own: the ledger and the lattice only where the command uses them, and the
+# handlers' module for every command but scan, whose handler is the cli's
 RUN_LAYERS = {
     "scan 3 4": "castelnuovo extremal tables verdicts",
-    "classify 13 5": "castelnuovo extremal tables",
-    "slope 13 5": "castelnuovo extremal tables verdicts",
-    "table1": "tables",
-    "plane 7": "castelnuovo tables verdicts",
+    "classify 13 5": "castelnuovo commands extremal tables",
+    "slope 13 5": "castelnuovo commands extremal tables verdicts",
+    "table1": "commands tables",
+    "plane 7": "castelnuovo commands tables verdicts",
 }
 
 
@@ -133,14 +134,17 @@ print(code, len(made), " ".join(sorted(p for p in given if p.startswith("extrema
 
 
 # per argv: the exit code, the parsers made and the subparsers given arguments
+WHOLE = "0 11 " + " ".join(sorted(f"extremalcurves {name}" for name in (
+    "profile", "classify", "embed", "bounds", "slope", "table1", "scan", "verylast", "plane",
+    "selfcheck")))
 BUILT = {"scan 3 4": "0 0 ", "plane 7 --format csv": "0 0 ",
-         "selfcheck --help": "0 11 extremalcurves selfcheck", "--version": "0 11 "}
+         "selfcheck --help": WHOLE, "--version": WHOLE}
 
 
 @pytest.mark.parametrize("argv", BUILT)
-def test_run_builds_only_the_named_subparser(argv):
-    # a plain argv builds no parser; otherwise only the parser argv names
-    # gets arguments, the others cost a name and a help line
+def test_run_builds_the_whole_parser_or_none(argv):
+    # a plain argv builds no parser; any other builds the whole parser,
+    # every subparser with its arguments
     assert _child(PARSERS.format(argv=argv.split())) == [BUILT[argv]]
 
 
