@@ -80,7 +80,7 @@ def _cmd_slope(args) -> dict | list[dict]:
     from .extremal import classify_extremal
 
     records = [
-        {"kind": model.kind.value, "gamma": model.gamma, "d": model.d, "r": model.r,
+        {"kind": str(model.kind), "gamma": model.gamma, "d": model.d, "r": model.r,
          **slope_verdict(model).record()}
         for model in classify_extremal(args.d, args.r)
         if args.gamma is None or model.gamma == args.gamma

@@ -103,7 +103,7 @@ class ExtremalModel(namedtuple("ExtremalModel", "kind d r m eps gamma g scroll_c
 
     def record(self) -> dict:
         return {
-            "kind": self.kind.value,
+            "kind": str(self.kind),
             "gamma": self.gamma,
             "m": self.m,
             "eps": self.eps,
@@ -115,19 +115,13 @@ class ExtremalModel(namedtuple("ExtremalModel", "kind d r m eps gamma g scroll_c
         }
 
 
-# The kinds as globals for the per-model paths below: EnumType defines
-# __getattr__, which takes every read of a member off the class
-# (ModelKind.TYPE_II) off the fast path, at about ten times a global read.
-_TYPE_II, _TYPE_III, _PLANE_VERONESE = ModelKind
-
-
 def _model(kind: ModelKind, p: CurveProfile) -> ExtremalModel:
     """The model of ``kind`` on the profile p, unchecked: the one place
     that derives gamma, the scroll class and the plane degree k."""
     d, r, m, eps, pi = p
-    if kind is _TYPE_II:
+    if kind is ModelKind.TYPE_II:
         gamma, scroll, k = m, (m, 1), None
-    elif kind is _TYPE_III:
+    elif kind is ModelKind.TYPE_III:
         gamma, scroll, k = m + 1, (m + 1, -(r - eps - 2)), None
     else:  # the plane kind; ``classify_extremal`` passes no other
         gamma, scroll, k = d // 2 - 1, None, d // 2
@@ -145,10 +139,10 @@ def classify_extremal(d: int, r: int) -> list[ExtremalModel]:
     serves every model, and its strict mode refuses r < 3 and d < 2r+1.
     """
     p = profile(d, r)
-    models = [_model(_TYPE_II, p)] if p.eps == 0 else []
-    models.append(_model(_TYPE_III, p))
+    models = [_model(ModelKind.TYPE_II, p)] if p.eps == 0 else []
+    models.append(_model(ModelKind.TYPE_III, p))
     if r == 5 and d % 2 == 0:
-        models.append(_model(_PLANE_VERONESE, p))
+        models.append(_model(ModelKind.PLANE_VERONESE, p))
     return models
 
 
@@ -265,7 +259,7 @@ def embed_extremal(gamma: int, lam: int, n: int) -> EmbedResult:
     model = None
     if hypothesis:
         if gamma > 3:
-            model = ExtremalModel(_TYPE_III, prof.d, prof.r)
+            model = ExtremalModel(ModelKind.TYPE_III, prof.d, prof.r)
         got = (prof.m, prof.eps, prof.pi, model and model.scroll_class)
         want = (gamma - 1, eps, genus, model and lattice.class_in_HL(x, scroll))
         if got != want:

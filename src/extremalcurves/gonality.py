@@ -516,7 +516,7 @@ def verylast_sequence(n: int) -> tuple[GonalityLedger, tuple[VerylastRow, ...]]:
 
 def _sweep(n: int) -> tuple[GonalityLedger, tuple[VerylastRow, ...]]:
     """``verylast_sequence(n)``, built anew."""
-    from .extremal import _TYPE_III, ExtremalModel, _unisecant_images
+    from .extremal import ExtremalModel, ModelKind, _unisecant_images
     from .lattice import DivisorClass, adjunction_genus, class_in_HL, gonality_from_class
 
     if n < 3:
@@ -531,7 +531,7 @@ def _sweep(n: int) -> tuple[GonalityLedger, tuple[VerylastRow, ...]]:
     def sweep_facts():
         abar = (n - 3) // 2
         for a, (scroll, degree) in enumerate(_unisecant_images(x, range(n, n + abar + 1))):
-            model = ExtremalModel(_TYPE_III, degree, scroll.r)
+            model = ExtremalModel(ModelKind.TYPE_III, degree, scroll.r)
             want = (gamma, g, class_in_HL(x, scroll))
             if (model.gamma, model.g, model.scroll_class) != want:
                 raise ArithmeticError(

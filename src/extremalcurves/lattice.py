@@ -91,7 +91,7 @@ def is_irreducible_smoothable(x: DivisorClass) -> bool:
     a, b, n = x.a, x.b, x.n
     if (a, b) == (0, 1) or (a, b) == (1, 0):
         return True
-    if a > 0 and b > a * n:
+    if is_very_ample(x):
         return True
     if a > 0 and b == a * n and n > 0:
         return True
@@ -118,14 +118,17 @@ def formal_genus(x: DivisorClass) -> int:
 def adjunction_genus(x: DivisorClass) -> int:
     """Genus of a general member of |X|, via 2g - 2 = (K + X).X.
 
-    Requires the class to be irreducible-smoothable and the genus to come
-    out non-negative.
+    Requires the class to be irreducible-smoothable.  Such a class never
+    has a negative genus, g = (a-1)(b-1-n*a/2): for a > 0 and b >= a*n+1,
+    g >= (a-1)*n*a/2 >= 0; for b = a*n with n > 0, g = (a-1)(a*n/2-1) >= 0;
+    the fiber and the section have g = 0.  So a negative value is a fault
+    of ``formal_genus``, raised as an ``ArithmeticError``, not a bad input.
     """
     if not is_irreducible_smoothable(x):
         raise DomainError(f"{x} is not an irreducible-smoothable class")
     g = formal_genus(x)
     if g < 0:
-        raise DomainError(f"negative genus {g} for {x}")
+        raise ArithmeticError(f"negative genus {g} for {x}")
     return g
 
 

@@ -178,8 +178,7 @@ def _scan_runs(r_lo: int, r_hi: int, d_max: int | None):  # one record iterator 
             _, _, _, m, eps, _, pi, _, _ = models[0]  # the models share one split and genus
             rho = brill_noether(d, r, pi)
             for model, verdict in zip(models, verdicts):
-                # _value_ is the token str() returns, without the call
-                kind, gamma, status = model.kind._value_, model.gamma, verdict.status._value_
+                kind, gamma, status = str(model.kind), model.gamma, str(verdict.status)
                 if end == d + 1:  # one degree: its row, not a set of iterators
                     rows.append([(r, d, m, eps, pi, kind, gamma, status, rho)])
                     continue

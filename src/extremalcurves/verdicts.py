@@ -40,7 +40,7 @@ class SlopeVerdict(namedtuple("SlopeVerdict", "status tag reason")):
     __slots__ = ()
 
     def record(self) -> dict:
-        return {"status": self.status.value, "tag": self.tag, "reason": self.reason}
+        return {"status": str(self.status), "tag": self.tag, "reason": self.reason}
 
 
 # the verdicts slope_run returns outside the plane branch, one object each

@@ -691,6 +691,13 @@ def test_internal_fault_exits_four(capsys, monkeypatch, error):
         4, "", f"internal error: {type(error).__name__}: {error}\n")
 
 
+def test_a_negative_genus_is_an_internal_fault(capsys, monkeypatch):
+    # no irreducible-smoothable class has one, so it blames the package, not the input
+    monkeypatch.setattr(extremalcurves.lattice, "formal_genus", lambda x: -1)
+    assert run_cli(capsys, "embed", "4", "12", "3") == (
+        4, "", "internal error: ArithmeticError: negative genus -1 for 4*C0 + 12*L on F3\n")
+
+
 BROKEN_LATTICE = """
 import sys
 import extremalcurves.lattice as lattice

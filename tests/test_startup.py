@@ -64,6 +64,8 @@ def test_ledger_commands_skip_the_model_layers(argv):
 # handlers' module for every command but scan, whose handler is the cli's
 RUN_LAYERS = {
     "scan 3 4": "castelnuovo extremal tables verdicts",
+    "bounds 4 12": "castelnuovo commands gonality tables verdicts",
+    "embed 4 12 3": "castelnuovo commands extremal lattice",
     "classify 13 5": "castelnuovo commands extremal tables",
     "slope 13 5": "castelnuovo commands extremal tables verdicts",
     "table1": "commands tables",
