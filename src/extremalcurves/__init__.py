@@ -10,6 +10,7 @@ is imported from its module on first use (PEP 562), so the command line
 pays only for the layer a subcommand runs.
 """
 
+import sys
 from importlib import import_module
 
 __version__ = "0.1.0"
@@ -47,7 +48,12 @@ def __getattr__(name: str):
     module = _HOME.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f"{__name__}.{module}"), name)
+    # a loaded module is read from sys.modules, as import_module reads it,
+    # unless it is still initializing: then import_module takes the import lock
+    found = sys.modules.get(f"{__name__}.{module}")
+    if found is None or getattr(found.__spec__, "_initializing", False):
+        found = import_module(f"{__name__}.{module}")
+    return getattr(found, name)
 
 
 def __dir__() -> list[str]:

@@ -53,6 +53,16 @@ pair that already holds: the base held every pair beyond it, and nothing
 beyond it has moved.  The walks make the same tightenings as full
 passes, in the same order, so a crossing names the same index and tags.
 
+A closure onto a base shares the base's lists and copies a side only
+before its first write.  ``propagate`` writes lo and its tags only in the
+lower walks, each of which starts at a raised index, and hi and its tags
+only once some index fell: with none it returns after the lower pass.  So
+``close`` copies lo and its tags before the first fact that raises a lo,
+hi and its tags before the first that lowers a hi, and never copies a
+side that no fact moves.  A one-index tightening checks the other side
+before it writes, so a fact that crosses raises before it copies
+anything, and the base stays as it was.
+
 Each walk is one run, found by one ``bisect`` call with no key and
 written by one slice of one repeated offset.  On a closed base L and H
 never decrease, and a fact moves only its own index.  So L never
@@ -142,11 +152,11 @@ one: the tests pin it at n = 30 to 2,000).
 A ledger is its seed facts closed once.  Seeds are facts (index, lo, hi,
 tag): the classical values, the entries an extremal model pins, or
 what-if assumptions.  ``close`` is the one builder: it applies facts
-in order to a new ledger or to a copy of a frozen base, closes the
-result with ``propagate`` and freezes it.  ``baseline_ledger`` and
-``verylast_sequence`` close the classical seeds (plus the sweep's facts)
-on a new ledger; ``apply_extremal_facts`` and ``with_assumptions`` close
-their facts onto a base.  Frozen ledgers are immutable and safe to
+in order to a new ledger or to one that shares a frozen base's lists,
+closes the result with ``propagate`` and freezes it.  ``baseline_ledger``
+and ``verylast_sequence`` close the classical seeds (plus the sweep's
+facts) on a new ledger; ``apply_extremal_facts`` and ``with_assumptions``
+close their facts onto a base.  Frozen ledgers are immutable and safe to
 share.  So ``baseline_ledger`` and ``verylast_sequence`` share one memo
 of their 48 most recent values whose ledgers have at most 3,072 indices
 (g <= 3,069, n <= 512), under a memory ceiling of 18 MiB; a repeated call
@@ -216,7 +226,8 @@ class GonalityLedger:
         return self
 
     def thaw(self) -> "GonalityLedger":
-        """A mutable copy; the receiver is untouched."""
+        """A mutable copy of all four lists; the receiver is untouched.  It
+        serves callers outside the package: ``close`` shares its base's lists."""
         twin = GonalityLedger.__new__(GonalityLedger)
         twin.gamma = self.gamma
         twin.g = self.g
@@ -233,18 +244,18 @@ class GonalityLedger:
             raise RuntimeError("ledger is frozen; thaw() a copy to refine it")
 
     def _raise_lo(self, r: int, c: int, tag: str) -> None:
-        """Tighten lo[r] to the offset c, checking it against hi[r]."""
-        self._lo[r] = c
-        self._lo_tag[r] = tag
+        """Tighten lo[r] to the offset c, checking it against hi[r] first."""
         if c > self._hi[r]:
             raise ContradictionError(r, c + r, self._hi[r] + r, tag, self._hi_tag[r])
+        self._lo[r] = c
+        self._lo_tag[r] = tag
 
     def _lower_hi(self, r: int, c: int, tag: str) -> None:
-        """Tighten hi[r] to the offset c, checking it against lo[r]."""
-        self._hi[r] = c
-        self._hi_tag[r] = tag
+        """Tighten hi[r] to the offset c, checking it against lo[r] first."""
         if c < self._lo[r]:
             raise ContradictionError(r, self._lo[r] + r, c + r, self._lo_tag[r], tag)
+        self._hi[r] = c
+        self._hi_tag[r] = tag
 
     def propagate(self, raised: list[int], moved: list[int]) -> "GonalityLedger":
         """Close the intervals under strict increase and subadditivity, given
@@ -361,9 +372,10 @@ def _join_tags(t1: str, t2: str) -> str:
 
 
 def close(gamma: int, g: int, facts, base: GonalityLedger | None = None) -> GonalityLedger:
-    """A new frozen ledger: a new (gamma, g) ledger, or a copy of base, with
-    the facts applied in order and closed.  ``facts`` is read only once that
-    ledger is made.
+    """A new frozen ledger: a new (gamma, g) ledger, or one on base's lists,
+    with the facts applied in order and closed.  ``facts`` is read only once
+    that ledger is made.  On a base, the result shares each side no fact
+    moved, and copies the others before their first write; base never changes.
 
     Each fact (r, lo, hi, tag) raises lo[r] to lo, then lowers hi[r] to hi,
     each checked against the other side; a one-sided fact passes lo = 1 or
@@ -374,7 +386,13 @@ def close(gamma: int, g: int, facts, base: GonalityLedger | None = None) -> Gona
     if base is not None and (base.gamma, base.g) != (gamma, g):
         raise InvalidInput(f"the base ledger is for (gamma, g) = ({base.gamma}, {base.g}),"
                            f" not ({gamma}, {g})")
-    led = GonalityLedger(gamma, g) if base is None else base.thaw()
+    if base is None:
+        led = GonalityLedger(gamma, g)
+    else:  # on the base's own lists, each side copied before its first write
+        led = GonalityLedger.__new__(GonalityLedger)
+        led.gamma, led.g, led.max_index, led._frozen = gamma, g, base.max_index, False
+        led._lo, led._hi, led._lo_tag, led._hi_tag = base._lo, base._hi, base._lo_tag, base._hi_tag
+    shared = base is not None
     led_lo, led_hi, top = led._lo, led._hi, led.max_index
     raised, moved = [], []  # the indices whose lo rose and whose hi fell
     for r, lo, hi, tag in facts:
@@ -388,9 +406,17 @@ def close(gamma: int, g: int, facts, base: GonalityLedger | None = None) -> Gona
                 raise ContradictionError(r, known, hi, "riemann-roch", tag)
             continue
         if lo - r > led_lo[r]:
+            # the first raise copies the lo side, unless it crosses: then
+            # _raise_lo raises before it writes
+            if shared and not raised and lo - r <= led_hi[r]:
+                led._lo = led_lo = list(led_lo)
+                led._lo_tag = list(led._lo_tag)
             raised.append(r)
             led._raise_lo(r, lo - r, tag)
         if hi - r < led_hi[r]:
+            if shared and not moved and hi - r >= led_lo[r]:  # the same for hi
+                led._hi = led_hi = list(led_hi)
+                led._hi_tag = list(led._hi_tag)
             moved.append(r)
             led._lower_hi(r, hi - r, tag)
     return led.propagate(raised, moved).freeze()

@@ -49,7 +49,8 @@ _LOW_GONALITY = SlopeVerdict(
     "gonality at most 3: the full sequence is known and slope-monotone")
 _FOURGONAL_10_4 = SlopeVerdict(
     Status.HOLDS, "fourgonal-10-4",
-    "the genus-9 fourgonal space model has d_4=10 and d_5=13; no slope violation fits")
+    "the genus-9 fourgonal space model has d_4=10 and d_5<=12 by K minus the gonal"
+    " pencil; no slope violation fits")
 _DUAL_PROJECTION = SlopeVerdict(
     Status.VIOLATED, "dual-projection",
     "double projection pins d_{r+1} = 3r+1 while d_r <= 3r-2; the r-th slope fails")

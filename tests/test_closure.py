@@ -244,7 +244,9 @@ def closure_guard(monkeypatch):
     """On entry to every propagate call, require the premise of the walks'
     bisections: lo - r and hi - r nondecreasing between logged indices, that
     is lo[r] < lo[r+1] unless lo[r] rose and hi[r] < hi[r+1] unless hi[r+1]
-    fell.  After it, require lo and hi strictly increasing, hi[u] - hi[u-1]
+    fell.  After it, require lo and lo's tags unchanged if no lo rose, hi
+    and hi's tags unchanged if no hi fell (the premise on which ``close``
+    shares its base's lists), lo and hi strictly increasing, hi[u] - hi[u-1]
     <= hi[1] (the premise of the gonal-line lemma that bounds each scan
     from below) and, for g <= 70, hi[s+t] <= hi[s] + hi[t] by brute force.
     During the call, require that no index is scanned twice and none at a
@@ -275,8 +277,13 @@ def closure_guard(monkeypatch):
         rose, fell = set(raised), set(moved)
         assert all(lo[r] < lo[r + 1] for r in range(1, top) if r not in rose)
         assert all(hi[r] < hi[r + 1] for r in range(1, top) if r + 1 not in fell)
+        # a side with no logged index stays as it was: close shares it with the base
+        still = {side: list(getattr(led, side)) for side, log in
+                 (("_lo", raised), ("_lo_tag", raised), ("_hi", moved), ("_hi_tag", moved))
+                 if not log}
         scanned.clear()
         closure(led, raised, moved)
+        assert all(getattr(led, side) == was for side, was in still.items()), sorted(still)
         lo, hi = _absolute(led._lo), _absolute(led._hi)
         assert all(lo[r] < lo[r + 1] and hi[r] < hi[r + 1] for r in range(1, top))
         assert all(hi[u] - hi[u - 1] <= hi[1] for u in range(2, top + 1))
@@ -544,7 +551,7 @@ def test_a_baseline_holds_few_bytes_per_index():
 
 
 def test_a_held_baseline_outlives_what_is_built_on_it():
-    # a refine, the plane fold and a contradiction each close onto a copy
+    # a refine, the plane fold and a contradiction each close onto it
     model = ExtremalModel(ModelKind.PLANE_VERONESE, 58, 5)
     gamma, g = model.gamma, model.g
     base = baseline_ledger(gamma, g)
@@ -554,6 +561,114 @@ def test_a_held_baseline_outlives_what_is_built_on_it():
         with_assumptions(base, [(10, 10 * gamma + 1)])
     assert baseline_ledger(gamma, g) is base
     assert base.entries() == gonality._baseline(gamma, g).entries()
+
+
+def _outcome(gamma, g, facts, base):
+    """``facts`` closed onto base: the entries (intervals and tags), or the crossing."""
+    try:
+        return close(gamma, g, facts, base).entries()
+    except ContradictionError as exc:
+        return _crossing(exc)
+
+
+def _what_ifs(base):
+    """Named fact lists onto base: true values; lo-only and hi-only facts,
+    alone, together and with a crossing fact after them; a fact that
+    crosses either side as it is applied; and two facts, each consistent
+    alone, that cross only in ``propagate`` (None where no index has room)."""
+    gamma, g, top = base.gamma, base.g, base.max_index
+    entries = base.entries()
+    true = [(e.index, e.lo, e.hi, "assume") for e in entries if e.exact]
+    if gamma == 2:  # hyperelliptic: d_r = 2r below the canonical entry
+        true += [(r, 2 * r, 2 * r, "hyperelliptic") for r in range(1, g - 1)]
+    wide = [e for e in entries if e.hi - e.lo >= 2]
+    lo_only = [(e.index, e.lo + 1, e.index * gamma, "lo-only") for e in wide[::3]]
+    hi_only = [(e.index, 1, e.hi - 1, "hi-only") for e in wide[1::3]]
+    mid = entries[top // 2]
+    above = [(mid.index, mid.hi + 1, mid.hi + 1, "cross")]
+    below = [(mid.index, 1, mid.lo - 1, "cross")]
+    pair = None
+    for r in range(top // 2, top):
+        v = entries[r].lo  # lo[r+1]: d_r = d_{r+1} = v breaks strict increase
+        if entries[r - 1].lo <= v <= entries[r - 1].hi:
+            pair = [(r, v, v, "left"), (r + 1, v, v, "right")]
+            break
+    return {"true": true, "lo-only": lo_only, "hi-only": hi_only,
+            "both": lo_only + hi_only, "lo-then-cross": lo_only + above,
+            "hi-then-cross": hi_only + below, "crosses-above": above,
+            "crosses-below": below, "propagate-pair": pair}
+
+
+def test_what_ifs_on_a_held_base_match_a_fresh_base():
+    # close shares the base's lists and copies a side only before its first
+    # write, so each what-if must read as it does on a baseline built anew,
+    # and the held base must never change
+    kinds = {}
+    for gamma in range(2, 9):
+        for g in range(max(3, 2 * gamma - 3), 81):  # gamma <= (g+3)//2
+            try:
+                base = baseline_ledger(gamma, g)
+            except ContradictionError:
+                continue
+            held = base.entries()
+            what_ifs = _what_ifs(base)
+            for kind, facts in what_ifs.items():
+                if facts is None:
+                    continue
+                if kind == "propagate-pair":
+                    if any(isinstance(_outcome(gamma, g, [f], base), tuple) for f in facts):
+                        continue  # one fact crosses alone: not the case wanted
+                fresh = gonality._baseline(gamma, g)
+                got = _outcome(gamma, g, facts, base)
+                assert got == _outcome(gamma, g, facts, fresh), (gamma, g, kind)
+                assert base.entries() == held, (gamma, g, kind)
+                kinds.setdefault(kind, set()).add(type(got).__name__)
+                if kind in ("lo-only", "hi-only") and isinstance(got, list):
+                    # a what-if onto a what-if shares and copies as well
+                    onto = close(gamma, g, facts, base)
+                    then = what_ifs["hi-only" if kind == "lo-only" else "lo-only"]
+                    before = onto.entries()
+                    assert (_outcome(gamma, g, then, onto)
+                            == _outcome(gamma, g, then, close(gamma, g, facts, fresh)))
+                    assert onto.entries() == before and base.entries() == held
+    # every kind but the crossings succeeds somewhere; the crossings always fail
+    crossings = {"lo-then-cross", "hi-then-cross", "crosses-above", "crosses-below",
+                 "propagate-pair"}
+    assert all(kinds[k] == {"tuple"} for k in crossings), kinds
+    assert all("list" in kinds[k] for k in kinds.keys() - crossings), kinds
+
+
+@pytest.mark.parametrize("gamma", [2, 4])
+def test_a_what_if_that_tightens_nothing_copies_nothing(gamma):
+    # the base's lists are shared, not copied: copying all four made 96.6 KB here
+    base = baseline_ledger(gamma, 3000)
+    facts = [(1, gamma), (2999, 5998)]
+    with_assumptions(base, facts)
+    tracemalloc.start()
+    try:
+        led = with_assumptions(base, facts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert led.entries() == base.entries()
+    assert peak < 1024
+
+
+@pytest.mark.parametrize("gamma", [2, 4])
+@pytest.mark.parametrize("value", [1, 12000])  # below lo and above hi at 1500
+def test_a_what_if_that_crosses_raises_before_it_copies(gamma, value):
+    # copying one side would take 24 KB here; the error and its traceback about 1.5 KB
+    base = baseline_ledger(gamma, 3000)
+    with pytest.raises(ContradictionError):
+        with_assumptions(base, [(1500, value)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ContradictionError):
+            with_assumptions(base, [(1500, value)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096
 
 
 def test_tag_memo_stays_bounded():

@@ -1,6 +1,7 @@
 """Ledger construction, propagation, verdicts, and the worked families."""
 
 import random
+import re
 
 import pytest
 
@@ -262,6 +263,16 @@ def test_slope_verdict_table():
     assert v.status is Status.VIOLATED and v.tag == "noether-block"
     v = verdict(21, 6, 4)
     assert v.status is Status.HOLDS and v.tag == "band"
+
+
+def test_fourgonal_10_4_states_the_residual_bound():
+    # K minus the gonal pencil is a g^{g-gamma+1}_{2g-2-gamma}: on the
+    # genus-9 fourgonal model a g^5_12, so the reason's d_5 bound is 12
+    model = [m for m in classify_extremal(10, 4) if m.gamma == 4][0]
+    g, gamma = model.g, model.gamma
+    assert (g, gamma) == (9, 4)
+    stated = re.search(r"d_5<=(\d+)", slope_verdict(model).reason)
+    assert stated is not None and int(stated[1]) == 2 * g - 2 - gamma
 
 
 def test_slope_run_keeps_its_verdict_up_to_its_end():

@@ -169,6 +169,19 @@ def test_every_public_name_resolves():
         assert getattr(extremalcurves, name) is not None
 
 
+def test_a_wrapper_on_the_defining_module_is_seen_through_the_package(monkeypatch):
+    # the package reads a loaded module from sys.modules but caches no name
+    from extremalcurves import gonality
+
+    original = gonality.close
+
+    def w(*args, **kwargs):
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gonality, "close", w)
+    assert extremalcurves.close is w
+
+
 def test_every_public_definition_lives_where_the_table_says():
     # the lazy table names each definition's module; a moved definition must move there too
     defined = 0
