@@ -53,15 +53,16 @@ pair that already holds: the base held every pair beyond it, and nothing
 beyond it has moved.  The walks make the same tightenings as full
 passes, in the same order, so a crossing names the same index and tags.
 
-A closure onto a base shares the base's lists and copies a side only
-before its first write.  ``propagate`` writes lo and its tags only in the
-lower walks, each of which starts at a raised index, and hi and its tags
-only once some index fell: with none it returns after the lower pass.  So
-``close`` copies lo and its tags before the first fact that raises a lo,
-hi and its tags before the first that lowers a hi, and never copies a
-side that no fact moves.  A one-index tightening checks the other side
-before it writes, so a fact that crosses raises before it copies
-anything, and the base stays as it was.
+``close`` builds on a frozen base's lists: a caller's base, which it
+shares, copying a side only before its first write, or with no base a new
+bare ledger that no caller holds.  ``propagate`` writes lo and its tags
+only in the lower walks, each of which starts at a raised index, and hi
+and its tags only once some index fell: with none it returns after the
+lower pass.  So ``close`` copies lo and its tags before the first fact
+that raises a lo, hi and its tags before the first that lowers a hi, and
+never copies a side that no fact moves.  A one-index tightening checks
+the other side before it writes, so a fact that crosses raises before it
+copies anything, and the base stays as it was.
 
 Each walk is one run, found by one ``bisect`` call with no key and
 written by one slice of one repeated offset.  On a closed base L and H
@@ -151,12 +152,14 @@ one: the tests pin it at n = 30 to 2,000).
 
 A ledger is its seed facts closed once.  Seeds are facts (index, lo, hi,
 tag): the classical values, the entries an extremal model pins, or
-what-if assumptions.  ``close`` is the one builder: it applies facts
-in order to a new ledger or to one that shares a frozen base's lists,
-closes the result with ``propagate`` and freezes it.  ``baseline_ledger``
-and ``verylast_sequence`` close the classical seeds (plus the sweep's
-facts) on a new ledger; ``apply_extremal_facts`` and ``with_assumptions``
-close their facts onto a base.  Frozen ledgers are immutable and safe to
+what-if assumptions.  ``close`` is the one builder: it applies facts in
+order to a ledger on a frozen base's lists, closes the result with
+``propagate`` and freezes it.  ``baseline_ledger`` and
+``verylast_sequence`` close the classical seeds (plus the sweep's facts)
+on a new bare ledger; ``apply_extremal_facts`` and ``with_assumptions``
+close their facts onto a base.  Every ledger but a ``thaw()`` copy is
+frozen, and ``close`` refuses an unfrozen base, whose owner could still
+write the lists it shares.  Frozen ledgers are immutable and safe to
 share.  So ``baseline_ledger`` and ``verylast_sequence`` share one memo
 of their 48 most recent values whose ledgers have at most 3,072 indices
 (g <= 3,069, n <= 512), under a memory ceiling of 18 MiB; a repeated call
@@ -190,7 +193,8 @@ class GonalityLedger:
 
     Needs g >= 3 and 2 <= gamma <= (g+3)//2, the Brill-Noether maximum.
     Indices 1..g+2 are materialized; entries past the end are the known
-    tail d_r = r + g."""
+    tail d_r = r + g.  A new ledger is the bare floor and ceiling, and is
+    frozen: ``close`` builds every other ledger on a frozen base."""
 
     __slots__ = ("gamma", "g", "max_index", "_lo", "_hi", "_lo_tag", "_hi_tag", "_frozen")
 
@@ -204,44 +208,35 @@ class GonalityLedger:
                 f"no curve of genus {g} has gonality {gamma}:"
                 f" the Brill-Noether maximum is {(g + 3) // 2}"
             )
-        self.gamma = gamma
-        self.g = g
-        self.max_index = g + 2
-        size = self.max_index + 1  # index 0 unused
-        # each bound is kept as its offset from the index: lo[r] - r, hi[r] - r
-        self._lo = [0] * size  # d_r >= r: closed, as is the ceiling
-        self._hi = list(range(0, size * (gamma - 1), gamma - 1))
-        self._lo_tag = ["trivial"] * size
-        self._hi_tag = ["gonal-ceiling"] * size
-        self._frozen = False
+        size = g + 3  # indices 1..g+2; index 0 unused
+        # each bound is kept as its offset from the index: lo[r] - r, hi[r] - r;
+        # d_r >= r is closed, as is the ceiling, so the bare ledger is frozen
+        self._fill(gamma, g, ([0] * size, list(range(0, size * (gamma - 1), gamma - 1)),
+                              ["trivial"] * size, ["gonal-ceiling"] * size), True)
 
     # -- construction -------------------------------------------------
+
+    def _fill(self, gamma: int, g: int, sides, frozen: bool) -> "GonalityLedger":
+        """Set every slot, sides being (lo, hi, lo_tag, hi_tag): no other code does."""
+        self.gamma, self.g, self.max_index = gamma, g, g + 2
+        self._lo, self._hi, self._lo_tag, self._hi_tag = sides
+        self._frozen = frozen
+        return self
 
     @property
     def frozen(self) -> bool:
         return self._frozen
 
     def freeze(self) -> "GonalityLedger":
-        self._frozen = True
-        return self
+        sides = (self._lo, self._hi, self._lo_tag, self._hi_tag)
+        return self._fill(self.gamma, self.g, sides, True)
 
     def thaw(self) -> "GonalityLedger":
         """A mutable copy of all four lists; the receiver is untouched.  It
-        serves callers outside the package: ``close`` shares its base's lists."""
-        twin = GonalityLedger.__new__(GonalityLedger)
-        twin.gamma = self.gamma
-        twin.g = self.g
-        twin.max_index = self.max_index
-        twin._lo = list(self._lo)
-        twin._hi = list(self._hi)
-        twin._lo_tag = list(self._lo_tag)
-        twin._hi_tag = list(self._hi_tag)
-        twin._frozen = False
-        return twin
-
-    def _check_mutable(self) -> None:
-        if self._frozen:
-            raise RuntimeError("ledger is frozen; thaw() a copy to refine it")
+        serves callers outside the package, and must be frozen before it is
+        closed onto: ``close`` shares its base's lists."""
+        return GonalityLedger.__new__(GonalityLedger)._fill(self.gamma, self.g, (
+            list(self._lo), list(self._hi), list(self._lo_tag), list(self._hi_tag)), False)
 
     def _raise_lo(self, r: int, c: int, tag: str) -> None:
         """Tighten lo[r] to the offset c, checking it against hi[r] first."""
@@ -261,7 +256,8 @@ class GonalityLedger:
         """Close the intervals under strict increase and subadditivity, given
         the indices whose lo rose (raised) and whose hi fell (moved) since
         the ledger was closed, as the module docstring proves sufficient."""
-        self._check_mutable()
+        if self._frozen:
+            raise RuntimeError("ledger is frozen; thaw() a copy to refine it")
         lo, hi = self._lo, self._hi  # offsets: strict increase is lo[r] <= lo[r+1]
         lo_tag, hi_tag = self._lo_tag, self._hi_tag
         top = self.max_index
@@ -372,10 +368,12 @@ def _join_tags(t1: str, t2: str) -> str:
 
 
 def close(gamma: int, g: int, facts, base: GonalityLedger | None = None) -> GonalityLedger:
-    """A new frozen ledger: a new (gamma, g) ledger, or one on base's lists,
-    with the facts applied in order and closed.  ``facts`` is read only once
-    that ledger is made.  On a base, the result shares each side no fact
-    moved, and copies the others before their first write; base never changes.
+    """A new frozen ledger: the facts applied in order to a ledger on a
+    frozen base's lists, and closed.  The base is ``base``, which must be
+    frozen, or with none a new bare (gamma, g) ledger that no caller holds.
+    ``facts`` is read only once that ledger is made.  On a caller's base,
+    the result shares each side no fact moved, and copies the others before
+    their first write; base never changes.
 
     Each fact (r, lo, hi, tag) raises lo[r] to lo, then lowers hi[r] to hi,
     each checked against the other side; a one-sided fact passes lo = 1 or
@@ -383,16 +381,16 @@ def close(gamma: int, g: int, facts, base: GonalityLedger | None = None) -> Gona
     is checked against it under ``riemann-roch``.  A fact only equal to a
     bound that an earlier ``close`` derived leaves that bound's tag, so the
     tags depend on how facts are batched into calls; the intervals do not."""
-    if base is not None and (base.gamma, base.g) != (gamma, g):
+    shared = base is not None  # else the lists are the new ledger's own
+    if not shared:
+        base = GonalityLedger(gamma, g)
+    elif (base.gamma, base.g) != (gamma, g):
         raise InvalidInput(f"the base ledger is for (gamma, g) = ({base.gamma}, {base.g}),"
                            f" not ({gamma}, {g})")
-    if base is None:
-        led = GonalityLedger(gamma, g)
-    else:  # on the base's own lists, each side copied before its first write
-        led = GonalityLedger.__new__(GonalityLedger)
-        led.gamma, led.g, led.max_index, led._frozen = gamma, g, base.max_index, False
-        led._lo, led._hi, led._lo_tag, led._hi_tag = base._lo, base._hi, base._lo_tag, base._hi_tag
-    shared = base is not None
+    elif not base._frozen:  # its owner could still write the lists shared here
+        raise InvalidInput("close needs a frozen base; freeze() it first")
+    led = GonalityLedger.__new__(GonalityLedger)._fill(
+        gamma, g, (base._lo, base._hi, base._lo_tag, base._hi_tag), False)
     led_lo, led_hi, top = led._lo, led._hi, led.max_index
     raised, moved = [], []  # the indices whose lo rose and whose hi fell
     for r, lo, hi, tag in facts:
@@ -409,14 +407,14 @@ def close(gamma: int, g: int, facts, base: GonalityLedger | None = None) -> Gona
             # the first raise copies the lo side, unless it crosses: then
             # _raise_lo raises before it writes
             if shared and not raised and lo - r <= led_hi[r]:
-                led._lo = led_lo = list(led_lo)
-                led._lo_tag = list(led._lo_tag)
+                led_lo = list(led_lo)
+                led._fill(gamma, g, (led_lo, led_hi, list(led._lo_tag), led._hi_tag), False)
             raised.append(r)
             led._raise_lo(r, lo - r, tag)
         if hi - r < led_hi[r]:
             if shared and not moved and hi - r >= led_lo[r]:  # the same for hi
-                led._hi = led_hi = list(led_hi)
-                led._hi_tag = list(led._hi_tag)
+                led_hi = list(led_hi)
+                led._fill(gamma, g, (led_lo, led_hi, led._lo_tag, list(led._hi_tag)), False)
             moved.append(r)
             led._lower_hi(r, hi - r, tag)
     return led.propagate(raised, moved).freeze()

@@ -143,11 +143,35 @@ def test_facts_reject_mismatched_ledger():
 
 def test_frozen_ledger_is_immutable():
     led = baseline_ledger(4, 12)
-    with pytest.raises(RuntimeError, match="thaw"):
-        led.propagate([2], [2])
+    for frozen in (led, GonalityLedger(4, 12)):  # a bare ledger is frozen when made
+        assert frozen.frozen
+        with pytest.raises(RuntimeError, match="thaw"):
+            frozen.propagate([2], [2])
     twin = close(4, 12, [(2, 6, 8, "probe")], led)
     assert twin is not led and twin.frozen and led.frozen
     assert led.entry(2).lo == 5 and twin.entry(2).lo == 6
+
+
+def test_thaw_copies_every_list_and_freezes_in_place():
+    base = baseline_ledger(4, 40)
+    before = base.entries()
+    twin = base.thaw()
+    assert not twin.frozen and twin.entries() == before
+    for side in ("_lo", "_hi", "_lo_tag", "_hi_tag"):
+        assert getattr(twin, side) is not getattr(base, side)
+    twin._lo[39] = twin._hi[39] = 80  # a write through the copy, as oracle_check makes
+    assert base.entries() == before and twin.entry(39).lo == 119
+    assert twin.freeze() is twin and twin.frozen
+    refined = close(4, 40, [(2, 6, 8, "probe")], twin)
+    assert refined.entry(2).lo == 6 and refined.entry(39).lo == 119 and twin.entry(2).lo == 5
+
+
+def test_close_refuses_an_unfrozen_base():
+    # a closure shares its base's lists, so a base its owner can still write
+    # through would change a frozen ledger under its holder
+    thawed = baseline_ledger(4, 12).thaw()
+    with pytest.raises(InvalidInput, match="frozen base"):
+        close(4, 12, [(3, 1, 11, "probe")], thawed)
 
 
 def test_bare_ledger_is_closed():

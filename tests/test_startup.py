@@ -167,6 +167,7 @@ def test_no_module_uses_dataclasses():
 def test_every_public_name_resolves():
     for name in extremalcurves.__all__:
         assert getattr(extremalcurves, name) is not None
+    assert set(extremalcurves.__all__) <= set(dir(extremalcurves))
 
 
 def test_a_wrapper_on_the_defining_module_is_seen_through_the_package(monkeypatch):
