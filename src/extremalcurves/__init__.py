@@ -31,8 +31,9 @@ _HOME = {
                     " intersect intersect_on_scroll is_irreducible_smoothable"
                     " is_very_ample scroll_canonical_class scroll_from_rn"),
         ("selfcheck", "run_selfcheck"),
-        ("tables", "SCAN_FIELDS STAR STAR_RESOLVED TABLE_FIELDS ScanRecord TableRow"
-                   " expected_status row_models scan serialize table1"),
+        ("summary", "STAR STAR_RESOLVED TABLE_FIELDS TableRow expected_status row_models"
+                    " table1"),
+        ("tables", "SCAN_FIELDS ScanRecord scan serialize"),
         ("verdicts", "SlopeVerdict Status known_family_verdict plane_curve_gonality"
                      " plane_slope_verdict slope_verdict"),
     )

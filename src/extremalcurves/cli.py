@@ -11,7 +11,9 @@ overflow), reported on one ``internal error:`` line.
 (``usage``), the one source of help, usage and error text.  The handler
 ``_cmd_<name>`` is scan's here and any other's in ``commands``, which a scan
 child never loads.  It imports the layers it runs and returns an int, the exit
-code of a run that has already reported to stderr, or a result for ``_write``.
+code of a run that has already reported to stderr or written its output, or a
+result for ``_write``.  Scan's handler writes its own: the scan's runs go to
+the renderer as they are, and no record is made.
 """
 
 from __future__ import annotations
@@ -26,12 +28,12 @@ from .errors import ContradictionError, DomainError, InvalidInput
 
 def _write(result, fmt: str, out) -> None:
     """Write a handler's result to ``out``, the one place that writes
-    stdout: a dict is one record (a ``k=v`` line in md, each ``map`` value a
-    table after it, nested in json), any other iterable of dicts or a
-    ``(fieldnames, records)`` pair a table, a str already text.  A table is
-    written in batches as its records are made: ``scan``, ``table1`` and
-    ``plane`` hold no rows, ``bounds`` and ``verylast`` no more than their
-    ledger.  json and csv load only for those formats."""
+    stdout but scan's handler: a dict is one record (a ``k=v`` line in md,
+    each ``map`` value a table after it, nested in json), any other iterable
+    of dicts or a ``(fieldnames, records)`` pair a table, a str already
+    text.  A table is written in batches as its records are made: ``table1``
+    and ``plane`` hold no rows, ``bounds`` and ``verylast`` no more than
+    their ledger.  json and csv load only for those formats."""
     if isinstance(result, str):
         out.write(result)
         return
@@ -74,10 +76,11 @@ def _write(result, fmt: str, out) -> None:
     write_records(out, result, fmt, fieldnames)
 
 
-def _cmd_scan(args) -> tuple:
-    from .tables import SCAN_FIELDS, scan
+def _cmd_scan(args) -> int:
+    from .tables import write_scan
 
-    return SCAN_FIELDS, scan(args.r_lo, args.r_hi, args.d_max)
+    write_scan(sys.stdout, args.r_lo, args.r_hi, args.d_max, args.format)
+    return 0
 
 
 def _late(value):
@@ -107,8 +110,8 @@ COMMANDS = {
                             "help": "verdict for a named curve family instead"})),
     "table1": ("summary table of extremal families per gonality",
                ("--gamma-max", {"type": int, "default": 6, "dest": "gamma_max"}),
-               ("--mode", {"choices": lambda: import_module(".tables", __package__).MODES,
-                           "default": lambda: import_module(".tables", __package__).MODES[0]})),
+               ("--mode", {"choices": lambda: import_module(".summary", __package__).MODES,
+                           "default": lambda: import_module(".summary", __package__).MODES[0]})),
     "scan": ("flat per-model records over an (r, d) window", ("r_lo", INT), ("r_hi", INT),
              ("--d-max", {"type": int, "default": None, "dest": "d_max"})),
     "verylast": ("foursecant sweep on the surface of invariant n", ("n", INT)),

@@ -93,7 +93,7 @@ def _cmd_slope(args) -> dict | list[dict]:
 
 
 def _cmd_table1(args) -> map:
-    from .tables import TableRow, table1_rows
+    from .summary import TableRow, table1_rows
 
     return map(TableRow.record, table1_rows(args.gamma_max, args.mode))
 

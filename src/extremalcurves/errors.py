@@ -9,6 +9,11 @@ class InvalidInput(ValueError):
     """Arguments outside an operation's documented domain."""
 
 
+class NotAnInteger(InvalidInput, TypeError):
+    """An argument that must be an int is not one: invalid input, and a
+    TypeError as Python's own integer arguments raise."""
+
+
 class UnsupportedInput(InvalidInput):
     """Arguments the implementation deliberately refuses rather than guesses
     (gonality coefficient below 3, plane degree below 5, surface invariant
@@ -46,3 +51,10 @@ class ContradictionError(RuntimeError):
         super().__init__(
             f"d_{index}: lower bound {lo} [{lo_tag}] exceeds upper bound {hi} [{hi_tag}]"
         )
+
+
+def need_int(**values) -> None:
+    """Refuse, by name, the first of the arguments that is not an int."""
+    for name, value in values.items():
+        if not isinstance(value, int):
+            raise NotAnInteger(f"need an integer {name}, got {value!r}")

@@ -175,7 +175,7 @@ from functools import lru_cache
 from itertools import chain
 from operator import add
 
-from .errors import ContradictionError, InvalidInput, UnsupportedInput
+from .errors import ContradictionError, InvalidInput, UnsupportedInput, need_int
 # the verdicts live in ``verdicts``; perfbench times this name through
 # this module, as ``gonality.slope_verdict``
 from .verdicts import slope_verdict
@@ -199,6 +199,7 @@ class GonalityLedger:
     __slots__ = ("gamma", "g", "max_index", "_lo", "_hi", "_lo_tag", "_hi_tag", "_frozen")
 
     def __init__(self, gamma: int, g: int):
+        need_int(gamma=gamma, g=g)
         if gamma < 2:
             raise InvalidInput(f"need gamma >= 2, got {gamma}")
         if g < 3:
@@ -459,6 +460,7 @@ def baseline_ledger(gamma: int, g: int) -> GonalityLedger:
     ceiling of 18 MiB.  A larger g is built anew on every call, and a build
     that fails is never held.
     """
+    need_int(gamma=gamma, g=g)
     return _held(_baseline, gamma, g) if g + 3 <= _HELD_INDICES else _baseline(gamma, g)
 
 
@@ -535,6 +537,7 @@ def verylast_sequence(n: int) -> tuple[GonalityLedger, tuple[VerylastRow, ...]]:
     ``baseline_ledger``, which holds the 48 most recently used under a
     ceiling of 18 MiB.  A larger n is built anew on every call.
     """
+    need_int(n=n)
     return _held(_sweep, n) if 6 * n <= _HELD_INDICES else _sweep(n)
 
 

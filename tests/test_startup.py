@@ -68,7 +68,7 @@ RUN_LAYERS = {
     "embed 4 12 3": "castelnuovo commands extremal lattice",
     "classify 13 5": "castelnuovo commands extremal tables",
     "slope 13 5": "castelnuovo commands extremal tables verdicts",
-    "table1": "commands tables",
+    "table1": "commands summary tables",
     "plane 7": "castelnuovo commands tables verdicts",
 }
 

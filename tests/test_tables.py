@@ -26,7 +26,8 @@ from extremalcurves import (
 )
 import extremalcurves.extremal
 import extremalcurves.verdicts
-from extremalcurves.tables import BATCH, write_records
+from extremalcurves.cli import run
+from extremalcurves.tables import BATCH, _full, _write_runs, write_records
 
 
 def test_table_shape():
@@ -308,6 +309,22 @@ def test_row_with_a_nested_value_renders_as_json_dumps(nested):
     assert serialize(dicts, "json") == json.dumps(dicts, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+def test_fixed_cells_render_as_their_full_rows(fmt):
+    # a scan's fixed cells are ints and tokens; the renderers take any value
+    # there, nested ones and format characters included
+    rng = random.Random(fmt)
+    cells = [value for value in VALUES if value is not None] + [[5], {"a": [1]}, [], (1, "%s")]
+    for _ in range(200):
+        fixed = tuple(rng.choice(cells) if rng.random() < 0.5 else None for _ in FIELDS)
+        runs = [(fixed, [tuple(rng.choice(VALUES) for _ in range(fixed.count(None)))
+                         for _ in range(rng.randint(1, 3))]) for _ in range(rng.randint(1, 3))]
+        out = io.StringIO()
+        _write_runs(out, fmt, runs, FIELDS)
+        rows = [row for run in runs for row in _full(*run)]
+        assert out.getvalue() == serialize(rows, fmt, FIELDS), runs
+
+
 # a row of another width, and a record of another kind than the first
 MALFORMED = [((1, 2), (3, 4, 5)), ((1, 2), (4,)), ((1, 2), {"a": 5, "b": 6}),
              ({"a": 1, "b": 2}, (5, 6)), ((1, 2), [5, 6]), ((1, 2), None)]
@@ -378,6 +395,18 @@ def test_scan_equals_the_per_point_reference():
         records = list(scan(r_lo, r_hi, d_max))
         assert records == list(_scan_reference(r_lo, r_hi, d_max)), (r_lo, r_hi, d_max)
         assert all(type(rec) is ScanRecord for rec in records)
+
+
+# the differential windows, a run longer than BATCH (r = 600 has runs of 597
+# degrees) and a window with no record
+@pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+def test_cli_scan_prints_the_serialized_scan(capsys, fmt):
+    for r_lo, r_hi, d_max in DIFFERENTIAL + [(600, 600, None), (3, 5, 6)]:
+        argv = ["scan", str(r_lo), str(r_hi), "--format", fmt]
+        argv += [] if d_max is None else ["--d-max", str(d_max)]
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        assert out == serialize(scan(r_lo, r_hi, d_max), fmt, SCAN_FIELDS), argv
 
 
 def test_equal_slope_verdicts_are_one_object():

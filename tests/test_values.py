@@ -7,6 +7,7 @@ from extremalcurves import (
     DivisorClass,
     ExtremalModel,
     GonalityEntry,
+    GonalityLedger,
     InvalidInput,
     ModelKind,
     ScrollEmbedding,
@@ -19,6 +20,7 @@ from extremalcurves import (
     embed_extremal,
     known_family_verdict,
     profile,
+    scan,
     table1,
     verylast_sequence,
 )
@@ -120,3 +122,17 @@ def test_invalid_data_rejected_by_constructor():
     with pytest.raises(InvalidInput, match=r"claimed k=6, but the model is .* k=7\)"):
         ExtremalModel(kind=ModelKind.PLANE_VERONESE, d=14, r=5, m=3, eps=1,
                       gamma=6, g=15, k=6)
+
+
+# a float, a str or None where an int belongs is refused at the call, by name,
+# as invalid input that is also the TypeError Python raises for such arguments
+@pytest.mark.parametrize("call, args, name", [
+    (scan, (3.0, 4), "r_lo"), (scan, (3, "4"), "r_hi"), (scan, (3, 4, 20.5), "d_max"),
+    (baseline_ledger, (4.0, 12), "gamma"), (baseline_ledger, ("4", 12), "gamma"),
+    (baseline_ledger, (4, 12.0), "g"), (GonalityLedger, (4, None), "g"),
+    (verylast_sequence, (4.0,), "n"),
+], ids=lambda value: getattr(value, "__name__", repr(value)))
+def test_non_integer_arguments_are_invalid_input(call, args, name):
+    with pytest.raises(InvalidInput, match=f"^need an integer {name}, got ") as caught:
+        call(*args)
+    assert isinstance(caught.value, TypeError)
