@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import InvalidInput
+from .errors import InvalidInput, need_int
 
 
 class CurveProfile(namedtuple("CurveProfile", "d r m eps pi")):
@@ -39,6 +39,8 @@ def profile(d: int, r: int, strict: bool = True) -> CurveProfile:
 
     Strict mode requires d >= 2r+1; lenient mode accepts d >= r+1.
     """
+    if type(d) is not int or type(r) is not int:  # the cheap test first: a scan calls this once per run
+        need_int(d=d, r=r)
     if r < 3:
         raise InvalidInput(f"need r >= 3, got r={r}")
     if strict and d < 2 * r + 1:

@@ -14,10 +14,15 @@ child never loads.  It imports the layers it runs and returns an int, the exit
 code of a run that has already reported to stderr or written its output, or a
 result for ``_write``.  Scan's handler writes its own: the scan's runs go to
 the renderer as they are, and no record is made.
+
+``main`` ends the process: once the output is flushed it freezes the collector
+(``gc.freeze``), so the exit collections skip every object still alive.
+``run`` leaves the collector alone, for callers whose process goes on.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from importlib import import_module
@@ -216,6 +221,11 @@ def main() -> None:
             _say(f"error: cannot write output: {exc}")
             code = 2
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the last flush
+    # The process ends here, and the OS takes back every object still alive.
+    # Frozen objects are left out of the interpreter's shutdown collections,
+    # which would otherwise walk every object start-up and the imports made;
+    # refcounting still frees, and closes, whatever module teardown drops.
+    gc.freeze()
     sys.exit(code)
 
 

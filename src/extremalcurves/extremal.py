@@ -42,6 +42,7 @@ from .errors import (
     InvalidInput,
     PlaneCurveContraction,
     UnsupportedInput,
+    need_int,
 )
 
 
@@ -230,6 +231,7 @@ def embed_extremal(gamma: int, lam: int, n: int) -> EmbedResult:
     beta >= n; beta = n is allowed exactly when lambda = gamma*n: the
     unisecant model is then a cone, but the curve misses its vertex.
     """
+    need_int(gamma=gamma, lam=lam, n=n)
     from . import lattice
 
     x = lattice.DivisorClass(n, gamma, lam).normalized_ruling()

@@ -176,9 +176,17 @@ from itertools import chain
 from operator import add
 
 from .errors import ContradictionError, InvalidInput, UnsupportedInput, need_int
-# the verdicts live in ``verdicts``; perfbench times this name through
-# this module, as ``gonality.slope_verdict``
-from .verdicts import slope_verdict
+
+
+def __getattr__(name: str):
+    # the verdicts live in ``verdicts``; perfbench times this name through this
+    # module, as ``gonality.slope_verdict``, so it is read from there on first
+    # use (PEP 562), and a ledger command loads no verdicts
+    if name != "slope_verdict":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .verdicts import slope_verdict
+
+    return slope_verdict
 
 
 class GonalityEntry(namedtuple("GonalityEntry", "index lo hi exact provenance")):

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .errors import InvalidInput
+from .errors import InvalidInput, need_int
 
 TABLE_FIELDS = ("d", "gamma", "m", "eps", "slope")
 
@@ -70,6 +70,7 @@ def table1_rows(gamma_max: int = 6, mode: str = MODES[0]) -> Iterator[TableRow]:
     """The rows of ``table1`` one at a time.  The arguments are checked
     when it is called, so a huge gamma_max streams its about
     gamma_max**2/2 rows instead of holding them."""
+    need_int(gamma_max=gamma_max)
     if gamma_max < 4:
         raise InvalidInput(f"need gamma_max >= 4, got {gamma_max}")
     if mode not in MODES:

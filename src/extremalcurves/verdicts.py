@@ -18,7 +18,7 @@ from enum import Enum
 from math import isqrt
 
 from .castelnuovo import plane_genus
-from .errors import InvalidInput, UnsupportedInput
+from .errors import InvalidInput, UnsupportedInput, need_int
 
 
 class Status(Enum):
@@ -122,8 +122,10 @@ def _noether_split(k: int, r: int) -> tuple[int, int]:
 
     The blocks [alpha*(alpha+1)/2, alpha*(alpha+3)/2] tile the positive
     integers, so alpha is the largest value with alpha*(alpha+1)/2 <= r.
-    Refuses a plane degree k < 5 first, then r < 1.
+    Refuses an argument that is not an int first, then a plane degree
+    k < 5, then r < 1.
     """
+    need_int(k=k, r=r)
     if k < 5:
         raise UnsupportedInput(f"plane-curve sequences need degree k >= 5, got {k}")
     if r < 1:

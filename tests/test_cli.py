@@ -1020,6 +1020,64 @@ def test_closed_stdout_exits_two(argv):
     assert proc.stderr == "error: cannot write output: stdout is closed\n"
 
 
+# main ends the process: each exit keeps its code, and the collector is frozen
+# first, so the interpreter's exit collections skip every object still alive
+MAIN_EXITS = {"profile 10 4": 0, "profile 3 10": 2, "bounds 4 12 --assume 2=9": 3}
+MAIN_CHILD = """
+import gc, io, sys
+from extremalcurves.cli import main
+for argv in {argvs!r}:
+    gc.unfreeze()
+    sys.argv, sys.stdout, sys.stderr = ["extremalcurves", *argv], io.StringIO(), io.StringIO()
+    try:
+        main()
+    except SystemExit as exc:
+        print(exc.code, gc.get_freeze_count() > 0, file=sys.__stdout__)
+"""
+
+
+def test_main_freezes_the_collector_before_it_exits():
+    proc = subprocess.run(
+        [sys.executable, "-c", MAIN_CHILD.format(argvs=[argv.split() for argv in MAIN_EXITS])],
+        capture_output=True, text=True, env=child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"{code} True" for code in MAIN_EXITS.values()]
+
+
+# Frozen objects are never collected, so a cycle still alive at exit is never
+# finalized.  A plain call in md leaves no cycle at all: one per subcommand, an
+# input error and a contradiction.  json output and argparse (help, version and
+# every usage error) do leave cycles: the encoder's closures under indent=2, and
+# the parsers with their formatters.  Those hold no object with a finalizer.
+NO_CYCLES = ["profile 10 4", "classify 13 5", "embed 4 12 3", "bounds 4 12", "slope 13 5",
+             "table1", "scan 3 12", "verylast 5", "plane 7", "selfcheck", "profile 3 10",
+             "bounds 4 12 --assume 2=9"]
+NO_FINALIZERS = ["profile 10 4 --format json", "verylast 5 --format json", "profile x 4",
+                 "--version"]
+GARBAGE_CHILD = """
+import gc, io, sys
+from extremalcurves.cli import run
+gc.collect()
+gc.set_debug(gc.DEBUG_SAVEALL)
+for argv in {argvs!r}:
+    sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
+    run(argv.split())
+    sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
+    freed = gc.collect()
+    final = sorted({{type(o).__name__ for o in gc.garbage if hasattr(type(o), "__del__")}})
+    gc.garbage.clear()
+    print(freed > 0, *final)
+"""
+
+
+def test_a_call_leaves_no_garbage_to_finalize():
+    proc = subprocess.run(
+        [sys.executable, "-c", GARBAGE_CHILD.format(argvs=NO_CYCLES + NO_FINALIZERS)],
+        capture_output=True, text=True, env=child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False"] * len(NO_CYCLES) + ["True"] * len(NO_FINALIZERS)
+
+
 def test_module_invocation_contradiction():
     proc = subprocess.run(
         [sys.executable, "-m", "extremalcurves", "bounds", "4", "12",

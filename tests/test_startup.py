@@ -64,12 +64,13 @@ def test_ledger_commands_skip_the_model_layers(argv):
 # handlers' module for every command but scan, whose handler is the cli's
 RUN_LAYERS = {
     "scan 3 4": "castelnuovo extremal tables verdicts",
-    "bounds 4 12": "castelnuovo commands gonality tables verdicts",
+    "bounds 4 12": "commands gonality tables",
     "embed 4 12 3": "castelnuovo commands extremal lattice",
     "classify 13 5": "castelnuovo commands extremal tables",
     "slope 13 5": "castelnuovo commands extremal tables verdicts",
     "table1": "commands summary tables",
     "plane 7": "castelnuovo commands tables verdicts",
+    "verylast 5": "castelnuovo commands extremal gonality lattice tables",
 }
 
 

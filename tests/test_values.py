@@ -19,6 +19,8 @@ from extremalcurves import (
     classify_extremal,
     embed_extremal,
     known_family_verdict,
+    plane_curve_gonality,
+    plane_slope_verdict,
     profile,
     scan,
     table1,
@@ -131,6 +133,10 @@ def test_invalid_data_rejected_by_constructor():
     (baseline_ledger, (4.0, 12), "gamma"), (baseline_ledger, ("4", 12), "gamma"),
     (baseline_ledger, (4, 12.0), "g"), (GonalityLedger, (4, None), "g"),
     (verylast_sequence, (4.0,), "n"),
+    (profile, (10.0, 4), "d"), (profile, ("10", 4), "d"), (profile, (10, None), "r"),
+    (classify_extremal, (13.0, 5), "d"), (embed_extremal, (4.0, 12, 3), "gamma"),
+    (embed_extremal, (4, 12, 3.0), "n"), (plane_curve_gonality, (7.0, 2), "k"),
+    (plane_slope_verdict, (7, 2.0), "r"), (table1, (6.5,), "gamma_max"),
 ], ids=lambda value: getattr(value, "__name__", repr(value)))
 def test_non_integer_arguments_are_invalid_input(call, args, name):
     with pytest.raises(InvalidInput, match=f"^need an integer {name}, got ") as caught:
