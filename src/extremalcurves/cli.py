@@ -1,5 +1,5 @@
-"""Command line front end: read argv, run a handler, write its result, and
-map errors to exit codes.  Subcommands mirror the library, and ``COMMANDS`` is
+"""Command line front end: read argv, run the subcommand's handler, and map
+errors to exit codes.  Subcommands mirror the library, and ``COMMANDS`` is
 their grammar.  Results go to stdout in markdown (default), csv, or json;
 diagnostics go to stderr.  Exit codes: 0 success, 1 selfcheck failure, 2
 invalid input or usage (an input too large to hold or output that cannot be
@@ -10,10 +10,10 @@ overflow), reported on one ``internal error:`` line.
 ``run`` reads a plain argv off ``COMMANDS`` and hands any other to argparse
 (``usage``), the one source of help, usage and error text.  The handler
 ``_cmd_<name>`` is scan's here and any other's in ``commands``, which a scan
-child never loads.  It imports the layers it runs and returns an int, the exit
-code of a run that has already reported to stderr or written its output, or a
-result for ``_write``.  Scan's handler writes its own: the scan's runs go to
-the renderer as they are, and no record is made.
+child never loads.  Every handler imports the layers it runs, writes its own
+output to stdout or reports to stderr, and returns the exit code; an error it
+raises, while writing too, ``run`` maps to its code.  Scan's runs go to the
+renderer as they are, and no record is made.
 
 ``main`` ends the process: once the output is flushed it freezes the collector
 (``gc.freeze``), so the exit collections skip every object still alive.
@@ -29,56 +29,6 @@ from importlib import import_module
 from types import SimpleNamespace
 
 from .errors import ContradictionError, DomainError, InvalidInput
-
-
-def _write(result, fmt: str, out) -> None:
-    """Write a handler's result to ``out``, the one place that writes
-    stdout but scan's handler: a dict is one record (a ``k=v`` line in md,
-    each ``map`` value a table after it, nested in json), any other iterable
-    of dicts or a ``(fieldnames, records)`` pair a table, a str already
-    text.  A table is written in batches as its records are made: ``table1``
-    and ``plane`` hold no rows, ``bounds`` and ``verylast`` no more than
-    their ledger.  json and csv load only for those formats."""
-    if isinstance(result, str):
-        out.write(result)
-        return
-    fieldnames = None
-    if isinstance(result, tuple):
-        fieldnames, result = result
-    elif isinstance(result, dict):
-        if fmt == "md":  # the plain fields, then each map value a table after a blank line
-            out.write(" ".join(f"{k}={v}" for k, v in result.items()
-                               if not isinstance(v, map)) + "\n")
-            for value in result.values():
-                if isinstance(value, map):
-                    from .tables import write_records
-
-                    out.write("\n")
-                    write_records(out, value, "md")
-            return
-        if fmt == "json":  # json.dumps(result, indent=2), a map value streamed
-            import json
-
-            sep = "{"
-            for key, value in result.items():
-                out.write(f"{sep}\n  {json.dumps(key)}: ")
-                if isinstance(value, map):  # a table one level in, in batches
-                    from .tables import write_records
-
-                    # a raw newline in json only starts a line, and only the
-                    # last piece ends in one, the document's own
-                    nested = SimpleNamespace(write=lambda text: out.write(
-                        text.rstrip("\n").replace("\n", "\n  ")))
-                    write_records(nested, value, "json")
-                else:
-                    out.write(json.dumps(value, indent=2).replace("\n", "\n  "))
-                sep = ","
-            out.write("\n}\n")
-            return
-        result = [result]
-    from .tables import write_records
-
-    write_records(out, result, fmt, fieldnames)
 
 
 def _cmd_scan(args) -> int:
@@ -184,10 +134,7 @@ def run(argv: list[str]) -> int:
     name = f"_cmd_{args.command}"
     handler = globals().get(name) or getattr(import_module(".commands", __package__), name)
     try:
-        result = handler(args)
-        if isinstance(result, int):
-            return result
-        _write(result, args.format, sys.stdout)
+        return handler(args)
     except ContradictionError as exc:
         _say(f"contradiction: {exc}")
         return 3
@@ -200,7 +147,6 @@ def run(argv: list[str]) -> int:
     except ArithmeticError as exc:  # a broken invariant: a fault here, not in the input
         _say(f"internal error: {type(exc).__name__}: {exc}")
         return 4
-    return 0
 
 
 def main() -> None:

@@ -336,6 +336,8 @@ class GonalityLedger:
     # -- queries -------------------------------------------------------
 
     def entry(self, r: int) -> GonalityEntry:
+        if type(r) is not int:
+            need_int(r=r)
         if r < 1:
             raise InvalidInput(f"need index >= 1, got {r}")
         if r > self.max_index:

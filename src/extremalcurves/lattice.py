@@ -26,39 +26,54 @@ multiples of C0+L on n=1, which blow down to plane curves.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 
-from .errors import DomainError, InvalidInput
+from .errors import DomainError, InvalidInput, need_int
+
+
+def _different_surfaces(n: int, m: int) -> InvalidInput:
+    return InvalidInput(f"classes live on different surfaces (n={n} vs n={m})")
 
 
 class DivisorClass(namedtuple("DivisorClass", "n a b")):
-    """A class a*C0 + b*L on the surface with invariant n."""
+    """A class a*C0 + b*L on the surface with invariant n.  The arithmetic
+    builds its results with ``tuple.__new__``: the operands' fields already
+    passed this constructor's checks."""
 
     __slots__ = ()
 
     def __new__(cls, n: int, a: int, b: int):
+        if type(n) is not int or type(a) is not int or type(b) is not int:
+            need_int(n=n, a=a, b=b)
         if n < 0:
             raise InvalidInput(f"surface invariant must be >= 0, got n={n}")
         return tuple.__new__(cls, (n, a, b))
 
-    def _check_same_surface(self, other: "DivisorClass") -> None:
-        if self.n != other.n:
-            raise InvalidInput(
-                f"classes live on different surfaces (n={self.n} vs n={other.n})"
-            )
-
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        self._check_same_surface(other)
-        return DivisorClass(self.n, self.a + other.a, self.b + other.b)
+        if type(other) is not DivisorClass:  # a plain tuple's fields passed no check
+            return NotImplemented
+        (n, a, b), (m, c, e) = self, other
+        if n != m:
+            raise _different_surfaces(n, m)
+        return tuple.__new__(DivisorClass, (n, a + c, b + e))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        self._check_same_surface(other)
-        return DivisorClass(self.n, self.a - other.a, self.b - other.b)
+        if type(other) is not DivisorClass:  # a plain tuple's fields passed no check
+            return NotImplemented
+        (n, a, b), (m, c, e) = self, other
+        if n != m:
+            raise _different_surfaces(n, m)
+        return tuple.__new__(DivisorClass, (n, a - c, b - e))
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(self.n, -self.a, -self.b)
+        n, a, b = self
+        return tuple.__new__(DivisorClass, (n, -a, -b))
 
     def __rmul__(self, c: int) -> "DivisorClass":
-        return DivisorClass(self.n, c * self.a, c * self.b)
+        if type(c) is not int:
+            need_int(c=c)
+        n, a, b = self
+        return tuple.__new__(DivisorClass, (n, c * a, c * b))
 
     __mul__ = __rmul__
 
@@ -74,12 +89,19 @@ class DivisorClass(namedtuple("DivisorClass", "n a b")):
 
 def intersect(d1: DivisorClass, d2: DivisorClass) -> int:
     """Intersection number of two classes on the same surface."""
-    d1._check_same_surface(d2)
-    return -d1.n * d1.a * d2.a + d1.a * d2.b + d2.a * d1.b
+    (n, a, b), (m, c, e) = d1, d2
+    if n != m:
+        raise _different_surfaces(n, m)
+    return -n * a * c + a * e + c * b
 
 
 def canonical_class(n: int) -> DivisorClass:
     """Canonical class -2*C0 - (n+2)*L of the surface with invariant n."""
+    return _canonical(n)
+
+
+@lru_cache(maxsize=64, typed=True)  # formal_genus asks for K on every call
+def _canonical(n: int) -> DivisorClass:
     return DivisorClass(n, -2, -(n + 2))
 
 
@@ -109,7 +131,7 @@ def formal_genus(x: DivisorClass) -> int:
     May be negative; useful as a raw oracle.  The pairing (K+X).X is even
     for every class, which is asserted.
     """
-    pairing = intersect(canonical_class(x.n) + x, x)
+    pairing = intersect(_canonical(x.n) + x, x)
     if pairing % 2:
         raise ArithmeticError(f"adjunction pairing {pairing} is odd for {x}")
     return pairing // 2 + 1
@@ -167,6 +189,8 @@ class ScrollEmbedding(namedtuple("ScrollEmbedding", "n beta r")):
     __slots__ = ()
 
     def __new__(cls, n: int, beta: int, r: int):
+        if type(n) is not int or type(beta) is not int or type(r) is not int:
+            need_int(n=n, beta=beta, r=r)
         if n < 0:
             raise InvalidInput(f"surface invariant must be >= 0, got n={n}")
         if beta < n:

@@ -836,6 +836,24 @@ def test_verylast_formats_agree(capsys):
     assert _md_records(outs["md"].split("\n\n")[2]) == entries
 
 
+# one plain argv per subcommand: its handler writes the output itself and
+# returns the exit code, so run adds nothing to what the handler prints
+HANDLER_ARGV = ["profile 10 4", "classify 13 5", "embed 4 12 3", "bounds 4 12", "slope 13 5",
+                "table1", "scan 3 12", "verylast 5", "plane 7", "selfcheck"]
+
+
+@pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+@pytest.mark.parametrize("argv", HANDLER_ARGV)
+def test_a_handler_writes_its_output_and_returns_its_code(capsys, argv, fmt):
+    argv = [*argv.split(), "--format", fmt]
+    args = extremalcurves.cli._read(argv)
+    name = f"_cmd_{args.command}"
+    code = (getattr(extremalcurves.cli, name, None) or getattr(extremalcurves.commands, name))(args)
+    out = capsys.readouterr().out
+    assert type(code) is int
+    assert run_cli(capsys, *argv) == (code, out, "")
+
+
 def test_version(capsys):
     code, out, _ = run_cli(capsys, "--version")
     assert code == 0 and re.fullmatch(r"\d+\.\d+\.\d+\n", out)
@@ -1046,14 +1064,14 @@ def test_main_freezes_the_collector_before_it_exits():
 
 # Frozen objects are never collected, so a cycle still alive at exit is never
 # finalized.  A plain call in md leaves no cycle at all: one per subcommand, an
-# input error and a contradiction.  json output and argparse (help, version and
-# every usage error) do leave cycles: the encoder's closures under indent=2, and
-# the parsers with their formatters.  Those hold no object with a finalizer.
+# input error and a contradiction; nor does a json record.  argparse (help,
+# version and every usage error) does leave cycles: the parsers with their
+# formatters.  Those hold no object with a finalizer.
 NO_CYCLES = ["profile 10 4", "classify 13 5", "embed 4 12 3", "bounds 4 12", "slope 13 5",
              "table1", "scan 3 12", "verylast 5", "plane 7", "selfcheck", "profile 3 10",
-             "bounds 4 12 --assume 2=9"]
-NO_FINALIZERS = ["profile 10 4 --format json", "verylast 5 --format json", "profile x 4",
-                 "--version"]
+             "bounds 4 12 --assume 2=9", "profile 10 4 --format json",
+             "verylast 5 --format json", "embed 4 12 3 --format json"]
+NO_FINALIZERS = ["profile x 4", "--version"]
 GARBAGE_CHILD = """
 import gc, io, sys
 from extremalcurves.cli import run

@@ -137,6 +137,10 @@ def test_invalid_data_rejected_by_constructor():
     (classify_extremal, (13.0, 5), "d"), (embed_extremal, (4.0, 12, 3), "gamma"),
     (embed_extremal, (4, 12, 3.0), "n"), (plane_curve_gonality, (7.0, 2), "k"),
     (plane_slope_verdict, (7, 2.0), "r"), (table1, (6.5,), "gamma_max"),
+    (DivisorClass, (3, 4.0, 12), "a"), (DivisorClass, (3.0, 4, 12), "n"),
+    (ScrollEmbedding, (1, 2.0, 4), "beta"), (ScrollEmbedding, (1, 2, "4"), "r"),
+    (DivisorClass(3, 4, 12).__rmul__, (2.0,), "c"),
+    (baseline_ledger(4, 12).entry, (2.0,), "r"), (baseline_ledger(4, 12).exact_value, (2.0,), "r"),
 ], ids=lambda value: getattr(value, "__name__", repr(value)))
 def test_non_integer_arguments_are_invalid_input(call, args, name):
     with pytest.raises(InvalidInput, match=f"^need an integer {name}, got ") as caught:
