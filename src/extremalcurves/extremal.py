@@ -11,12 +11,13 @@ and the scroll classes are what the gonality theory consumes: the ruling
 cuts out the gonality pencil, so type-II models are m-gonal and type-III
 models are (m+1)-gonal, while the plane model of degree k is (k-1)-gonal.
 
-``classify_extremal`` enumerates the candidate models for (d, r); they
-are candidates, not a unique answer.  It is the one place that says when
-a kind exists: ``ExtremalModel(kind, d, r)`` is the model of that kind
-it lists, and ``classify_run`` the degrees over which its list keeps
-its kinds.  Its private helper is the one place that derives each
-kind's fields.  ``verify_extremal_class`` checks a
+``classify_extremal`` lists the candidate models for (d, r); they are
+candidates, not a unique answer.  ``classify_runs`` walks the degrees of
+one r a run at a time: it checks (d, r) once, then steps the split
+(m, eps) by ``divmod`` and lists each run's models.  Both list through
+one private helper, the one place that says when a kind exists and
+derives each kind's fields, and ``ExtremalModel(kind, d, r)`` is the
+model of that kind the list holds.  ``verify_extremal_class`` checks a
 scroll class by adjunction against the genus bound.  ``embed_extremal``
 runs the constructive direction: it takes a class gamma*C0 + lambda*L on
 a Hirzebruch surface and produces its unisecant embedding, an extremal
@@ -35,7 +36,7 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 
-from .castelnuovo import CurveProfile, profile
+from .castelnuovo import max_genus, profile
 from .errors import (
     DomainError,
     EmbeddingError,
@@ -116,46 +117,46 @@ class ExtremalModel(namedtuple("ExtremalModel", "kind d r m eps gamma g scroll_c
         }
 
 
-def _model(kind: ModelKind, p: CurveProfile) -> ExtremalModel:
-    """The model of ``kind`` on the profile p, unchecked: the one place
-    that derives gamma, the scroll class and the plane degree k."""
-    d, r, m, eps, pi = p
-    if kind is ModelKind.TYPE_II:
-        gamma, scroll, k = m, (m, 1), None
-    elif kind is ModelKind.TYPE_III:
-        gamma, scroll, k = m + 1, (m + 1, -(r - eps - 2)), None
-    else:  # the plane kind; ``classify_extremal`` passes no other
-        gamma, scroll, k = d // 2 - 1, None, d // 2
-    return tuple.__new__(ExtremalModel, (kind, d, r, m, eps, gamma, pi, scroll, k))
-
-
 def classify_extremal(d: int, r: int) -> list[ExtremalModel]:
-    """Candidate models for an extremal curve of degree d in P^r.
+    """Candidate models for an extremal curve of degree d in P^r, as
+    ``classify_runs`` lists them; ``profile`` refuses r < 3 and d < 2r+1."""
+    return _models(*profile(d, r))
 
-    Always contains the type-III model; adds the type-II model when
-    eps = 0 (listed first, it has the lower gonality) and the plane model
-    when r = 5 and d = 2k is even (listed last; k >= 6 holds automatically
-    once d >= 2r+1).  These are the only existence conditions: the model
-    constructor refuses any kind this list omits.  One ``profile`` call
-    serves every model, and its strict mode refuses r < 3 and d < 2r+1.
-    """
-    p = profile(d, r)
-    models = [_model(ModelKind.TYPE_II, p)] if p.eps == 0 else []
-    models.append(_model(ModelKind.TYPE_III, p))
+
+def _models(d: int, r: int, m: int, eps: int, pi: int) -> list[ExtremalModel]:
+    """The candidate models on the split (m, eps) of (d, r), unchecked.
+
+    Always the type-III model, of gamma m+1 and class (m+1)H - (r-eps-2)L.
+    First the type-II model, of gamma m and class mH + L, when eps = 0 (it
+    has the lower gonality).  Last the plane model of degree k = d/2 and
+    gamma k-1 when r = 5 and d is even (k >= 6 holds once d >= 2r+1).
+    These are the only existence conditions: the model constructor refuses
+    any kind this list omits."""
+    new = tuple.__new__
+    models = [] if eps else [
+        new(ExtremalModel, (ModelKind.TYPE_II, d, r, m, eps, m, pi, (m, 1), None))]
+    models.append(new(ExtremalModel, (ModelKind.TYPE_III, d, r, m, eps, m + 1, pi,
+                                      (m + 1, -(r - eps - 2)), None)))
     if r == 5 and d % 2 == 0:
-        models.append(_model(ModelKind.PLANE_VERONESE, p))
+        models.append(new(ExtremalModel, (ModelKind.PLANE_VERONESE, d, r, m, eps, d // 2 - 1,
+                                          pi, None, d // 2)))
     return models
 
 
-def classify_run(d: int, r: int) -> tuple[list[ExtremalModel], int]:
-    """``classify_extremal(d, r)`` and the end of its run: up to that degree
-    the list holds the same kinds and gamma, with m fixed and eps one up
-    per degree.  The conditions above change the kinds only at eps = 0 and,
-    at r = 5, with the parity of d: a run is one degree there, else the
-    rest of the period of m."""
-    models = classify_extremal(d, r)
-    eps = models[0].eps
-    return models, d + 1 if eps == 0 or r == 5 else d + r - 1 - eps
+def classify_runs(r: int, d: int, stop: int) -> Iterator[tuple[list[ExtremalModel], int]]:
+    """The candidate models over the degrees d up to stop in P^r, a run at a
+    time: the list at the run's first degree and the run's end (at most
+    stop).  The kinds change only at eps = 0 and, at r = 5, with the parity
+    of d, so a run is one degree there, else the rest of the period of m,
+    over which m, the kinds and gamma stay and eps steps by one.  One
+    ``profile`` call checks (d, r) and splits d; later runs step the split."""
+    _, _, m, eps, pi = profile(d, r)
+    while d < stop:
+        end = d + 1 if eps == 0 or r == 5 else d + r - 1 - eps
+        yield _models(d, r, m, eps, pi), min(end, stop)
+        d = end
+        m, eps = divmod(d - 1, r - 1)
+        pi = max_genus(m, eps, r)
 
 
 def verify_extremal_class(h: int, l: int, scroll: ScrollEmbedding) -> bool:

@@ -388,10 +388,11 @@ def close(gamma: int, g: int, facts, base: GonalityLedger | None = None) -> Gona
 
     Each fact (r, lo, hi, tag) raises lo[r] to lo, then lowers hi[r] to hi,
     each checked against the other side; a one-sided fact passes lo = 1 or
-    hi = r*gamma.  Past the window d_r is the tail r + g, and a fact there
-    is checked against it under ``riemann-roch``.  A fact only equal to a
-    bound that an earlier ``close`` derived leaves that bound's tag, so the
-    tags depend on how facts are batched into calls; the intervals do not."""
+    hi = r*gamma.  r, lo or hi not an int raises ``NotAnInteger``.  Past the
+    window d_r is the tail r + g, and a fact there is checked against it
+    under ``riemann-roch``.  A fact only equal to a bound that an earlier
+    ``close`` derived leaves that bound's tag, so the tags depend on how
+    facts are batched into calls; the intervals do not."""
     shared = base is not None  # else the lists are the new ledger's own
     if not shared:
         base = GonalityLedger(gamma, g)
@@ -405,6 +406,8 @@ def close(gamma: int, g: int, facts, base: GonalityLedger | None = None) -> Gona
     led_lo, led_hi, top = led._lo, led._hi, led.max_index
     raised, moved = [], []  # the indices whose lo rose and whose hi fell
     for r, lo, hi, tag in facts:
+        if type(r) is not int or type(lo) is not int or type(hi) is not int:
+            need_int(r=r, lo=lo, hi=hi)
         if r < 1:
             raise InvalidInput(f"need index >= 1, got {r}")
         if r > top:

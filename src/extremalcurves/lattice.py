@@ -88,7 +88,9 @@ class DivisorClass(namedtuple("DivisorClass", "n a b")):
 
 
 def intersect(d1: DivisorClass, d2: DivisorClass) -> int:
-    """Intersection number of two classes on the same surface."""
+    """Intersection number of two ``DivisorClass`` operands on the same surface."""
+    if type(d1) is not DivisorClass or type(d2) is not DivisorClass:  # unchecked fields
+        raise InvalidInput(f"intersect needs two DivisorClass operands, got {d1!r} and {d2!r}")
     (n, a, b), (m, c, e) = d1, d2
     if n != m:
         raise _different_surfaces(n, m)

@@ -1,30 +1,19 @@
 """Parameter scans and record serialization.
 
 ``scan`` walks a concrete (r, d) window and yields one ``ScanRecord`` row
-per extremal model, including its slope verdict and the Brill-Noether
-number at the extremal genus.  It checks its arguments when called and
-returns an iterator, not a list.  It walks runs of degrees, one
-``classify_run`` and ``slope_run`` per run.  Within a run r, m, kind,
-gamma and the verdict are fixed, d, eps, pi and rho step by constants
-(one difference of ``max_genus`` and ``brill_noether``), and a run of
-more than one degree lists one model.
+per extremal model, with its slope verdict and the Brill-Noether number at
+the extremal genus; it checks its arguments when called.  Per r it
+consumes one ``classify_runs`` walk and cuts its runs where ``slope_run``
+ends a verdict.  A one-degree run goes out as full rows, batched with its
+neighbours; a longer one, of one model, as its fixed cells and its
+(d, eps, pi, rho) ranges, which ``scan`` zips with the repeated cells.
 
-``write_records`` renders records as markdown, csv or json to a text
-stream, at most BATCH records per write, so its memory does not grow
-with the number of records; ``serialize`` runs it into a string.  A
-record is a row, a tuple in fieldnames order such as a ``ScanRecord``,
-or a dict read at the fieldnames, with None for a missing field.
-
-The renderers take runs: a run's fixed cells (a full row, None where a
-cell steps) and its rows of stepping cells.  Each fills the fixed cells
-into its row template once, anew only for another fixed tuple than the
-last run's, and formats only the stepping cells per record.
-``write_records`` passes its batches as runs with no fixed cells;
-``write_scan`` passes a scan's runs, at most BATCH records each, and
-makes no record; ``scan`` expands the same runs.  The summary table
-lives in ``summary``, which no scan loads; its names resolve from here
-too.  The engine layers, the verdicts and the csv and json encoders are
-imported inside the functions that use them, so markdown loads none.
+``write_records`` renders records as markdown, csv or json, at most BATCH
+records per write, and ``serialize`` into a string; ``write_scan`` renders
+a scan's runs through the same code and makes no record.  The summary
+table lives in ``summary``; its names resolve from here too.  The engine
+layers, the verdicts and the csv and json encoders are imported inside the
+functions that use them, so markdown loads none.
 """
 
 from __future__ import annotations
@@ -32,7 +21,7 @@ from __future__ import annotations
 import io
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from itertools import chain, count, islice, repeat
+from itertools import chain, islice, repeat
 
 from .errors import InvalidInput, need_int
 
@@ -74,7 +63,7 @@ def scan(r_lo: int, r_hi: int, d_max: int | None = None) -> Iterator[ScanRecord]
     expanded from the window's runs, so a window is never held whole.
     """
     runs = _scan_runs(*_window(r_lo, r_hi, d_max))
-    return chain.from_iterable(map(tuple.__new__, repeat(ScanRecord), _full(*run))
+    return chain.from_iterable(map(tuple.__new__, repeat(ScanRecord), _rows(*run))
                                for run in runs)
 
 
@@ -97,48 +86,51 @@ def _window(r_lo, r_hi, d_max) -> tuple[int, int, int | None]:
     return r_lo, r_hi, d_max
 
 
-_STEPPING = (None,) * len(SCAN_FIELDS)  # a run with no fixed cells
-
-
 def _scan_runs(r_lo: int, r_hi: int, d_max: int | None):
-    """The window's runs, at most BATCH records each: a one-degree run as
-    its models' full rows, a longer one, of one model, as its fixed cells
-    and its (d, eps, pi, rho) rows."""
+    """The window's runs, at most BATCH records each: consecutive one-degree
+    runs as their models' full rows, a longer run, of one model, as its
+    fixed cells and its (d, eps, pi, rho) columns."""
     from .castelnuovo import brill_noether, max_genus
-    from .extremal import classify_run
+    from .extremal import classify_runs
     from .verdicts import slope_run
 
+    rows = []
     for r in range(r_lo, r_hi + 1):
-        d, stop = 2 * r + 1, (d_max if d_max is not None else 6 * r - 5) + 1
-        while d < stop:
-            models, end = classify_run(d, r)
-            verdicts, ends = zip(*[slope_run(model) for model in models])
-            end = min(chain((stop, end), filter(None, ends)))
-            _, _, _, m, eps, _, pi, _, _ = models[0]  # the models share one split and genus
+        stop = (d_max if d_max is not None else 6 * r - 5) + 1
+        for models, end in classify_runs(r, 2 * r + 1, stop):
+            _, d, _, m, eps, _, pi, _, _ = models[0]  # the models share one split and genus
             rho = brill_noether(d, r, pi)
             if end == d + 1:
-                yield _STEPPING, [(r, d, m, eps, pi, str(model.kind), model.gamma,
-                                   str(verdict.status), rho)
-                                  for model, verdict in zip(models, verdicts)]
-            else:  # classify_run lists one model past one degree
-                (model,), (verdict,) = models, verdicts
-                fixed = (r, None, m, None, None, str(model.kind), model.gamma,
-                         str(verdict.status), None)
-                step = max_genus(m, eps + 1, r) - pi
-                rows = zip(range(d, end), count(eps), count(pi, step),
-                           count(rho, brill_noether(d + 1, r, pi + step) - rho))
-                for _ in range(d, end, BATCH):
-                    yield fixed, list(islice(rows, BATCH))
-            d = end
+                for kind, _, _, _, _, gamma, _, _, k in models:
+                    verdict, _ = slope_run(d, r, gamma, k)
+                    rows.append((r, d, m, eps, pi, str(kind), gamma, str(verdict.status), rho))
+                    if len(rows) == BATCH:
+                        yield None, rows, BATCH
+                        rows = []
+                continue
+            if rows:
+                yield None, rows, len(rows)
+                rows = []
+            ((kind, _, _, _, _, gamma, _, _, _),) = models  # past one degree, one model
+            pi_step = max_genus(m, eps + 1, r) - pi
+            rho_step = brill_noether(d + 1, r, pi + pi_step) - rho
+            while d < end:  # a verdict's run ends at the latest where its model's does
+                verdict, cut = slope_run(d, r, gamma, None)
+                n = min(cut or end, end, d + BATCH) - d
+                yield ((r, None, m, None, None, str(kind), gamma, str(verdict.status), None),
+                       (range(d, d + n), range(eps, eps + n), range(pi, pi + n * pi_step, pi_step),
+                        range(rho, rho + n * rho_step, rho_step)), n)
+                d, eps, pi, rho = d + n, eps + n, pi + n * pi_step, rho + n * rho_step
+    if rows:
+        yield None, rows, len(rows)
 
 
-def _full(fixed: tuple, rows: list):
-    """A run's rows with its fixed cells in place, through C-level zips."""
-    if fixed.count(None) == len(fixed):
-        return rows
-    steps = iter(zip(*rows))  # the stepping cells' columns
-    return islice(zip(*[next(steps, ()) if cell is None else repeat(cell) for cell in fixed]),
-                  len(rows))
+def _rows(fixed: tuple | None, cells, n: int):
+    """A run's n full rows: its cells, or its fixed cells zipped with its columns."""
+    if fixed is None:
+        return cells
+    columns = iter(cells)
+    return islice(zip(*[next(columns) if cell is None else repeat(cell) for cell in fixed]), n)
 
 
 def write_records(out, records: Iterable[dict | tuple], fmt: str = "md",
@@ -155,8 +147,7 @@ def write_records(out, records: Iterable[dict | tuple], fmt: str = "md",
     than the first, or a row of another width, raises ``InvalidInput`` as
     its batch is made.  The header goes out with the first batch, so an
     error raised while the first batch is made leaves ``out`` untouched.
-    Output ends with a newline.  Each batch renders as a run with no fixed
-    cells, through the renderers ``write_scan`` gives a scan's runs.
+    Output ends with a newline.
     """
     records = iter(records)
     first = list(islice(records, 1))
@@ -180,7 +171,7 @@ def write_records(out, records: Iterable[dict | tuple], fmt: str = "md",
 
     records = chain(first, records)
     batches = map(rows, iter(lambda: list(islice(records, BATCH)), []))
-    _write_runs(out, fmt, zip(repeat((None,) * len(fieldnames)), batches), fieldnames)
+    _write_runs(out, fmt, ((None, batch, len(batch)) for batch in batches), fieldnames)
 
 
 def serialize(records: Iterable[dict | tuple], fmt: str = "md",
@@ -192,98 +183,103 @@ def serialize(records: Iterable[dict | tuple], fmt: str = "md",
 
 
 def _write_runs(out, fmt: str, runs, fieldnames: tuple[str, ...]) -> None:
-    """Write the runs rendered in ``fmt``: the renderer's (text, records)
-    pieces joined, at most BATCH records a write; a piece that fills a write
-    goes out at once.  An unknown format raises before the first run."""
-    render = _RENDERERS.get(fmt)
-    if render is None:
+    """Write the runs rendered in ``fmt``, at most BATCH records a write; a
+    run that fills a write goes out at once.  An unknown format raises
+    before the first run.  The format gives its head, its separator between
+    records, its tail, its text for no records and three functions: the row
+    template of given fixed cells (for full rows the all-``%s`` one, made
+    once); ``fill``, the template's arguments from a run's values and
+    whether all are ints, or None; and ``whole``, the text of full rows, for
+    a run that ``fill`` or a falsy template refuses.  The values come flat
+    from one C-level pass, as a list: a tuple of unknown length grows by
+    resizing, and the small tuples so made pile up on free lists."""
+    form = _FORMATS.get(fmt)
+    if form is None:
         raise InvalidInput(f"unknown format {fmt!r}; use md, csv, or json")
-    parts, held = [], 0
-    for text, records in render(runs, fieldnames):
-        if held + records > BATCH:
+    head, sep, tail, empty, template, fill, whole = form(fieldnames)
+    last = None
+    row = free = template(repeat(None, len(fieldnames)))
+    parts, held, lead = [], 0, head
+    for fixed, cells, n in runs:
+        if fixed is not last:
+            last, row = fixed, free if fixed is None else template(fixed)
+        values = list(chain.from_iterable(cells if fixed is None else zip(*cells)))
+        ints = fixed is not None and set(map(type, cells)) == {range}  # ranges hold ints
+        args = fill(values, ints or set(map(type, values)) <= {int})
+        if held + n > BATCH:
             out.write("".join(parts))
             parts, held = [], 0
-        parts.append(text)
-        held += records
+        parts += lead, (sep.join([row] * n) % tuple(args) if row and args is not None
+                        else whole(_rows(fixed, cells, n)))
+        lead, held = sep, held + n
         if held == BATCH:
             out.write("".join(parts))
             parts, held = [], 0
-    if parts:
-        out.write("".join(parts))
+    rest = "".join(parts) + (empty if lead is head else tail)
+    if rest:
+        out.write(rest)
 
 
 def _cell(value) -> str:
     return "" if value is None else str(value)
 
 
-def _md(runs, fieldnames):
+def _md(fieldnames):
     head = ("| " + " | ".join(fieldnames) + " |\n"
             + "| " + " | ".join("---" for _ in fieldnames) + " |\n")
-    fixed = None
-    for cells, rows in runs:
-        if cells is not fixed:
-            fixed, row = cells, "| " + " | ".join(
-                "%s" if cell is None else str(cell).replace("%", "%%") for cell in cells) + " |\n"
-        values = list(chain.from_iterable(rows))
-        if None in values:  # %s would write None as "None", not as an empty cell
-            values = list(map(_cell, values))
-        yield head + (row * len(rows)) % tuple(values), len(rows)
-        head = ""
-    if head:
-        yield head, 0
+
+    def template(cells) -> str:
+        return "| " + " | ".join(
+            ["%s" if cell is None else str(cell).replace("%", "%%") for cell in cells]) + " |\n"
+
+    def fill(values: list, ints: bool) -> list:  # %s would write None as "None", not ""
+        return values if ints or None not in values else list(map(_cell, values))
+
+    return head, "", "", head, template, fill, None
 
 
-def _csv(runs, fieldnames):
+def _csv(fieldnames):
     # csv.writer writes None as "" and any other value as str(value), quoted
     # where it holds a delimiter, quote or line break; str of an int never
-    # does, so a run of int stepping cells fills the template the writer
-    # made of its fixed cells
+    # does, so a run of int values fills the template the writer made of
+    # its fixed cells
     import csv
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
 
-    def written() -> str:
+    def written(write, rows) -> str:
+        write(rows)
         text = buf.getvalue()
         buf.seek(0)
         buf.truncate()
         return text
 
-    writer.writerow(fieldnames)
-    head, fixed = written(), None
-    for cells, rows in runs:
-        values = list(chain.from_iterable(rows))
-        if set(map(type, values)) <= {int}:
-            if cells is not fixed:
-                writer.writerow(["%s" if cell is None else str(cell).replace("%", "%%")
-                                 for cell in cells])
-                fixed, row = cells, written()
-            yield head + (row * len(rows)) % tuple(values), len(rows)
-        else:
-            writer.writerows(_full(cells, rows))
-            yield head + written(), len(rows)
-        head = ""
-    if head:
-        yield head, 0
+    def template(cells) -> str:
+        return written(writer.writerow, ["%s" if cell is None else str(cell).replace("%", "%%")
+                                         for cell in cells])
+
+    head = written(writer.writerow, fieldnames)
+    return (head, "", "", head, template, lambda values, ints: values if ints else None,
+            lambda rows: written(writer.writerows, rows))
 
 
-def _json(runs, fieldnames):
-    # Equal to json.dumps(records, indent=2) for any records.  A run's fixed
-    # cells go into its record template once: an int as its str, a str by
-    # the escaper json.dumps uses, any other value by json.dumps(indent=2),
-    # indented to the record's depth.  Stepping ints fill it as their str,
-    # other values from one C-encoder call per run (indent= forces the
-    # pure-Python encoder) as one flat list with "\n" between items.  No
-    # encoded scalar holds a raw newline, so the pieces between newlines are
-    # the values; a nested value adds pieces, or starts one with "[" or "{".
-    # A run that holds one, and a row of no fields, take the pure-Python
-    # encoder, which is exact for any value.
+def _json(fieldnames):
+    # Equal to json.dumps(records, indent=2) for any records.  Fixed cells
+    # go into the record template as json.dumps(indent=2) writes them at the
+    # record's depth.  Int values fill it as their str, others from one
+    # C-encoder call per run (indent= forces the pure-Python encoder), as a
+    # flat list with "\n" between items: no encoded scalar holds a raw
+    # newline, and a nested value adds pieces or starts one with "[" or "{".
+    # A run that holds one, and a row of no fields, take json.dumps itself.
     import json
     from json.encoder import encode_basestring_ascii
 
     flat = json.JSONEncoder(separators=("\n", ": ")).encode
 
-    def scalars(values: list) -> list | None:
+    def fill(values: list, ints: bool) -> list | None:
+        if ints:
+            return values
         text = flat(values)
         pieces = text[1:-1].split("\n") if values else []
         if len(pieces) != len(values) or text[1] in "[{" or "\n[" in text or "\n{" in text:
@@ -298,21 +294,16 @@ def _json(runs, fieldnames):
         return json.dumps(cell, indent=2).replace("\n", "\n    ")
 
     keys = [json.dumps(f).replace("%", "%%") + ": " for f in fieldnames]
-    sep, fixed = "[\n", None
-    for cells, rows in runs:
-        if cells is not fixed:
-            fixed, record = cells, fieldnames and "  {\n    " + ",\n    ".join(
-                key + ("%s" if cell is None else encoded(cell).replace("%", "%%"))
-                for key, cell in zip(keys, cells)) + "\n  }"
-        values = list(chain.from_iterable(rows))
-        pieces = values if set(map(type, values)) <= {int} else scalars(values)
-        if record and pieces is not None:
-            yield sep + ",\n".join([record] * len(rows)) % tuple(pieces), len(rows)
-        else:
-            records = [dict(zip(fieldnames, row)) for row in _full(cells, rows)]
-            yield sep + json.dumps(records, indent=2)[2:-2], len(rows)
-        sep = ",\n"
-    yield "[]\n" if sep == "[\n" else "\n]\n", 0
+
+    def template(cells) -> str:
+        return fieldnames and "  {\n    " + ",\n    ".join(
+            [key + ("%s" if cell is None else encoded(cell).replace("%", "%%"))
+             for key, cell in zip(keys, cells)]) + "\n  }"
+
+    def whole(rows) -> str:
+        return json.dumps([dict(zip(fieldnames, row)) for row in rows], indent=2)[2:-2]
+
+    return "[\n", ",\n", "\n]\n", "[]\n", template, fill, whole
 
 
-_RENDERERS = {"md": _md, "csv": _csv, "json": _json}
+_FORMATS = {"md": _md, "csv": _csv, "json": _json}

@@ -4,7 +4,7 @@ A verdict is always three-valued: the r-th slope inequality
 d_r / r >= d_{r+1} / (r+1) either provably holds, is provably violated,
 or is left open.  Undetermined is a first-class answer, never an error.
 
-``slope_run`` decides it for an extremal model from (d, r, gamma) alone
+``slope_run`` decides it for an extremal model from (d, r, gamma, k) alone
 per run of degrees (``slope_verdict`` at one degree), ``plane_slope_verdict``
 for a smooth plane curve from its Noether split, and
 ``known_family_verdict`` for a named family.  None of them needs the
@@ -67,22 +67,22 @@ _OPEN = SlopeVerdict(
 
 def slope_verdict(model: ExtremalModel) -> SlopeVerdict:
     """Three-valued verdict on the r-th slope inequality for an extremal model."""
-    return slope_run(model)[0]
+    return slope_run(model.d, model.r, model.gamma, model.k)[0]
 
 
-def slope_run(model: ExtremalModel) -> tuple[SlopeVerdict, int | None]:
-    """The slope verdict of ``model`` and the degree where its run ends
-    (None: no end): the models of its kind, r and gamma from ``model.d``
-    up to there have it.  Decision list, first match wins: low gonality,
-    plane models (a run of one degree), the band r*(gamma-1) <= d <=
-    gamma*(r-1)+1, the fourgonal degree-(3r-2) split, degree 3r-1, else
-    Undetermined.  The band starts at 3r or above for gamma >= 4, so a run
-    ends where d reaches 3r-2, 3r-1 or the band, or leaves one of them."""
-    d, r, gamma = model.d, model.r, model.gamma
+def slope_run(d: int, r: int, gamma: int, k: int | None) -> tuple[SlopeVerdict, int | None]:
+    """The slope verdict of a degree-d model in P^r of gonality gamma and
+    plane degree k (None: a scroll model), and the degree where its run ends
+    (None: no end): the models of its kind, r and gamma from d up to there
+    have it.  Decision list, first match wins: low gonality, plane models (a
+    run of one degree), the band r*(gamma-1) <= d <= gamma*(r-1)+1, the
+    fourgonal degree-(3r-2) split, degree 3r-1, else Undetermined.  The band
+    starts at 3r or above for gamma >= 4, so a run ends where d reaches
+    3r-2, 3r-1 or the band, or leaves one of them."""
     if gamma <= 3:
         return _LOW_GONALITY, None
-    if model.k is not None:  # the plane model of degree k
-        return plane_slope_verdict(model.k, r), d + 1
+    if k is not None:  # the plane model of degree k
+        return plane_slope_verdict(k, r), d + 1
     band, top = r * (gamma - 1), gamma * (r - 1) + 1
     if band <= d <= top:
         return _BAND, top + 1

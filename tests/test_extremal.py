@@ -21,6 +21,7 @@ from extremalcurves import (
     verify_extremal_class,
 )
 from extremalcurves.castelnuovo import plane_genus, profile
+from extremalcurves.extremal import classify_runs
 from extremalcurves.selfcheck import classified_classes, no_degenerate_models, tally
 
 WINDOWS = [(d, r) for r in range(3, 13) for d in range(2 * r + 1, 5 * r)]
@@ -125,6 +126,30 @@ def test_constructor_derives_every_field():
                 absent += 1
     assert count == 2964
     assert absent == 5352
+
+
+def test_the_run_walk_steps_what_classify_extremal_lists():
+    # the runs tile the degrees up to stop; each lists classify_extremal at
+    # its first degree, and its later degrees keep the kinds and gamma with
+    # m fixed and eps one up; past one degree a run lists one model
+    runs = 0
+    for r in range(3, 31):
+        for start, stop in ((2 * r + 1, 8 * r), (3 * r, 5 * r + 2), (4 * r, 4 * r)):
+            d = start
+            for models, end in classify_runs(r, start, stop):
+                assert models == classify_extremal(d, r) and d < end <= stop, (r, d)
+                assert end == d + 1 or len(models) == 1, (r, d)
+                for later in range(d + 1, end):
+                    assert [(m.kind, m.gamma, m.m, m.eps) for m in classify_extremal(later, r)] \
+                        == [(m.kind, m.gamma, m.m, m.eps + later - d) for m in models], (r, later)
+                d = end
+                runs += 1
+            assert d == max(start, stop)
+    assert runs == 543
+    with pytest.raises(InvalidInput, match="need r >= 3"):
+        next(classify_runs(2, 7, 20))
+    with pytest.raises(InvalidInput, match="need an integer d"):
+        next(classify_runs(4, 9.0, 20))
 
 
 def _sample_models():

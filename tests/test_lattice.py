@@ -56,6 +56,14 @@ def test_mismatched_surfaces_are_rejected():
         _ = x - y
 
 
+def test_intersect_refuses_an_operand_that_is_not_a_class():
+    # a plain tuple's fields passed no check: a float would give 3.5
+    x = DivisorClass(0, 1, 1)
+    for a, b in ((x, (0, 2.5, 1)), ((0, 2.5, 1), x), (x, [0, 1, 1]), (x, None)):
+        with pytest.raises(InvalidInput, match="intersect needs two DivisorClass operands"):
+            intersect(a, b)
+
+
 def test_negative_invariant_rejected():
     with pytest.raises(InvalidInput):
         DivisorClass(-1, 1, 0)

@@ -93,8 +93,8 @@ def test_scan_child_source_does_not_grow():
                                          for m in (on_import + " " + on_run).split()
                                          if m.startswith("extremalcurves")]}
     assert len(lines) == 8
-    assert sum(lines.values()) <= 1300
-    assert lines["tables"] <= 320
+    assert sum(lines.values()) <= 1137
+    assert lines["tables"] <= 309
 
 
 ARGPARSE = {"argparse", "gettext", "locale"}

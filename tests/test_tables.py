@@ -27,7 +27,7 @@ from extremalcurves import (
 import extremalcurves.extremal
 import extremalcurves.verdicts
 from extremalcurves.cli import run
-from extremalcurves.tables import BATCH, _full, _write_runs, write_records
+from extremalcurves.tables import BATCH, _rows, _write_runs, write_records
 
 
 def test_table_shape():
@@ -312,16 +312,24 @@ def test_row_with_a_nested_value_renders_as_json_dumps(nested):
 @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
 def test_fixed_cells_render_as_their_full_rows(fmt):
     # a scan's fixed cells are ints and tokens; the renderers take any value
-    # there, nested ones and format characters included
+    # there, nested ones and format characters included, and runs of full
+    # rows between column runs of one fixed tuple
     rng = random.Random(fmt)
     cells = [value for value in VALUES if value is not None] + [[5], {"a": [1]}, [], (1, "%s")]
     for _ in range(200):
         fixed = tuple(rng.choice(cells) if rng.random() < 0.5 else None for _ in FIELDS)
-        runs = [(fixed, [tuple(rng.choice(VALUES) for _ in range(fixed.count(None)))
-                         for _ in range(rng.randint(1, 3))]) for _ in range(rng.randint(1, 3))]
+        runs = []
+        for n in (rng.randint(1, 3) for _ in range(rng.randint(1, 4))):
+            if rng.random() < 0.3:
+                runs.append((None, [tuple(rng.choice(VALUES) for _ in FIELDS)
+                                    for _ in range(n)], n))
+            else:
+                runs.append((fixed, [[rng.choice(VALUES) for _ in range(n)]
+                                     for _ in range(fixed.count(None))], n))
         out = io.StringIO()
         _write_runs(out, fmt, runs, FIELDS)
-        rows = [row for run in runs for row in _full(*run)]
+        rows = [row for run in runs for row in _rows(*run)]
+        assert list(map(len, rows)) == [len(FIELDS)] * sum(n for _, _, n in runs)
         assert out.getvalue() == serialize(rows, fmt, FIELDS), runs
 
 
@@ -346,8 +354,9 @@ def test_malformed_records_raise_invalid_input(fmt, at, good, bad):
 
 
 def test_scan_profiles_each_run_once(monkeypatch):
-    # classification and decision calls grow with the runs of degrees, not
-    # with the records: past r = 5 every r has the same runs in number
+    # one check and profile per r, then the run walk steps the split; the
+    # decision calls grow with the runs of degrees, not with the records:
+    # past r = 5 every r has the same runs in number
     calls = {"profile": 0, "slope_run": 0}
 
     def counting(module, name):
@@ -365,11 +374,11 @@ def test_scan_profiles_each_run_once(monkeypatch):
     for r in (8, 40, 80):
         calls.update(profile=0, slope_run=0)
         seen[r] = (len(list(scan(r, r))), calls["profile"], calls["slope_run"])
-    assert seen == {8: (31, 11, 15), 40: (159, 11, 15), 80: (319, 11, 15)}
+    assert seen == {8: (31, 1, 15), 40: (159, 1, 15), 80: (319, 1, 15)}
     calls.update(profile=0, slope_run=0)
     records = list(scan(3, 48))
     assert len(records) == 4653
-    assert calls["profile"] <= 11 * 46 and calls["slope_run"] <= 16 * 46
+    assert calls["profile"] == 46 and calls["slope_run"] <= 16 * 46
 
 
 def _scan_reference(r_lo, r_hi, d_max=None):
@@ -384,10 +393,14 @@ def _scan_reference(r_lo, r_hi, d_max=None):
 
 # windows that cut every run boundary: d_max below 2*r_lo+1 and at it,
 # inside a period, at 3r-2 and 3r-1 and far past 6r-5; r_lo = r_hi; r = 4
-# (the fourgonal 10-4 case) and r = 5 (plane models between scroll records)
+# (the fourgonal 10-4 case) and r = 5 (plane models between scroll records);
+# far windows whose one-degree runs fill many batches (r = 3 and 5) or
+# alternate with longer runs (r = 4 and 6); and a window whose batch of
+# one-degree runs, begun at r = 3, crosses BATCH inside a degree
 DIFFERENTIAL = [(3, 40, None), (6, 9, 12), (6, 9, 13), (3, 12, 200), (20, 22, 500),
                 (17, 17, None), (4, 4, None), (5, 5, None), (5, 5, 120)] + [
-    (r, r, d_max) for r in (3, 4, 5, 6, 7, 9, 13) for d_max in range(2 * r, 6 * r + 2)]
+    (r, r, d_max) for r in (3, 4, 5, 6, 7, 9, 13) for d_max in range(2 * r, 6 * r + 2)] + [
+    (r, r, 3000) for r in (3, 4, 5, 6)] + [(3, 5, 121)]
 
 
 def test_scan_equals_the_per_point_reference():
@@ -395,6 +408,8 @@ def test_scan_equals_the_per_point_reference():
         records = list(scan(r_lo, r_hi, d_max))
         assert records == list(_scan_reference(r_lo, r_hi, d_max)), (r_lo, r_hi, d_max)
         assert all(type(rec) is ScanRecord for rec in records)
+    straddling = list(scan(3, 5, 121))
+    assert straddling[BATCH - 1][:2] == straddling[BATCH][:2] == (5, 118)
 
 
 # the differential windows, a run longer than BATCH (r = 600 has runs of 597

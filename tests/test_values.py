@@ -17,6 +17,7 @@ from extremalcurves import (
     VerylastRow,
     baseline_ledger,
     classify_extremal,
+    close,
     embed_extremal,
     known_family_verdict,
     plane_curve_gonality,
@@ -25,6 +26,7 @@ from extremalcurves import (
     scan,
     table1,
     verylast_sequence,
+    with_assumptions,
 )
 
 
@@ -141,6 +143,9 @@ def test_invalid_data_rejected_by_constructor():
     (ScrollEmbedding, (1, 2.0, 4), "beta"), (ScrollEmbedding, (1, 2, "4"), "r"),
     (DivisorClass(3, 4, 12).__rmul__, (2.0,), "c"),
     (baseline_ledger(4, 12).entry, (2.0,), "r"), (baseline_ledger(4, 12).exact_value, (2.0,), "r"),
+    (lambda facts: with_assumptions(baseline_ledger(4, 12), facts), ([(3, 9.0)],), "lo"),
+    (close, (4, 12, [(3, 9.5, 9.5, "x")]), "lo"), (close, (4, 12, [(3.0, 9, 9, "x")]), "r"),
+    (close, (4, 12, [(3, 9, None, "x")]), "hi"),
 ], ids=lambda value: getattr(value, "__name__", repr(value)))
 def test_non_integer_arguments_are_invalid_input(call, args, name):
     with pytest.raises(InvalidInput, match=f"^need an integer {name}, got ") as caught:
